@@ -2,10 +2,12 @@
 
 The pressure equation -div(lambda_t(sw) K grad p) = q is solved implicitly
 with a two-point flux approximation (harmonic-mean permeability, arithmetic
-face mobility); saturation is advanced explicitly with upwind fractional
-flow under a CFL-limited sub-step.  Water is injected at a fixed total rate
-spread over the leftmost column; the rightmost column is held at a fixed
-producer pressure, which anchors the elliptic system.
+face mobility), by conjugate gradients preconditioned with one geometric
+multigrid V-cycle (cell-centred linear interpolation, Galerkin coarse
+operators, damped-Jacobi smoothing); saturation is advanced explicitly with
+upwind fractional flow under a CFL-limited sub-step.  Water is injected at a
+fixed total rate spread over the leftmost column; the rightmost column is
+held at a fixed producer pressure, which anchors the elliptic system.
 
 Units are internally consistent and dimensionless: permeability is a
 mobility multiplier, the injection rate is expressed in pore volumes per
@@ -14,6 +16,7 @@ day, and the cell thickness in the collapsed direction is one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,13 +64,6 @@ class ReservoirConfig:
     @property
     def pore_volume(self) -> float:
         return self.porosity * self.cell_volume * self.nx * self.nz
-
-
-@dataclass
-class SimState:
-    p: np.ndarray
-    sw: np.ndarray
-    day: float
 
 
 @dataclass
@@ -135,6 +131,8 @@ def _injection_rate(cfg: ReservoirConfig) -> float:
 def assemble_pressure(k: np.ndarray, sw: np.ndarray, cfg: ReservoirConfig):
     """Sparse SPD system (A, b) for the total-mobility pressure equation.
 
+    ``A`` acts on the cells in C order and ``b`` is ``[nx, nz]``.
+
     Injector cells (leftmost column) contribute a uniform split of the total
     rate to b; producer cells (rightmost column) are eliminated symmetrically
     as Dirichlet rows p = p_prod.
@@ -191,38 +189,104 @@ def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
         vals.append(off_z_masked.ravel())
     a = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                      shape=(n, n))
-    return a, b.ravel()
+    return a, b
 
 
-def solve_pressure(a, b, x0=None, rtol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
-    """Diagonally preconditioned conjugate gradients to ||Ax-b|| <= rtol ||b||."""
+_RTOL = 1e-10           # pressure solve: ||Ax - b|| <= _RTOL ||b||
+_MAXITER = 1000         # CG iterations before the solve is declared failed
+_COARSEST = 64          # cells at most on the level inverted densely
+_OMEGA = 2.0 / 3.0      # damped-Jacobi smoothing weight
+_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
+
+
+def _interpolation_1d(n: int):
+    """Cell-centred linear interpolation from ceil(n/2) coarse cells to n fine cells.
+
+    Fine cell 2j (2j+1) takes 3/4 of coarse cell j and 1/4 of its left
+    (right) neighbour; an end cell without that neighbour takes all of j.
+    """
+    m = (n + 1) // 2
+    i = np.arange(n)
+    j = i // 2
+    nb = np.where(i % 2 == 0, j - 1, j + 1)
+    inside = (nb >= 0) & (nb < m)
+    rows = np.concatenate([i, i[inside]])
+    cols = np.concatenate([j, nb[inside]])
+    vals = np.concatenate([np.where(inside, 0.75, 1.0), np.full(inside.sum(), 0.25)])
+    return sp.csr_array((vals, (rows, cols)), shape=(n, m))
+
+
+@functools.lru_cache(maxsize=8)
+def _prolongations(nx: int, nz: int):
+    """(P, P^T) pairs from the finest grid down to one of at most _COARSEST cells."""
+    out = []
+    while nx * nz > _COARSEST:
+        p = sp.kron(_interpolation_1d(nx), _interpolation_1d(nz), format="csr")
+        out.append((p, p.T.tocsr()))
+        nx, nz = (nx + 1) // 2, (nz + 1) // 2
+    return tuple(out)
+
+
+def _hierarchy(a, nx: int, nz: int):
+    """Per-level (A, omega / diag A, P, P^T) plus the dense inverse of the coarsest ``P^T A P``."""
+    levels = []
+    for p, pt in _prolongations(nx, nz):
+        levels.append((a, _OMEGA / a.diagonal(), p, pt))
+        a = pt @ a @ p
+    return levels, np.linalg.inv(a.toarray())
+
+
+def _vcycle(levels, coarse_inv, r, level=0):
+    """One symmetric V-cycle applied to ``r`` (zero initial guess)."""
+    if level == len(levels):
+        return coarse_inv @ r
+    a, wdiag, p, pt = levels[level]
+    x = wdiag * r
+    for _ in range(_SWEEPS - 1):
+        x += wdiag * (r - a @ x)
+    x += p @ _vcycle(levels, coarse_inv, pt @ (r - a @ x), level + 1)
+    for _ in range(_SWEEPS):
+        x += wdiag * (r - a @ x)
+    return x
+
+
+def solve_pressure(a, b, x0=None) -> np.ndarray:
+    """Solve the SPD pressure system ``a x = b`` on the grid ``b.shape``.
+
+    ``b`` is ``[nx, nz]`` (a 1-D ``b`` is an ``(n, 1)`` line) and the result
+    has ``b``'s shape; ``x0`` is an optional warm start of the same size.
+    Conjugate gradients are preconditioned by one symmetric multigrid
+    V-cycle: cell-centred linear interpolation between levels, Galerkin
+    coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
+    inverse on the coarsest level.  Returns ``x`` with
+    ``||a x - b|| <= 1e-10 ||b||``, or raises ``RuntimeError``.
+    """
     b = np.asarray(b, dtype=np.float64)
-    n = b.size
+    shape = b.shape
+    b = b.ravel()
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n)
-    if maxiter is None:
-        maxiter = max(1000, 20 * n)
-    inv_diag = 1.0 / a.diagonal()
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).ravel().copy()
+        return np.zeros(shape)
+    x = np.zeros(b.size) if x0 is None else np.asarray(x0, dtype=np.float64).ravel().copy()
     r = b - a @ x
-    z = inv_diag * r
-    d = z.copy()
-    rz = r @ z
-    tol = rtol * bnorm
-    for _ in range(maxiter):
-        if np.linalg.norm(r) <= tol:
-            return x
+    tol = _RTOL * bnorm
+    if np.linalg.norm(r) <= tol:
+        return x.reshape(shape)
+    nx, nz = shape if len(shape) == 2 else (b.size, 1)
+    levels, coarse_inv = _hierarchy(a, nx, nz)
+    d = _vcycle(levels, coarse_inv, r)
+    rz = r @ d
+    for _ in range(_MAXITER):
         ad = a @ d
         alpha = rz / (d @ ad)
         x += alpha * d
         r -= alpha * ad
-        z = inv_diag * r
+        if np.linalg.norm(r) <= tol:
+            return x.reshape(shape)
+        z = _vcycle(levels, coarse_inv, r)
         rz_new = r @ z
         d = z + (rz_new / rz) * d
         rz = rz_new
-    if np.linalg.norm(r) <= tol:
-        return x
     raise RuntimeError(f"pressure solve did not converge: residual {np.linalg.norm(r) / bnorm:.3e}")
 
 
@@ -315,9 +379,10 @@ def update_saturation(sw: np.ndarray, fx, fz, dt: float, cfg: ReservoirConfig):
 def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     """IMPES time series: daily (p, sw) snapshots for days 0..total_days.
 
-    Pressure is re-solved before every saturation sub-step (warm-started CG);
-    sub-steps are CFL-limited and land exactly on day boundaries.  Snapshot 0
-    is the initial saturation with its consistent pressure field.
+    Pressure is re-solved before every saturation sub-step by multigrid-
+    preconditioned CG warm-started from the previous pressure; sub-steps are
+    CFL-limited and land exactly on day boundaries.  Snapshot 0 is the
+    initial saturation with its consistent pressure field.
     """
     nx, nz = cfg.nx, cfg.nz
     tx, tz = face_transmissibility(k, cfg)
@@ -325,7 +390,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
 
     txm, tzm = _mobility_faces(tx, tz, sw, cfg)
     a, b = _assemble_from_faces(txm, tzm, cfg)
-    p = solve_pressure(a, b).reshape(nx, nz)
+    p = solve_pressure(a, b)
 
     days = cfg.total_days
     p_series = np.empty((days + 1, nx, nz))
@@ -346,7 +411,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
             t += dt
             txm, tzm = _mobility_faces(tx, tz, sw, cfg)
             a, b = _assemble_from_faces(txm, tzm, cfg)
-            p = solve_pressure(a, b, x0=p.ravel()).reshape(nx, nz)
+            p = solve_pressure(a, b, x0=p)
         p_series[day], sw_series[day] = p, sw
 
     return TimeSeriesSample(

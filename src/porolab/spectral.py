@@ -45,7 +45,7 @@ def _column_weights(w: int, dtype=np.float64) -> np.ndarray:
 def rfft2_adjoint(g: np.ndarray, w_full: int) -> np.ndarray:
     """Adjoint of ``rfft2`` under the real inner product: half-spectrum -> field."""
     n = g.shape[-2] * w_full
-    weights = _column_weights(w_full)
+    weights = _column_weights(w_full, dtype=g.real.dtype)
     return n * irfft2(g / weights, s=(g.shape[-2], w_full))
 
 

@@ -1,19 +1,34 @@
 """Two-phase IMPES simulator: physics oracles, budgets, bounds, refinement."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from porolab import simulator
 from porolab.grf import GrfSpec, sample_grf, to_permeability
 from porolab.simulator import (ReservoirConfig, assemble_pressure, darcy_fluxes,
                                face_transmissibility, relperm, run_simulation,
                                solve_pressure, stable_dt, update_saturation,
-                               water_budget_error, _mobility_faces)
+                               water_budget_error, _hierarchy, _mobility_faces, _vcycle)
 
 rng = np.random.default_rng(3)
 
 
 def heterogeneous_k(n, seed=21):
     return to_permeability(sample_grf(GrfSpec(n=n, seed=seed), 0), 10.0) + 0.05
+
+
+def grid_k(nx, nz):
+    """Heterogeneous permeability on an nx x nz grid (a corner of a square draw)."""
+    return heterogeneous_k(max(nx, nz))[:nx, :nz]
+
+
+# Grids of at most 64 cells (4x4, 8x8, 9x5, 20x1) are inverted directly;
+# 16x16 has one coarse level, 33x17 two with odd extents, 64x64 three.
+GRIDS = [(4, 4), (8, 8), (16, 16), (64, 64), (9, 5), (33, 17), (20, 1)]
 
 
 class TestRelperm:
@@ -107,18 +122,53 @@ class TestSolvePressure:
         b = np.array([2.0, 8.0, 20.0])
         assert np.allclose(solve_pressure(a, b), b / d)
 
-    def test_matches_dense_direct_solve(self):
-        cfg = ReservoirConfig(nx=4, nz=4)
-        a, b = assemble_pressure(heterogeneous_k(4), np.full((4, 4), 0.3), cfg)
+    @pytest.mark.parametrize("nx,nz", GRIDS)
+    def test_matches_dense_direct_solve(self, nx, nz):
+        cfg = ReservoirConfig(nx=nx, nz=nz)
+        a, b = assemble_pressure(grid_k(nx, nz), np.full((nx, nz), 0.3), cfg)
         p = solve_pressure(a, b)
-        dense = np.linalg.solve(a.toarray(), b)
+        dense = np.linalg.solve(a.toarray(), b.ravel()).reshape(nx, nz)
         assert np.max(np.abs(p - dense)) < 1e-9 * max(1.0, np.max(np.abs(dense)))
 
-    def test_residual_contract(self):
-        cfg = ReservoirConfig(nx=8, nz=8)
-        a, b = assemble_pressure(heterogeneous_k(8), np.full((8, 8), 0.25), cfg)
+    @pytest.mark.parametrize("nx,nz", GRIDS)
+    def test_residual_contract(self, nx, nz):
+        cfg = ReservoirConfig(nx=nx, nz=nz)
+        a, b = assemble_pressure(grid_k(nx, nz), np.full((nx, nz), 0.25), cfg)
         p = solve_pressure(a, b)
-        assert np.linalg.norm(a @ p - b) <= 1e-10 * np.linalg.norm(b)
+        assert p.shape == b.shape
+        assert np.linalg.norm(a @ p.ravel() - b.ravel()) <= 1e-10 * np.linalg.norm(b)
+
+    def test_few_iterations(self, monkeypatch):
+        # a cold 64x64 solve takes 11 V-cycle-preconditioned CG iterations;
+        # Jacobi preconditioning took ~340, 2x2 aggregation ~30
+        cfg = ReservoirConfig(nx=64, nz=64)
+        a, b = assemble_pressure(grid_k(64, 64), np.full((64, 64), 0.25), cfg)
+        applied = []
+
+        def counted(levels, coarse_inv, r, level=0):
+            applied.append(level)
+            return _vcycle(levels, coarse_inv, r, level)
+
+        monkeypatch.setattr(simulator, "_vcycle", counted)
+        solve_pressure(a, b)
+        assert 0 < applied.count(0) <= 15
+
+    @pytest.mark.parametrize("nx,nz", [(16, 16), (64, 64), (33, 17), (100, 1)])
+    def test_vcycle_symmetric_positive(self, nx, nz):
+        # CG needs an SPD preconditioner: r2.M(r1) == r1.M(r2) and r.M(r) > 0
+        cfg = ReservoirConfig(nx=nx, nz=nz)
+        a, _ = assemble_pressure(grid_k(nx, nz), np.full((nx, nz), 0.25), cfg)
+        levels, coarse_inv = _hierarchy(a, nx, nz)
+        assert levels, "grid too small to coarsen"
+
+        def m(r):
+            return _vcycle(levels, coarse_inv, r)
+
+        r1, r2 = rng.standard_normal((2, nx * nz))
+        lhs, rhs = r2 @ m(r1), r1 @ m(r2)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        for r in (r1, r2, np.ones(nx * nz), np.arange(nx * nz, dtype=float)):
+            assert r @ m(r) > 0.0
 
 
 class TestSaturationUpdate:
@@ -213,6 +263,29 @@ class TestRunSimulation:
         b = run_simulation(k, cfg)
         assert np.array_equal(a.p_series, b.p_series)
         assert np.array_equal(a.sw_series, b.sw_series)
+
+    def test_matches_dense_reference_solver(self, monkeypatch):
+        cfg = ReservoirConfig(nx=16, nz=16, total_days=8)
+        k = heterogeneous_k(16)
+        sample = run_simulation(k, cfg)
+
+        def dense(a, b, x0=None):
+            return np.linalg.solve(a.toarray(), b.ravel()).reshape(b.shape)
+
+        monkeypatch.setattr(simulator, "solve_pressure", dense)
+        ref = run_simulation(k, cfg)
+        assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-8 * np.max(np.abs(ref.p_series))
+        assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
+
+    def test_loads_no_scipy_linalg(self):
+        # scipy.linalg and scipy.sparse.linalg cost import time and resident memory
+        code = ("import sys, numpy as np, porolab\n"
+                "porolab.run_simulation(np.ones((16, 16)), porolab.ReservoirConfig(nx=16, nz=16, total_days=1))\n"
+                "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simulator.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_snapshot_count(self):
         cfg = ReservoirConfig(nx=8, nz=8, total_days=6)

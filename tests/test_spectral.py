@@ -58,6 +58,13 @@ class TestRfft2:
         rhs = np.sum(d.real * a.real + d.imag * a.imag)
         assert abs(lhs - rhs) < 1e-10
 
+    def test_adjoints_keep_float32(self):
+        # a float32 model's backward pass must not run its FFTs in 64 bits
+        d = (rng.standard_normal((4, 8, 5)) + 1j * rng.standard_normal((4, 8, 5))).astype(np.complex64)
+        g = rng.standard_normal((4, 8, 8)).astype(np.float32)
+        assert spectral.rfft2_adjoint(d, 8).dtype == np.float32
+        assert spectral.irfft2_adjoint(g, 8).dtype == np.complex64
+
 
 class TestDct2:
     def test_constant_maps_to_dc(self):
