@@ -6,14 +6,14 @@ two-phase IMPES reference simulator, FNO and MgNO operator architectures,
 and the training/evaluation harness that compares them.
 """
 
-from .tensor import Tensor, Parameter, Tape, backward
+from .tensor import Tensor, Parameter, Tape
 from .grf import GrfSpec, kl_eigenvalues, sample_grf, to_permeability
 from .simulator import ReservoirConfig, TimeSeriesSample, run_simulation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "backward",
+    "Tensor", "Parameter", "Tape",
     "GrfSpec", "kl_eigenvalues", "sample_grf", "to_permeability",
     "ReservoirConfig", "TimeSeriesSample", "run_simulation",
     "__version__",

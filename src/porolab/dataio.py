@@ -1,18 +1,17 @@
-"""Dataset construction, normalization, NPY container I/O and checkpoints.
+"""Dataset construction, normalization, and dataset and checkpoint files.
 
-The NPY writer/reader implements the version-1.0 binary container directly
-(magic, little-endian header length, text header padded so the full header
-is a multiple of 64 bytes and ends in a newline, then raw little-endian
-values).  Datasets live in a directory as ``K.npy``, ``P.npy``, ``Sw.npy``
-plus a plain-text ``manifest.txt``; checkpoints store one NPY per parameter
-next to a manifest describing the architecture and normalization.
+Arrays are stored as NPY files (``numpy.save``) holding little-endian
+float32 or float64 values in C order.  Datasets live in a directory as
+``K.npy``, ``P.npy``, ``Sw.npy`` plus a plain-text ``manifest.txt``;
+checkpoints store one NPY per parameter next to a manifest describing the
+architecture and normalization.
 """
 
 from __future__ import annotations
 
 import ast
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,61 +19,27 @@ import numpy as np
 from .grf import GrfSpec, sample_grf, to_permeability
 from .simulator import ReservoirConfig, run_simulation, water_budget_error
 
-_MAGIC = b"\x93NUMPY\x01\x00"
-_DESCRS = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+_FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
-# ---------------------------------------------------------------------------
-# NPY container
-# ---------------------------------------------------------------------------
-
-def npy_header_bytes(shape: tuple[int, ...], descr: str) -> bytes:
-    """Full byte header (magic through newline) for a C-order array."""
-    if descr not in _DESCRS:
-        raise ValueError(f"unsupported dtype descriptor {descr!r}")
-    dict_text = f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {tuple(shape)!r}, }}"
-    base = len(_MAGIC) + 2 + len(dict_text) + 1
-    pad = (64 - base % 64) % 64
-    header = dict_text + " " * pad + "\n"
-    return _MAGIC + len(header).to_bytes(2, "little") + header.encode("latin1")
+def _save_npy(path, array: np.ndarray, dtype=None) -> None:
+    """Write ``array`` (cast to ``dtype`` if given) as a little-endian C-order NPY file."""
+    array = np.asarray(array, dtype=dtype, order="C")
+    np.save(path, array.astype(array.dtype.newbyteorder("<"), copy=False))
 
 
-def write_npy(path, array: np.ndarray, precision: str | None = None) -> None:
-    """Write a float array as an NPY v1.0 file ('<f8' or '<f4')."""
-    array = np.ascontiguousarray(array)
-    if precision is not None:
-        array = array.astype({"f8": "<f8", "f4": "<f4"}[precision], copy=False)
-    descr = array.dtype.newbyteorder("<").str
-    if descr not in _DESCRS:
-        raise ValueError(f"unsupported dtype {array.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(npy_header_bytes(array.shape, descr))
-        fh.write(array.astype(descr, copy=False).tobytes(order="C"))
+def _load_npy(path) -> np.ndarray:
+    """Read an NPY file; only little-endian float32 and float64 arrays are accepted.
 
-
-def read_npy(path) -> np.ndarray:
-    """Read an NPY v1.0 file written by :func:`write_npy` (or numpy)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not an NPY v1.0 file (magic {magic!r})")
-        (hlen,) = np.frombuffer(fh.read(2), dtype="<u2")
-        header = fh.read(int(hlen)).decode("latin1")
-        if not header.endswith("\n"):
-            raise ValueError(f"{path}: header not newline-terminated")
-        meta = ast.literal_eval(header)
-        descr, fortran, shape = meta["descr"], meta["fortran_order"], meta["shape"]
-        if fortran:
-            raise ValueError(f"{path}: fortran-order arrays not supported")
-        if descr not in _DESCRS:
-            raise ValueError(f"{path}: unsupported dtype {descr!r}")
-        dtype = _DESCRS[descr]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
-            raise ValueError(f"{path}: truncated payload "
-                             f"({len(payload)} of {count * dtype.itemsize} bytes)")
-        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    A truncated or non-NPY file raises ``ValueError``, as does an empty one.
+    """
+    try:
+        array = np.load(path, allow_pickle=False)
+    except EOFError as exc:
+        raise ValueError(f"{path}: empty file") from exc
+    if array.dtype not in _FLOAT_DTYPES:
+        raise ValueError(f"{path}: unsupported dtype {array.dtype.str!r}")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +54,6 @@ class NormStats:
     k_std: float
     target_mean: float
     target_std: float
-    k_log: bool = True
     target_name: str = "p"
 
     @staticmethod
@@ -113,8 +77,7 @@ class NormStats:
         )
 
     def normalize_k(self, k: np.ndarray) -> np.ndarray:
-        x = np.log1p(k) if self.k_log else k
-        return (x - self.k_mean) / self.k_std
+        return (np.log1p(k) - self.k_mean) / self.k_std
 
     def normalize_target(self, x: np.ndarray) -> np.ndarray:
         return (x - self.target_mean) / self.target_std
@@ -125,7 +88,7 @@ class NormStats:
     def to_dict(self) -> dict:
         return {"k_mean": self.k_mean, "k_std": self.k_std,
                 "target_mean": self.target_mean, "target_std": self.target_std,
-                "k_log": self.k_log, "target_name": self.target_name}
+                "target_name": self.target_name}
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +178,10 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
             progress(i)
     manifest = {
         "n_samples": n_samples,
-        "grid": cfg.nx,
-        "days": days,
         "seed": seed,
         "train_fraction": train_fraction,
         "amplitude": amplitude,
-        "q_inj": cfg.q_inj,
-        "porosity": cfg.porosity,
-        "sw_init": cfg.sw_init,
-        "mu_w": cfg.mu_w,
-        "mu_o": cfg.mu_o,
-        "swc": cfg.swc,
-        "sor": cfg.sor,
-        "dx": cfg.dx,
-        "dz": cfg.dz,
-        "p_prod": cfg.p_prod,
-        "substep_cfl": cfg.substep_cfl,
+        **_config_entries(cfg),
         "layout": "repeated" if repeat_k else "canonical",
         "resampled": "; ".join(resampled) if resampled else "none",
     }
@@ -238,6 +189,18 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
     if out_dir is not None:
         save_dataset(bundle, out_dir, repeat_k=repeat_k)
     return bundle
+
+
+# Config fields a manifest records under other keys: the square grid's extent
+# as ``grid`` and the horizon as ``days``.
+_RENAMED_FIELDS = ("nx", "nz", "total_days")
+
+
+def _config_entries(cfg: ReservoirConfig) -> dict:
+    """Manifest entries from which :func:`reservoir_config_from_manifest` rebuilds ``cfg``."""
+    entries = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+               if f.name not in _RENAMED_FIELDS}
+    return {"grid": cfg.nx, "days": cfg.total_days, **entries}
 
 
 def _write_manifest(path, entries: dict) -> None:
@@ -264,9 +227,9 @@ def save_dataset(bundle: DatasetBundle, out_dir, repeat_k: bool = False) -> None
         k = np.repeat(bundle.k[:, None], bundle.n_days + 1, axis=1)
     else:
         k = bundle.k
-    write_npy(out / "K.npy", k, precision="f4")
-    write_npy(out / "P.npy", bundle.p, precision="f4")
-    write_npy(out / "Sw.npy", bundle.sw, precision="f4")
+    _save_npy(out / "K.npy", k, "<f4")
+    _save_npy(out / "P.npy", bundle.p, "<f4")
+    _save_npy(out / "Sw.npy", bundle.sw, "<f4")
     manifest = dict(bundle.manifest)
     manifest["layout"] = "repeated" if repeat_k else "canonical"
     _write_manifest(out / "manifest.txt", manifest)
@@ -283,29 +246,29 @@ def load_dataset(in_dir) -> DatasetBundle:
             manifest[key] = ast.literal_eval(val)
         except (ValueError, SyntaxError):
             manifest[key] = val
-    k = read_npy(src / "K.npy")
+    k = _load_npy(src / "K.npy")
     if manifest.get("layout") == "repeated":
         k = k[:, 0]
     return DatasetBundle(
         k=k,
-        p=read_npy(src / "P.npy"),
-        sw=read_npy(src / "Sw.npy"),
+        p=_load_npy(src / "P.npy"),
+        sw=_load_npy(src / "Sw.npy"),
         manifest=manifest,
     )
 
 
 def reservoir_config_from_manifest(manifest: dict, total_days=None) -> ReservoirConfig:
-    """Rebuild the simulator configuration recorded in a dataset manifest."""
+    """Rebuild the simulator configuration recorded in a dataset manifest.
+
+    A field the manifest does not record (an older manifest lacks the Corey
+    exponents) takes its default.
+    """
+    recorded = {f.name: type(f.default)(manifest[f.name]) for f in fields(ReservoirConfig)
+                if f.name in manifest and f.name not in _RENAMED_FIELDS}
     return ReservoirConfig(
         nx=int(manifest["grid"]), nz=int(manifest["grid"]),
-        dx=float(manifest.get("dx", 10.0)), dz=float(manifest.get("dz", 10.0)),
-        porosity=float(manifest["porosity"]), sw_init=float(manifest["sw_init"]),
-        mu_w=float(manifest["mu_w"]), mu_o=float(manifest["mu_o"]),
-        swc=float(manifest["swc"]), sor=float(manifest["sor"]),
-        q_inj=float(manifest["q_inj"]), p_prod=float(manifest.get("p_prod", 0.0)),
         total_days=int(total_days if total_days is not None else manifest["days"]),
-        substep_cfl=float(manifest.get("substep_cfl", 0.5)),
-    )
+        **recorded)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +295,7 @@ def save_checkpoint(model, out_dir) -> None:
     names = []
     for param in model.parameters():
         fname = param.name.replace(".", "__") + ".npy"
-        write_npy(out / fname, param.data)
+        _save_npy(out / fname, param.data)
         names.append(param.name)
     entries["parameters"] = ",".join(names)
     _write_manifest(out / "manifest.txt", entries)
@@ -341,7 +304,6 @@ def save_checkpoint(model, out_dir) -> None:
 def load_checkpoint(in_dir):
     """Rebuild a model whose forward pass is bit-identical to the saved one."""
     from .operators import Fno, FnoConfig, Mgno, MgnoConfig
-    from .training import OracleModel
 
     src = Path(in_dir)
     raw = _read_manifest(src / "manifest.txt")
@@ -354,35 +316,23 @@ def load_checkpoint(in_dir):
             k_mean=float(raw["stats.k_mean"]), k_std=float(raw["stats.k_std"]),
             target_mean=float(raw["stats.target_mean"]),
             target_std=float(raw["stats.target_std"]),
-            k_log=raw.get("stats.k_log", "True") == "True",
             target_name=raw.get("stats.target_name", "p"),
         )
-    if kind == "oracle":
-        return OracleModel(target_name=raw.get("stats.target_name", raw.get("cfg.target", "p")))
     dtype = np.float64 if raw.get("precision", "f8") == "f8" else np.float32
     common = dict(stats=stats, t_max=float(raw["t_max"]), dtype=dtype,
                   seed=int(raw["seed"]))
-    if kind == "fno":
-        cfg = FnoConfig(width=int(raw["cfg.width"]), modes1=int(raw["cfg.modes1"]),
-                        modes2=int(raw["cfg.modes2"]), depth=int(raw["cfg.depth"]),
-                        in_channels=int(raw["cfg.in_channels"]),
-                        out_channels=int(raw["cfg.out_channels"]))
-        model = Fno(cfg, **common)
-    elif kind == "mgno":
-        cfg = MgnoConfig(depth=int(raw["cfg.depth"]), channels=int(raw["cfg.channels"]),
-                         levels=int(raw["cfg.levels"]),
-                         smooth_steps=int(raw["cfg.smooth_steps"]),
-                         in_channels=int(raw["cfg.in_channels"]),
-                         out_channels=int(raw["cfg.out_channels"]))
-        model = Mgno(cfg, **common)
-    else:
+    classes = {"fno": (Fno, FnoConfig), "mgno": (Mgno, MgnoConfig)}
+    if kind not in classes:
         raise ValueError(f"{src}: unknown model kind {kind!r}")
+    model_cls, cfg_cls = classes[kind]
+    cfg = cfg_cls(**{f.name: int(raw[f"cfg.{f.name}"]) for f in fields(cfg_cls)})
+    model = model_cls(cfg, **common)
     expected = raw.get("parameters", "").split(",")
     actual = [p.name for p in model.parameters()]
     if expected != actual:
         raise ValueError(f"{src}: parameter list mismatch with architecture config")
     for param in model.parameters():
-        data = read_npy(src / (param.name.replace(".", "__") + ".npy"))
+        data = _load_npy(src / (param.name.replace(".", "__") + ".npy"))
         if data.shape != param.data.shape:
             raise ValueError(f"{src}: parameter {param.name} shape {data.shape} "
                              f"!= expected {param.data.shape}")

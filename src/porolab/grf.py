@@ -86,17 +86,8 @@ def sample_grf(spec: GrfSpec, draw_index: int) -> np.ndarray:
 
 def sample_grf_batch(spec: GrfSpec, draw_indices) -> np.ndarray:
     """Stacked samples, identical to calling :func:`sample_grf` per index."""
-    draws = list(draw_indices)
-    root_mu = np.sqrt(kl_eigenvalues(spec))
-    order = _shell_order(spec.n)
-    coeffs = np.empty((len(draws), spec.n, spec.n), dtype=np.float64)
-    flat = coeffs.reshape(len(draws), -1)
-    for i, d in enumerate(draws):
-        if d < 0:
-            raise ValueError("draw_index must be non-negative")
-        gen = Generator(Philox(key=spec.seed, counter=int(d) << 64))
-        flat[i, order] = gen.standard_normal(spec.n * spec.n)
-    coeffs *= root_mu
+    coeffs = np.stack([_noise_grid(spec, int(d)) for d in draw_indices])
+    coeffs *= np.sqrt(kl_eigenvalues(spec))
     return spec.n * idct2(coeffs)
 
 

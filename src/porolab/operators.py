@@ -30,9 +30,25 @@ from .tensor import (Parameter, Tensor, _spatial, _tape, add, conv2d,
 # model input
 # ---------------------------------------------------------------------------
 
+def _stack_inputs(k_norm: np.ndarray, t_frac, with_coords: bool) -> np.ndarray:
+    """Model inputs [B,C,H,W] in ``k_norm``'s dtype from normalized fields [B,H,W].
+
+    Channels: [normalized K, t/t_max (, x-coord, z-coord)], the coordinates
+    running over [0, 1]; ``t_frac`` holds one t/t_max per field.
+    """
+    b, nx, nz = k_norm.shape
+    x = np.empty((b, 4 if with_coords else 2, nx, nz), dtype=k_norm.dtype)
+    x[:, 0] = k_norm
+    x[:, 1] = np.asarray(t_frac)[:, None, None]
+    if with_coords:
+        x[:, 2] = np.linspace(0.0, 1.0, nx)[:, None]
+        x[:, 3] = np.linspace(0.0, 1.0, nz)[None, :]
+    return x
+
+
 def make_input(k: np.ndarray, t: float, t_max: float, stats,
                with_coords: bool = False) -> np.ndarray:
-    """Stack input channels: [normalized K, t/t_max (, x-coord, z-coord)].
+    """Input channels [C,H,W] for one permeability at time ``t``.
 
     ``t`` may exceed ``t_max`` (rollout past the training horizon).
     """
@@ -40,16 +56,8 @@ def make_input(k: np.ndarray, t: float, t_max: float, stats,
         raise ValueError("make_input requires normalization stats")
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    k = np.asarray(k)
-    kn = stats.normalize_k(k)
-    tchan = np.full_like(kn, t / t_max)
-    channels = [kn, tchan]
-    if with_coords:
-        nx, nz = k.shape
-        xs = np.linspace(0.0, 1.0, nx)[:, None] * np.ones((1, nz))
-        zs = np.ones((nx, 1)) * np.linspace(0.0, 1.0, nz)[None, :]
-        channels += [xs.astype(kn.dtype), zs.astype(kn.dtype)]
-    return np.stack(channels, axis=0)
+    kn = stats.normalize_k(np.asarray(k))
+    return _stack_inputs(kn[None], [t / t_max], with_coords)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +228,38 @@ def vcycle_apply(f: Tensor, levels: list[_LevelKernels], smooth_steps: int = 1,
     return u
 
 
-class Fno:
+class _Operator:
+    """What both architectures share: normalization, time scale, precision,
+    initialization seed, and prediction through :meth:`forward`."""
+
+    def __init__(self, cfg, stats, t_max: float, dtype, seed: int):
+        self.cfg = cfg
+        self.stats = stats
+        self.t_max = float(t_max)
+        self.dtype = np.dtype(dtype).type
+        self.seed = seed
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free forward on [B,C,H,W] inputs; returns [B,H,W]."""
+        out = self.forward(Tensor(np.ascontiguousarray(x, dtype=self.dtype)))
+        return out.data[:, 0]
+
+    def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
+        """Denormalized field predictions for one permeability at many days."""
+        coords = self.cfg.in_channels == 4
+        x = np.stack([make_input(k, float(t), self.t_max, self.stats, with_coords=coords)
+                      for t in days])
+        return self.stats.denormalize_target(self.predict(x))
+
+
+class Fno(_Operator):
     """Fourier neural operator: lift, spectral layers, project."""
 
     kind = "fno"
 
     def __init__(self, cfg: FnoConfig, stats=None, t_max: float = 24.0,
                  dtype=np.float64, seed: int = 0):
-        self.cfg = cfg
-        self.stats = stats
-        self.t_max = float(t_max)
-        self.dtype = np.dtype(dtype).type
-        self.seed = seed
+        super().__init__(cfg, stats, t_max, dtype, seed)
         rng = np.random.default_rng(seed)
         d, m1, m2 = cfg.width, cfg.modes1, cfg.modes2
         dt = self.dtype
@@ -267,31 +295,15 @@ class Fno:
             v = mixed if i == last else gelu(mixed)
         return pointwise_linear(v, self.proj_w.value, self.proj_b.value)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward on [B,C,H,W] inputs; returns [B,H,W]."""
-        out = self.forward(Tensor(np.ascontiguousarray(x, dtype=self.dtype)))
-        return out.data[:, 0]
 
-    def predict_fields(self, k: np.ndarray, days, sample_index=None) -> np.ndarray:
-        """Denormalized field predictions for one permeability at many days."""
-        coords = self.cfg.in_channels == 4
-        x = np.stack([make_input(k, float(t), self.t_max, self.stats, with_coords=coords)
-                      for t in days])
-        return self.stats.denormalize_target(self.predict(x))
-
-
-class Mgno:
+class Mgno(_Operator):
     """Multigrid neural operator: layers of learned V-cycles plus pointwise maps."""
 
     kind = "mgno"
 
     def __init__(self, cfg: MgnoConfig, stats=None, t_max: float = 24.0,
                  dtype=np.float64, seed: int = 0):
-        self.cfg = cfg
-        self.stats = stats
-        self.t_max = float(t_max)
-        self.dtype = np.dtype(dtype).type
-        self.seed = seed
+        super().__init__(cfg, stats, t_max, dtype, seed)
         rng = np.random.default_rng(seed)
         dt = self.dtype
         self.layers = []
@@ -336,16 +348,6 @@ class Mgno:
             linear = vcycle_apply(h, kernels, self.cfg.smooth_steps)
             h = gelu(add(linear, pointwise_linear(h, bmat.value, bias.value)))
         return pointwise_linear(h, self.out_w.value, None)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        out = self.forward(Tensor(np.ascontiguousarray(x, dtype=self.dtype)))
-        return out.data[:, 0]
-
-    def predict_fields(self, k: np.ndarray, days, sample_index=None) -> np.ndarray:
-        coords = self.cfg.in_channels == 4
-        x = np.stack([make_input(k, float(t), self.t_max, self.stats, with_coords=coords)
-                      for t in days])
-        return self.stats.denormalize_target(self.predict(x))
 
 
 def classical_vcycle_kernels(levels: int, h0: float, omega: float = 0.8,

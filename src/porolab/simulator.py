@@ -37,8 +37,6 @@ class ReservoirConfig:
     sor: float = 0.2
     corey_nw: float = 2.0
     corey_no: float = 2.0
-    rho_w: float = 1.0
-    rho_o: float = 1.0
     q_inj: float = 0.1          # pore volumes per day
     p_prod: float = 0.0
     total_days: int = 24

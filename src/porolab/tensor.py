@@ -3,7 +3,7 @@
 A :class:`Tensor` wraps a numpy array (float32 or float64).  Operations on
 tensors are pure functions; while a :class:`Tape` is active they append a
 record (output, inputs, backward rule) in execution order, which is already
-a valid topological order.  ``backward(loss, tape)`` replays the records in
+a valid topological order.  ``tape.backward(loss)`` replays the records in
 reverse and accumulates gradients into every reachable tensor, so a
 parameter used several times receives the sum of its per-use gradients.
 
@@ -54,12 +54,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def check_finite(self):
-        """Assertable invariant: raises if any entry is NaN or Inf."""
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("tensor contains non-finite values")
-        return self
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -114,8 +108,8 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Use as a context manager around a forward pass; call
-    :func:`backward` (or ``tape.backward``) once afterwards.  A tape is
-    freed after its backward pass and cannot be replayed.
+    ``tape.backward(loss)`` once afterwards.  A tape is freed after its
+    backward pass and cannot be replayed.
     """
 
     __slots__ = ("_nodes", "_consumed")
@@ -139,6 +133,7 @@ class Tape:
         self._nodes.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor):
+        """Populate gradients of every tensor reachable from ``loss``."""
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
         if loss.data.ndim != 0:
@@ -161,11 +156,6 @@ _TAPE_STACK: list[Tape] = []
 
 def _tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
-def backward(loss: Tensor, tape: Tape):
-    """Populate gradients of every tensor reachable from ``loss``."""
-    tape.backward(loss)
 
 
 def _as_tensor(x, dtype):
@@ -285,11 +275,6 @@ def gelu(x: Tensor) -> Tensor:
 
         t.record(out, (x,), bwd)
     return out
-
-
-def gelu_derivative(x: np.ndarray) -> np.ndarray:
-    """d/dx of the exact-erf GELU, as a plain array (used by tests)."""
-    return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:

@@ -16,6 +16,7 @@ from numpy.random import Generator, Philox
 
 from . import tensor as T
 from .dataio import DatasetBundle, NormStats
+from .operators import _stack_inputs
 from .tensor import Parameter, Tape, Tensor
 
 
@@ -151,43 +152,6 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
 
 
 # ---------------------------------------------------------------------------
-# predictors
-# ---------------------------------------------------------------------------
-
-class OracleModel:
-    """Ground-truth replay predictor, used as a zero-error test stub."""
-
-    kind = "oracle"
-
-    def __init__(self, target_name: str = "p", bundle: DatasetBundle | None = None):
-        self.target_name = target_name
-        self.bundle = bundle
-        self.stats = None
-        self.t_max = 24.0
-        self.seed = 0
-        self.dtype = np.float64
-        self.cfg = _OracleCfg(target_name)
-
-    def bind(self, bundle: DatasetBundle) -> "OracleModel":
-        self.bundle = bundle
-        return self
-
-    def parameters(self):
-        return []
-
-    def predict_fields(self, k, days, sample_index=None):
-        if self.bundle is None or sample_index is None:
-            raise ValueError("oracle predictor needs a bound dataset and sample index")
-        truth = self.bundle.target(self.target_name)[sample_index]
-        return np.asarray([truth[int(t)] for t in days], dtype=np.float64)
-
-
-@dataclass
-class _OracleCfg:
-    target: str
-
-
-# ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
@@ -208,32 +172,16 @@ def evaluate(model, bundle: DatasetBundle, indices, days=None):
     if days is None:
         days = np.arange(bundle.n_days + 1)
     days = np.asarray(days)
-    truth = bundle.target(getattr(model.cfg, "target", None) or model.stats.target_name)
+    truth = bundle.target(model.stats.target_name)
     errors = np.empty((len(indices), len(days)))
     elapsed = 0.0
     for row, i in enumerate(indices):
         t0 = time.perf_counter()
-        pred = model.predict_fields(bundle.k[i].astype(np.float64), days, sample_index=i)
+        pred = model.predict_fields(bundle.k[i].astype(np.float64), days)
         elapsed += time.perf_counter() - t0
         for col, day in enumerate(days):
             errors[row, col] = rel_l2(pred[col], truth[i, int(day)].astype(np.float64))
     return float(errors.mean()), errors.mean(axis=0), elapsed / max(len(indices), 1)
-
-
-def per_timestep_error(model, bundle: DatasetBundle, indices) -> np.ndarray:
-    """Mean relative L2 per day (vector of length T+1)."""
-    _, vec, _ = evaluate(model, bundle, indices)
-    return vec
-
-
-def rollout_eval(model, extended: DatasetBundle, indices, seen_days: int = 24):
-    """Per-day errors on an extended horizon; returns (vector, boundary index).
-
-    The time channel runs past 1 for days beyond the training horizon; days
-    0..seen_days were seen during training, later days were not.
-    """
-    vec = per_timestep_error(model, extended, indices)
-    return vec, seen_days
 
 
 def constant_mean_baseline(bundle: DatasetBundle, target_name: str,
@@ -253,7 +201,7 @@ def throughput_report(model, bundle: DatasetBundle, cfg, indices):
     days = np.arange(bundle.n_days + 1)
     t0 = time.perf_counter()
     for i in indices:
-        model.predict_fields(bundle.k[i].astype(np.float64), days, sample_index=i)
+        model.predict_fields(bundle.k[i].astype(np.float64), days)
     model_s = (time.perf_counter() - t0) / len(indices)
     t0 = time.perf_counter()
     for i in indices:
@@ -265,21 +213,6 @@ def throughput_report(model, bundle: DatasetBundle, cfg, indices):
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
-
-_COORD_CACHE: dict = {}
-
-
-def _COORDS(nx: int, nz: int, dtype):
-    """Cached normalized coordinate grids (x, z) in [0, 1]."""
-    key = (nx, nz, np.dtype(dtype).str)
-    if key not in _COORD_CACHE:
-        xs = (np.linspace(0.0, 1.0, nx, dtype=dtype)[:, None]
-              * np.ones((1, nz), dtype=dtype))
-        zs = (np.ones((nx, 1), dtype=dtype)
-              * np.linspace(0.0, 1.0, nz, dtype=dtype)[None, :])
-        _COORD_CACHE[key] = (xs, zs)
-    return _COORD_CACHE[key]
-
 
 def _normalized_views(bundle: DatasetBundle, stats: NormStats, dtype):
     k_norm = stats.normalize_k(bundle.k.astype(np.float64)).astype(dtype)
@@ -312,7 +245,9 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
     """Train a model in place; returns the list of per-epoch metrics.
 
     The split takes the first ``train_fraction`` of samples (generation
-    order) for training; batch order within an epoch is shuffled by a
+    order) for training, and must be the split the dataset's manifest
+    records, on which :meth:`DatasetBundle.fit_stats` fits the
+    normalization; batch order within an epoch is shuffled by a
     counter-based generator keyed on the config seed, so the whole run is a
     pure function of (dataset, config, seed).
     """
@@ -321,7 +256,12 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
     n_train = int(np.ceil(bundle.n_samples * cfg.train_fraction))
     if n_train < 1 or n_train > bundle.n_samples:
         raise ValueError(f"empty or invalid split: {n_train} of {bundle.n_samples}")
-    val_idx = np.arange(n_train, bundle.n_samples)
+    if n_train != bundle.n_train():
+        raise ValueError(
+            f"train_fraction {cfg.train_fraction} takes {n_train} training samples, but "
+            f"the dataset's split, on which its normalization is fitted, takes "
+            f"{bundle.n_train()}")
+    val_idx = bundle.val_indices()
     days = bundle.n_days
     dtype = model.dtype
     k_norm, tgt_norm = _normalized_views(bundle, model.stats, dtype)
@@ -333,27 +273,17 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
         raise ValueError(f"batch size {cfg.batch_size} exceeds training pairs {len(pairs)}")
     params = model.parameters()
     state = AdamState(params)
-    nx, nz = bundle.grid
-    in_ch = model.cfg.in_channels
+    with_coords = model.cfg.in_channels == 4
 
     history: list[MetricsRecord] = []
     for epoch in range(cfg.epochs):
         order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(len(pairs))
         losses = []
         for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
-            batch = pairs[order[start:start + cfg.batch_size]]
-            bs = len(batch)
-            x = np.empty((bs, in_ch, nx, nz), dtype=dtype)
-            y = np.empty((bs, 1, nx, nz), dtype=dtype)
-            denoms = np.empty(bs)
-            for j, (si, day) in enumerate(batch):
-                x[j, 0] = k_norm[si]
-                x[j, 1] = day / model.t_max
-                if in_ch == 4:
-                    x[j, 2] = _COORDS(nx, nz, dtype)[0]
-                    x[j, 3] = _COORDS(nx, nz, dtype)[1]
-                y[j, 0] = tgt_norm[si, day]
-                denoms[j] = denom_table[si, day]
+            si, day = pairs[order[start:start + cfg.batch_size]].T
+            x = _stack_inputs(k_norm[si], day / model.t_max, with_coords)
+            y = tgt_norm[si, day][:, None]
+            denoms = denom_table[si, day]
             with Tape() as tape:
                 pred = model.forward(Tensor(x))
                 loss = batched_relative_loss(pred, y, cfg.loss_kind, denominators=denoms)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import gradient_check
 from porolab import tensor as T
-from porolab.tensor import Parameter, Tape, Tensor, backward
+from porolab.tensor import Parameter, Tape, Tensor
 
 rng = np.random.default_rng(42)
 
@@ -46,7 +46,7 @@ class TestElementwise:
         x = Tensor([1.0, -2.0])
         with Tape() as tape:
             loss = T.tensor_sum(T.mul(x, x))
-        backward(loss, tape)
+        tape.backward(loss)
         assert np.allclose(x.grad, [2.0, -4.0])
 
     def test_determinism(self):
@@ -169,7 +169,7 @@ class TestGelu:
         x = Tensor([0.0])
         with Tape() as tape:
             loss = T.tensor_sum(T.gelu(x))
-        backward(loss, tape)
+        tape.backward(loss)
         assert np.allclose(x.grad, [0.5])
 
 
@@ -178,7 +178,7 @@ class TestBackward:
         p = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
             loss = T.tensor_sum(p)
-        backward(loss, tape)
+        tape.backward(loss)
         assert np.array_equal(p.grad, np.ones((3, 3)))
 
     def test_composite_conv_gelu_sum(self):
@@ -194,7 +194,7 @@ class TestBackward:
         with Tape() as tape:
             loss = T.add(T.tensor_sum(T.mul(p, Tensor(a))),
                          T.tensor_sum(T.mul(p, Tensor(b))))
-        backward(loss, tape)
+        tape.backward(loss)
         assert np.allclose(p.grad, a + b)
 
     def test_non_scalar_loss_raises(self):
@@ -202,21 +202,21 @@ class TestBackward:
         with Tape() as tape:
             y = T.mul(x, x)
         with pytest.raises(ValueError):
-            backward(y, tape)
+            tape.backward(y)
 
     def test_tape_consumed_twice_raises(self):
         x = Tensor(rng.standard_normal(3))
         with Tape() as tape:
             loss = T.tensor_sum(x)
-        backward(loss, tape)
+        tape.backward(loss)
         with pytest.raises(RuntimeError):
-            backward(loss, tape)
+            tape.backward(loss)
 
     def test_parameter_grad_zeroing(self):
         p = Parameter(rng.standard_normal((2, 2)), "w")
         with Tape() as tape:
             loss = T.tensor_sum(T.mul(p.value, p.value))
-        backward(loss, tape)
+        tape.backward(loss)
         assert p.grad is not None and p.grad.shape == p.shape
         p.zero_grad()
         assert p.grad is None
