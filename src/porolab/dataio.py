@@ -20,6 +20,7 @@ from .grf import GrfSpec, sample_grf, to_permeability
 from .simulator import ReservoirConfig, run_simulation, water_budget_error
 
 _FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
+_AMPLITUDE = 10.0   # dataset permeability K = _AMPLITUDE * |g| of a GRF sample g
 
 
 def _save_npy(path, array: np.ndarray, dtype=None) -> None:
@@ -140,7 +141,6 @@ class DatasetBundle:
 
 def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
                   train_fraction: float = 0.8, out_dir=None,
-                  repeat_k: bool = False, amplitude: float = 10.0,
                   progress=None) -> DatasetBundle:
     """Generate permeability fields and simulate their daily time series.
 
@@ -151,7 +151,7 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
     """
     if cfg.nx != cfg.nz:
         raise ValueError("dataset grids are square: nx must equal nz")
-    spec = GrfSpec(n=cfg.nx, amplitude=amplitude, seed=seed)
+    spec = GrfSpec(n=cfg.nx, seed=seed)
     days = cfg.total_days
     k_arr = np.empty((n_samples, cfg.nx, cfg.nz), dtype=np.float32)
     p_arr = np.empty((n_samples, days + 1, cfg.nx, cfg.nz), dtype=np.float32)
@@ -160,7 +160,7 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
     draw = 0
     for i in range(n_samples):
         while True:
-            k = to_permeability(sample_grf(spec, draw), amplitude)
+            k = to_permeability(sample_grf(spec, draw), _AMPLITUDE)
             draw += 1
             try:
                 sample = run_simulation(k, cfg)
@@ -180,14 +180,14 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
         "n_samples": n_samples,
         "seed": seed,
         "train_fraction": train_fraction,
-        "amplitude": amplitude,
+        "amplitude": _AMPLITUDE,
         **_config_entries(cfg),
-        "layout": "repeated" if repeat_k else "canonical",
+        "layout": "canonical",
         "resampled": "; ".join(resampled) if resampled else "none",
     }
     bundle = DatasetBundle(k=k_arr, p=p_arr, sw=sw_arr, manifest=manifest)
     if out_dir is not None:
-        save_dataset(bundle, out_dir, repeat_k=repeat_k)
+        save_dataset(bundle, out_dir)
     return bundle
 
 
@@ -220,19 +220,13 @@ def _read_manifest(path) -> dict:
     return out
 
 
-def save_dataset(bundle: DatasetBundle, out_dir, repeat_k: bool = False) -> None:
+def save_dataset(bundle: DatasetBundle, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if repeat_k:
-        k = np.repeat(bundle.k[:, None], bundle.n_days + 1, axis=1)
-    else:
-        k = bundle.k
-    _save_npy(out / "K.npy", k, "<f4")
+    _save_npy(out / "K.npy", bundle.k, "<f4")
     _save_npy(out / "P.npy", bundle.p, "<f4")
     _save_npy(out / "Sw.npy", bundle.sw, "<f4")
-    manifest = dict(bundle.manifest)
-    manifest["layout"] = "repeated" if repeat_k else "canonical"
-    _write_manifest(out / "manifest.txt", manifest)
+    _write_manifest(out / "manifest.txt", {**bundle.manifest, "layout": "canonical"})
 
 
 def load_dataset(in_dir) -> DatasetBundle:
@@ -246,18 +240,17 @@ def load_dataset(in_dir) -> DatasetBundle:
             manifest[key] = ast.literal_eval(val)
         except (ValueError, SyntaxError):
             manifest[key] = val
-    k = _load_npy(src / "K.npy")
-    if manifest.get("layout") == "repeated":
-        k = k[:, 0]
+    if manifest.get("layout") != "canonical":
+        raise ValueError(f"{src}: unsupported dataset layout {manifest.get('layout')!r}")
     return DatasetBundle(
-        k=k,
+        k=_load_npy(src / "K.npy"),
         p=_load_npy(src / "P.npy"),
         sw=_load_npy(src / "Sw.npy"),
         manifest=manifest,
     )
 
 
-def reservoir_config_from_manifest(manifest: dict, total_days=None) -> ReservoirConfig:
+def reservoir_config_from_manifest(manifest: dict) -> ReservoirConfig:
     """Rebuild the simulator configuration recorded in a dataset manifest.
 
     A field the manifest does not record (an older manifest lacks the Corey
@@ -267,7 +260,7 @@ def reservoir_config_from_manifest(manifest: dict, total_days=None) -> Reservoir
                 if f.name in manifest and f.name not in _RENAMED_FIELDS}
     return ReservoirConfig(
         nx=int(manifest["grid"]), nz=int(manifest["grid"]),
-        total_days=int(total_days if total_days is not None else manifest["days"]),
+        total_days=int(manifest["days"]),
         **recorded)
 
 
@@ -325,6 +318,8 @@ def load_checkpoint(in_dir):
     if kind not in classes:
         raise ValueError(f"{src}: unknown model kind {kind!r}")
     model_cls, cfg_cls = classes[kind]
+    # only the config's own fields are read: the cfg.in_channels and
+    # cfg.out_channels lines of older checkpoints are ignored
     cfg = cfg_cls(**{f.name: int(raw[f"cfg.{f.name}"]) for f in fields(cfg_cls)})
     model = model_cls(cfg, **common)
     expected = raw.get("parameters", "").split(",")

@@ -33,7 +33,6 @@ class GrfSpec:
     """Sampling parameters for the permeability random field."""
 
     n: int
-    amplitude: float = 10.0
     shift: float = 9.0
     exponent: int = 2
     seed: int = 0
@@ -41,8 +40,6 @@ class GrfSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid extent must be >= 2, got {self.n}")
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
 
 
 def kl_eigenvalues(spec: GrfSpec) -> np.ndarray:

@@ -30,24 +30,22 @@ from .tensor import (Parameter, Tensor, _spatial, _tape, add, conv2d,
 # model input
 # ---------------------------------------------------------------------------
 
-def _stack_inputs(k_norm: np.ndarray, t_frac, with_coords: bool) -> np.ndarray:
+_IN_CHANNELS = 2   # normalized K, t/t_max
+
+
+def _stack_inputs(k_norm: np.ndarray, t_frac) -> np.ndarray:
     """Model inputs [B,C,H,W] in ``k_norm``'s dtype from normalized fields [B,H,W].
 
-    Channels: [normalized K, t/t_max (, x-coord, z-coord)], the coordinates
-    running over [0, 1]; ``t_frac`` holds one t/t_max per field.
+    Channels: [normalized K, t/t_max]; ``t_frac`` holds one t/t_max per field.
     """
     b, nx, nz = k_norm.shape
-    x = np.empty((b, 4 if with_coords else 2, nx, nz), dtype=k_norm.dtype)
+    x = np.empty((b, _IN_CHANNELS, nx, nz), dtype=k_norm.dtype)
     x[:, 0] = k_norm
     x[:, 1] = np.asarray(t_frac)[:, None, None]
-    if with_coords:
-        x[:, 2] = np.linspace(0.0, 1.0, nx)[:, None]
-        x[:, 3] = np.linspace(0.0, 1.0, nz)[None, :]
     return x
 
 
-def make_input(k: np.ndarray, t: float, t_max: float, stats,
-               with_coords: bool = False) -> np.ndarray:
+def make_input(k: np.ndarray, t: float, t_max: float, stats) -> np.ndarray:
     """Input channels [C,H,W] for one permeability at time ``t``.
 
     ``t`` may exceed ``t_max`` (rollout past the training horizon).
@@ -57,7 +55,7 @@ def make_input(k: np.ndarray, t: float, t_max: float, stats,
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     kn = stats.normalize_k(np.asarray(k))
-    return _stack_inputs(kn[None], [t / t_max], with_coords)[0]
+    return _stack_inputs(kn[None], [t / t_max])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +74,12 @@ def _mode_rows(h: int, m1: int) -> np.ndarray:
 def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     """Per-mode channel mixing in the truncated Fourier domain.
 
-    v: [(B),C,H,W]; w_re/w_im: [m1, m2, C, C].  The output spectrum is zero
+    v: [B,C,H,W]; w_re/w_im: [m1, m2, C, C].  The output spectrum is zero
     outside the retained modes (up to the conjugate images that column 0 and
     the Nyquist column of a real field's spectrum force: retaining (r, 0)
     implies energy at (-r, 0), its other half).
     """
-    vd, batched = _spatial(v, "spectral_conv")
+    vd = _spatial(v, "spectral_conv")
     m1, m2, cout, cin = w_re.data.shape
     bsz, c, h, w = vd.shape
     if cin != c:
@@ -99,14 +97,12 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     out_block = np.matmul(wc, block_t)                                      # [m1,m2,Co,B]
     spec_out = np.zeros((bsz, cout, h, w // 2 + 1), dtype=spec_in.dtype)
     spec_out[:, :, rows[:, None], cols[None, :]] = out_block.transpose(3, 2, 0, 1)
-    out_data = spectral.irfft2(spec_out, s=(h, w)).astype(vd.dtype, copy=False)
-    out = Tensor(out_data if batched else out_data[0])
+    out = Tensor(spectral.irfft2(spec_out, s=(h, w)).astype(vd.dtype, copy=False))
 
     t = _tape()
     if t is not None:
         def bwd(g):
-            gb = g if batched else g[None]
-            gs = spectral.irfft2_adjoint(gb, w)                    # [B,C,H,Wh] complex
+            gs = spectral.irfft2_adjoint(g, w)                     # [B,C,H,Wh] complex
             ablock_t = np.ascontiguousarray(
                 gs[:, :, rows[:, None], cols[None, :]].transpose(2, 3, 1, 0))  # [m1,m2,Co,B]
             dw = np.matmul(ablock_t, block_t.conj().transpose(0, 1, 3, 2))    # g C^H
@@ -114,8 +110,7 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
             dspec = np.zeros_like(spec_in)
             dspec[:, :, rows[:, None], cols[None, :]] = dblock.transpose(3, 2, 0, 1)
             dv = spectral.rfft2_adjoint(dspec, w).astype(vd.dtype, copy=False)
-            return ((dv if batched else dv[0]),
-                    np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
+            return (dv, np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
                     np.ascontiguousarray(dw.imag, dtype=w_im.data.dtype))
 
         t.record(out, (v, w_re, w_im), bwd)
@@ -132,8 +127,6 @@ class FnoConfig:
     modes1: int = 12          # retained spectrum rows (both corners together)
     modes2: int = 12          # retained half-spectrum columns
     depth: int = 4            # number of Fourier layers
-    in_channels: int = 2
-    out_channels: int = 1
 
     def validate_grid(self, nx: int, nz: int):
         if self.modes1 > nx:
@@ -148,35 +141,11 @@ class MgnoConfig:
     channels: int = 12        # hidden channel count
     levels: int = 4           # multigrid levels J
     smooth_steps: int = 1     # smoothing iterations per level
-    in_channels: int = 2
-    out_channels: int = 1
 
     def validate_grid(self, nx: int, nz: int):
         div = 2 ** (self.levels - 1)
         if min(nx, nz) % div:
             raise ValueError(f"2^(levels-1)={div} must divide min grid extent {min(nx, nz)}")
-
-
-def parameter_count(cfg) -> int:
-    """Closed-form number of scalar parameters for either architecture."""
-    if isinstance(cfg, FnoConfig):
-        d, m1, m2 = cfg.width, cfg.modes1, cfg.modes2
-        lift = cfg.in_channels * d + d
-        per_layer = 2 * m1 * m2 * d * d + d * d + d
-        proj = d * cfg.out_channels + cfg.out_channels
-        return lift + cfg.depth * per_layer + proj
-    if isinstance(cfg, MgnoConfig):
-        total = 0
-        ci = cfg.in_channels
-        for _ in range(cfg.depth):
-            co = cfg.channels
-            total += cfg.levels * 9 * ci * co * 2          # A and S per level
-            total += (cfg.levels - 1) * 9 * (ci * ci + co * co)  # R and P per transition
-            total += ci * co + co                          # pointwise B and bias
-            ci = co
-        total += ci * cfg.out_channels                     # final linear map
-        return total
-    raise TypeError(f"unsupported config type {type(cfg)!r}")
 
 
 def _uniform(rng, shape, fan_in, dtype):
@@ -246,9 +215,7 @@ class _Operator:
 
     def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
         """Denormalized field predictions for one permeability at many days."""
-        coords = self.cfg.in_channels == 4
-        x = np.stack([make_input(k, float(t), self.t_max, self.stats, with_coords=coords)
-                      for t in days])
+        x = np.stack([make_input(k, float(t), self.t_max, self.stats) for t in days])
         return self.stats.denormalize_target(self.predict(x))
 
 
@@ -263,7 +230,7 @@ class Fno(_Operator):
         rng = np.random.default_rng(seed)
         d, m1, m2 = cfg.width, cfg.modes1, cfg.modes2
         dt = self.dtype
-        self.lift_w = Parameter(_uniform(rng, (d, cfg.in_channels), cfg.in_channels, dt), "lift.w")
+        self.lift_w = Parameter(_uniform(rng, (d, _IN_CHANNELS), _IN_CHANNELS, dt), "lift.w")
         self.lift_b = Parameter(np.zeros(d, dt), "lift.b")
         self.layers = []
         for i in range(cfg.depth):
@@ -275,8 +242,8 @@ class Fno(_Operator):
             w = Parameter(_uniform(rng, (d, d), d, dt), f"layer{i}.w")
             b = Parameter(np.zeros(d, dt), f"layer{i}.b")
             self.layers.append((wre, wim, w, b))
-        self.proj_w = Parameter(_uniform(rng, (cfg.out_channels, d), d, dt), "proj.w")
-        self.proj_b = Parameter(np.zeros(cfg.out_channels, dt), "proj.b")
+        self.proj_w = Parameter(_uniform(rng, (1, d), d, dt), "proj.w")
+        self.proj_b = Parameter(np.zeros(1, dt), "proj.b")
 
     def parameters(self) -> list[Parameter]:
         params = [self.lift_w, self.lift_b]
@@ -307,7 +274,7 @@ class Mgno(_Operator):
         rng = np.random.default_rng(seed)
         dt = self.dtype
         self.layers = []
-        ci = cfg.in_channels
+        ci = _IN_CHANNELS
         for i in range(cfg.depth):
             co = cfg.channels
             levels = []
@@ -324,7 +291,7 @@ class Mgno(_Operator):
             bias = Parameter(np.zeros(co, dt), f"layer{i}.bias")
             self.layers.append((levels, bmat, bias))
             ci = co
-        self.out_w = Parameter(_uniform(rng, (cfg.out_channels, ci), ci, dt), "out.w")
+        self.out_w = Parameter(_uniform(rng, (1, ci), ci, dt), "out.w")
 
     def parameters(self) -> list[Parameter]:
         params = []

@@ -146,9 +146,8 @@ def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
     diag = np.zeros((nx, nz))
     diag[:-1, :] += txm
     diag[1:, :] += txm
-    if nz > 1:
-        diag[:, :-1] += tzm
-        diag[:, 1:] += tzm
+    diag[:, :-1] += tzm
+    diag[:, 1:] += tzm
 
     b = np.zeros((nx, nz))
     b[0, :] += _injection_rate(cfg) / nz
@@ -175,16 +174,14 @@ def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
     rows.append(idx[1:, :].ravel())
     cols.append(idx[:-1, :].ravel())
     vals.append(off_x.ravel())
-    if nz > 1:
-        off_z = -tzm
-        off_z_masked = off_z.copy()
-        off_z_masked[-1, :] = 0.0   # producer-producer couplings drop out
-        rows.append(idx[:, :-1].ravel())
-        cols.append(idx[:, 1:].ravel())
-        vals.append(off_z_masked.ravel())
-        rows.append(idx[:, 1:].ravel())
-        cols.append(idx[:, :-1].ravel())
-        vals.append(off_z_masked.ravel())
+    off_z = -tzm
+    off_z[-1, :] = 0.0   # producer-producer couplings drop out
+    rows.append(idx[:, :-1].ravel())
+    cols.append(idx[:, 1:].ravel())
+    vals.append(off_z.ravel())
+    rows.append(idx[:, 1:].ravel())
+    cols.append(idx[:, :-1].ravel())
+    vals.append(off_z.ravel())
     a = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                      shape=(n, n))
     return a, b
@@ -291,16 +288,15 @@ def solve_pressure(a, b, x0=None) -> np.ndarray:
 def darcy_fluxes(p: np.ndarray, txm, tzm):
     """Total volumetric face fluxes, positive along increasing index."""
     fx = txm * (p[:-1, :] - p[1:, :])
-    fz = tzm * (p[:, :-1] - p[:, 1:]) if tzm.size else np.zeros_like(tzm)
+    fz = tzm * (p[:, :-1] - p[:, 1:])
     return fx, fz
 
 
 def producer_sink(fx, fz, cfg: ReservoirConfig) -> np.ndarray:
     """Signed net face inflow of each producer cell (= its well discharge)."""
     sink = fx[-1, :].copy()
-    if cfg.nz > 1:
-        sink[1:] += fz[-1, :]
-        sink[:-1] -= fz[-1, :]
+    sink[1:] += fz[-1, :]
+    sink[:-1] -= fz[-1, :]
     return sink
 
 
@@ -310,9 +306,8 @@ def _cell_outflow(fx, fz, cfg: ReservoirConfig):
     out = np.zeros((nx, nz))
     out[:-1, :] += np.maximum(fx, 0.0)
     out[1:, :] += np.maximum(-fx, 0.0)
-    if nz > 1:
-        out[:, :-1] += np.maximum(fz, 0.0)
-        out[:, 1:] += np.maximum(-fz, 0.0)
+    out[:, :-1] += np.maximum(fz, 0.0)
+    out[:, 1:] += np.maximum(-fz, 0.0)
     src = np.zeros((nx, nz))
     src[0, :] = _injection_rate(cfg) / nz
     src[-1, :] += np.abs(producer_sink(fx, fz, cfg))
@@ -354,11 +349,10 @@ def update_saturation(sw: np.ndarray, fx, fz, dt: float, cfg: ReservoirConfig):
     wflux = fw_up * fx
     dv[:-1, :] -= wflux * dt
     dv[1:, :] += wflux * dt
-    if nz > 1:
-        fw_up = np.where(fz >= 0.0, fw[:, :-1], fw[:, 1:])
-        wflux = fw_up * fz
-        dv[:, :-1] -= wflux * dt
-        dv[:, 1:] += wflux * dt
+    fw_up = np.where(fz >= 0.0, fw[:, :-1], fw[:, 1:])
+    wflux = fw_up * fz
+    dv[:, :-1] -= wflux * dt
+    dv[:, 1:] += wflux * dt
 
     dv[0, :] += (_injection_rate(cfg) / nz) * dt           # pure-water injector
     sink = producer_sink(fx, fz, cfg)                       # signed well discharge

@@ -305,18 +305,16 @@ def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
 # spatial layers: pointwise channel mixing and 2-D convolution
 # ---------------------------------------------------------------------------
 
-def _spatial(x: Tensor, op: str):
-    """Split [(B),C,H,W] into (batched 4-D view, had_batch_dim flag)."""
-    if x.data.ndim == 3:
-        return x.data[None], False
-    if x.data.ndim == 4:
-        return x.data, True
-    raise ValueError(f"{op}: expected 3-D [C,H,W] or 4-D [B,C,H,W], got {x.data.shape}")
+def _spatial(x: Tensor, op: str) -> np.ndarray:
+    """The [B,C,H,W] array of a spatial layer's input."""
+    if x.data.ndim != 4:
+        raise ValueError(f"{op}: expected 4-D [B,C,H,W], got {x.data.shape}")
+    return x.data
 
 
 def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-pixel channel mixing: out[o] = sum_c w[o,c] x[c] (+ bias[o])."""
-    xd, batched = _spatial(x, "pointwise_linear")
+    xd = _spatial(x, "pointwise_linear")
     wd = w.data
     if wd.ndim != 2 or wd.shape[1] != xd.shape[1]:
         raise ValueError(f"pointwise_linear: weight {wd.shape} incompatible with input {xd.shape}")
@@ -327,22 +325,19 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
         if bias.data.shape != (co,):
             raise ValueError(f"pointwise_linear: bias {bias.data.shape} != ({co},)")
         out_data = out_data + bias.data[:, None, None]
-    out = Tensor(out_data if batched else out_data[0])
+    out = Tensor(out_data)
     t = _tape()
     if t is not None:
         inputs = (x, w) if bias is None else (x, w, bias)
 
         def bwd(g):
-            gb = g if batched else g[None]
-            gm = gb.reshape(b, co, h * wd_)
+            gm = g.reshape(b, co, h * wd_)
             dx = np.matmul(wd.T, gm).reshape(b, c, h, wd_)
             dw = np.matmul(gm, xd.reshape(b, c, h * wd_).transpose(0, 2, 1)).sum(axis=0)
             dw = dw.astype(wd.dtype, copy=False)
-            if not batched:
-                dx = dx[0]
             if bias is None:
                 return (dx, dw)
-            return (dx, dw, gb.sum(axis=(0, 2, 3)))
+            return (dx, dw, g.sum(axis=(0, 2, 3)))
 
         t.record(out, inputs, bwd)
     return out
@@ -426,14 +421,9 @@ def _conv2d_fwd_cl(xp: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
-def _conv2d_raw(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Forward conv on [B,C,H,W] with kernel [Co,Ci,kh,kw]."""
-    return _conv2d_fwd_cl(_cl_pad(xd, pad), kd, stride)
-
-
 def _conv2d_transpose_raw(yd: np.ndarray, kd: np.ndarray, stride: int, pad: int,
                           out_hw: tuple[int, int]) -> np.ndarray:
-    """Exact adjoint of :func:`_conv2d_raw` with the same (k, stride, pad)."""
+    """Exact adjoint of :func:`conv2d`'s forward map with the same (k, stride, pad)."""
     co, ci, kh, kw = kd.shape
     oh, ow = out_hw
     h1 = oh + 2 * pad - kh + 1
@@ -465,28 +455,26 @@ def _conv2d_kgrad_cl(xp: np.ndarray, gd: np.ndarray, kshape, stride: int) -> np.
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding.
 
-    x: [(B),Ci,H,W]; k: [Co,Ci,kh,kw]; output extent (n + 2*pad - k)//stride + 1.
+    x: [B,Ci,H,W]; k: [Co,Ci,kh,kw]; output extent (n + 2*pad - k)//stride + 1.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
-    xd, batched = _spatial(x, "conv2d")
+    xd = _spatial(x, "conv2d")
     kd = k.data
     if kd.ndim != 4 or kd.shape[1] != xd.shape[1]:
         raise ValueError(f"conv2d: kernel {kd.shape} incompatible with input {xd.shape}")
     _conv_out_extent(xd.shape[2], kd.shape[2], stride, pad)
     _conv_out_extent(xd.shape[3], kd.shape[3], stride, pad)
     xp = _cl_pad(xd, pad)
-    out_data = _conv2d_fwd_cl(xp, kd, stride)
-    out = Tensor(out_data if batched else out_data[0])
+    out = Tensor(_conv2d_fwd_cl(xp, kd, stride))
     t = _tape()
     if t is not None:
         hw = (xd.shape[2], xd.shape[3])
 
         def bwd(g):
-            gb = g if batched else g[None]
-            dx = _conv2d_transpose_raw(gb, kd, stride, pad, hw)
-            dk = _conv2d_kgrad_cl(xp, gb, kd.shape, stride)
-            return (dx if batched else dx[0], dk)
+            dx = _conv2d_transpose_raw(g, kd, stride, pad, hw)
+            dk = _conv2d_kgrad_cl(xp, g, kd.shape, stride)
+            return (dx, dk)
 
         t.record(out, (x, k), bwd)
     return out
@@ -501,7 +489,7 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
     """
     if stride not in (1, 2):
         raise ValueError(f"conv2d_transpose: stride must be 1 or 2, got {stride}")
-    yd, batched = _spatial(y, "conv2d_transpose")
+    yd = _spatial(y, "conv2d_transpose")
     kd = k.data
     if kd.ndim != 4 or kd.shape[0] != yd.shape[1]:
         raise ValueError(f"conv2d_transpose: kernel {kd.shape} incompatible with input {yd.shape}")
@@ -514,16 +502,14 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
             raise ValueError(
                 f"conv2d_transpose: out_hw {out_hw} inconsistent with input {yd.shape[2:]} "
                 f"under (k={kk}, stride={stride}, pad={pad})")
-    out_data = _conv2d_transpose_raw(yd, kd, stride, pad, out_hw)
-    out = Tensor(out_data if batched else out_data[0])
+    out = Tensor(_conv2d_transpose_raw(yd, kd, stride, pad, out_hw))
     t = _tape()
     if t is not None:
         def bwd(g):
-            gb = g if batched else g[None]
-            gp = _cl_pad(gb, pad)
+            gp = _cl_pad(g, pad)
             dy = _conv2d_fwd_cl(gp, kd, stride)
             dk = _conv2d_kgrad_cl(gp, yd, kd.shape, stride)
-            return (dy if batched else dy[0], dk)
+            return (dy, dk)
 
         t.record(out, (y, k), bwd)
     return out

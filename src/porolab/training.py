@@ -36,11 +36,11 @@ def rel_l2(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm((pred - target).ravel()) / denom)
 
 
-def rel_h1(pred: np.ndarray, target: np.ndarray, h: float | None = None) -> float:
+def rel_h1(pred: np.ndarray, target: np.ndarray) -> float:
     """Relative discrete H1 error with forward-difference gradients.
 
-    The difference quotient along each axis is scaled by 1/h (default
-    h = 1/n per axis).
+    The difference quotient along each axis is scaled by 1/h with h = 1/n
+    per axis.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -51,8 +51,7 @@ def rel_h1(pred: np.ndarray, target: np.ndarray, h: float | None = None) -> floa
     def _h1_sq(x):
         total = np.sum(x * x)
         for axis in range(x.ndim):
-            inv_h = (1.0 / h) if h is not None else float(x.shape[axis])
-            diff = np.diff(x, axis=axis) * inv_h
+            diff = np.diff(x, axis=axis) * float(x.shape[axis])
             total += np.sum(diff * diff)
         return total
 
@@ -72,24 +71,20 @@ def _batched_sq_norm(x: Tensor, loss_kind: str) -> Tensor:
     return total
 
 
-def batched_relative_loss(pred: Tensor, target: np.ndarray, loss_kind: str = "rel_l2",
-                          denominators: np.ndarray | None = None) -> Tensor:
+def batched_relative_loss(pred: Tensor, target: np.ndarray, loss_kind: str,
+                          denominators: np.ndarray) -> Tensor:
     """Mean over the batch of per-sample relative L2 (or H1) errors.
 
-    ``denominators`` overrides the per-sample normalizing norms; the training
-    loop passes the physical-field norms (divided by the target std) so the
-    normalized-space loss equals the physical relative error exactly.
+    ``denominators`` are the per-sample normalizing norms; the training loop
+    passes the physical-field norms (divided by the target std, see
+    :func:`_pair_denominators`) so the normalized-space loss equals the
+    physical relative error exactly.
     """
     if loss_kind not in ("rel_l2", "rel_h1"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     tgt = Tensor(np.ascontiguousarray(target, dtype=pred.dtype))
     d = T.sub(pred, tgt)
     num = T.sqrt(_batched_sq_norm(d, loss_kind))
-    if denominators is None:
-        denom_sq = _batched_sq_norm(tgt, loss_kind).data
-        if np.any(denom_sq == 0.0):
-            raise ValueError("relative loss: zero-norm target in batch")
-        denominators = np.sqrt(denom_sq)
     weights = (1.0 / np.asarray(denominators)) / pred.shape[0]
     return T.tensor_sum(T.mul(num, Tensor(weights.astype(pred.dtype))))
 
@@ -110,15 +105,12 @@ class TrainConfig:
     loss_kind: str = "rel_l2"
     train_fraction: float = 0.8
     seed: int = 0
-    target: str = "p"
 
     def __post_init__(self):
         if self.epochs <= 0 or self.lr <= 0:
             raise ValueError("epochs and lr must be positive")
         if self.loss_kind not in ("rel_l2", "rel_h1"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.target not in ("p", "sw"):
-            raise ValueError(f"unknown target {self.target!r}")
 
 
 class AdamState:
@@ -164,14 +156,13 @@ class MetricsRecord:
     seconds_per_sample: float = 0.0
 
 
-def evaluate(model, bundle: DatasetBundle, indices, days=None):
+def evaluate(model, bundle: DatasetBundle, indices):
     """Mean physical-space relative L2 over (sample, day) pairs, plus timing.
 
-    Returns (mean error, per-day error vector, seconds per full time series).
+    Returns (mean error, per-day error vector over days 0..n_days, seconds
+    per full time series).
     """
-    if days is None:
-        days = np.arange(bundle.n_days + 1)
-    days = np.asarray(days)
+    days = np.arange(bundle.n_days + 1)
     truth = bundle.target(model.stats.target_name)
     errors = np.empty((len(indices), len(days)))
     elapsed = 0.0
@@ -179,19 +170,9 @@ def evaluate(model, bundle: DatasetBundle, indices, days=None):
         t0 = time.perf_counter()
         pred = model.predict_fields(bundle.k[i].astype(np.float64), days)
         elapsed += time.perf_counter() - t0
-        for col, day in enumerate(days):
-            errors[row, col] = rel_l2(pred[col], truth[i, int(day)].astype(np.float64))
+        for day in days:
+            errors[row, day] = rel_l2(pred[day], truth[i, day].astype(np.float64))
     return float(errors.mean()), errors.mean(axis=0), elapsed / max(len(indices), 1)
-
-
-def constant_mean_baseline(bundle: DatasetBundle, target_name: str,
-                           train_indices, eval_indices) -> float:
-    """Relative L2 of predicting the per-day training-mean field."""
-    truth = bundle.target(target_name).astype(np.float64)
-    mean_by_day = truth[np.asarray(train_indices)].mean(axis=0)
-    errs = [rel_l2(mean_by_day[d], truth[i, d])
-            for i in eval_indices for d in range(bundle.n_days + 1)]
-    return float(np.mean(errs))
 
 
 def throughput_report(model, bundle: DatasetBundle, cfg, indices):
@@ -228,20 +209,15 @@ def _pair_denominators(bundle: DatasetBundle, stats: NormStats, loss_kind: str) 
     physical relative error, which is also the reported validation metric.
     """
     phys = bundle.target(stats.target_name).astype(np.float64)
-    n, t1 = phys.shape[:2]
-    sq = np.sum(phys ** 2, axis=(2, 3))
-    if loss_kind == "rel_h1":
-        for axis, extent in ((2, phys.shape[2]), (3, phys.shape[3])):
-            diff = np.diff(phys, axis=axis) * float(extent)
-            sq += np.sum(diff ** 2, axis=(2, 3))
-    denom = np.sqrt(sq) / stats.target_std
+    n, t1, nx, nz = phys.shape
+    sq = _batched_sq_norm(Tensor(phys.reshape(n * t1, 1, nx, nz)), loss_kind).data
+    denom = np.sqrt(sq.reshape(n, t1)) / stats.target_std
     if np.any(denom == 0.0):
         raise ValueError("relative loss: zero-norm target snapshot")
     return denom
 
 
-def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
-          val_every: int = 1, log=None):
+def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     """Train a model in place; returns the list of per-epoch metrics.
 
     The split takes the first ``train_fraction`` of samples (generation
@@ -273,7 +249,6 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
         raise ValueError(f"batch size {cfg.batch_size} exceeds training pairs {len(pairs)}")
     params = model.parameters()
     state = AdamState(params)
-    with_coords = model.cfg.in_channels == 4
 
     history: list[MetricsRecord] = []
     for epoch in range(cfg.epochs):
@@ -281,7 +256,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
         losses = []
         for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
             si, day = pairs[order[start:start + cfg.batch_size]].T
-            x = _stack_inputs(k_norm[si], day / model.t_max, with_coords)
+            x = _stack_inputs(k_norm[si], day / model.t_max)
             y = tgt_norm[si, day][:, None]
             denoms = denom_table[si, day]
             with Tape() as tape:
@@ -298,7 +273,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *,
             losses.append(value)
         record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)),
                                val_rel_l2=np.nan)
-        if len(val_idx) and (epoch % val_every == 0 or epoch == cfg.epochs - 1):
+        if len(val_idx):
             err, vec, secs = evaluate(model, bundle, val_idx)
             record.val_rel_l2 = err
             record.per_timestep = vec

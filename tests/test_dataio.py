@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porolab import dataio
-from porolab.dataio import (DatasetBundle, build_dataset, load_dataset,
+from porolab.dataio import (DatasetBundle, NormStats, build_dataset, load_dataset,
                             reservoir_config_from_manifest, save_dataset)
 from porolab.simulator import ReservoirConfig
 
@@ -34,18 +34,24 @@ def _bundle(dtype=np.float32, n=3, days=4, grid=8):
 
 
 class TestDatasetRoundTrip:
-    @pytest.mark.parametrize("repeat_k", [False, True])
-    def test_arrays_and_manifest_survive(self, tmp_path, repeat_k):
+    def test_arrays_and_manifest_survive(self, tmp_path):
         bundle = _bundle()
-        save_dataset(bundle, tmp_path, repeat_k=repeat_k)
+        save_dataset(bundle, tmp_path)
         loaded = load_dataset(tmp_path)
         for name in ("k", "p", "sw"):
             a, b = getattr(bundle, name), getattr(loaded, name)
             assert b.dtype == np.float32 and np.array_equal(a, b), name
-        layout = "repeated" if repeat_k else "canonical"
-        assert loaded.manifest == {**bundle.manifest, "layout": layout}
-        k_shape = np.load(tmp_path / "K.npy").shape
-        assert k_shape == ((3, 5, 8, 8) if repeat_k else (3, 8, 8))
+        assert loaded.manifest == {**bundle.manifest, "layout": "canonical"}
+        assert np.load(tmp_path / "K.npy").shape == (3, 8, 8)
+
+    def test_other_layout_rejected(self, tmp_path):
+        # a dataset written with K repeated per day, [N, T+1, H, W]
+        save_dataset(_bundle(), tmp_path)
+        manifest = (tmp_path / "manifest.txt").read_text(encoding="utf-8")
+        (tmp_path / "manifest.txt").write_text(
+            manifest.replace("layout: canonical", "layout: repeated"), encoding="utf-8")
+        with pytest.raises(ValueError, match="layout 'repeated'"):
+            load_dataset(tmp_path)
 
     def test_float64_bundle_is_stored_as_float32(self, tmp_path):
         bundle = _bundle(np.float64)
@@ -122,6 +128,17 @@ class TestNpyFiles:
         assert back.tobytes() == array.tobytes()
 
 
+class TestNormStats:
+    def test_constant_permeability_warns_and_uses_unit_scale(self):
+        k = np.full((2, 4, 4), 3.0)
+        p = np.random.default_rng(0).standard_normal((2, 3, 4, 4))
+        with pytest.warns(UserWarning, match="degenerate constant permeability"):
+            stats = NormStats.fit(k, p, "p")
+        assert stats.k_std == 1.0 and stats.k_mean == pytest.approx(np.log1p(3.0), rel=1e-15)
+        assert stats.target_std == p.std() and stats.target_mean == p.mean()
+        assert np.max(np.abs(stats.normalize_k(k))) < 1e-15
+
+
 class TestManifestConfig:
     def test_build_records_every_config_field(self, tmp_path):
         cfg = ReservoirConfig(nx=8, nz=8, total_days=2, corey_nw=3.0, corey_no=1.5,
@@ -129,11 +146,6 @@ class TestManifestConfig:
         built = build_dataset(1, cfg, seed=2, out_dir=tmp_path)
         assert reservoir_config_from_manifest(built.manifest) == cfg
         assert reservoir_config_from_manifest(load_dataset(tmp_path).manifest) == cfg
-
-    def test_horizon_override(self, tmp_path):
-        cfg = ReservoirConfig(nx=8, nz=8, total_days=2)
-        built = build_dataset(1, cfg, seed=2)
-        assert reservoir_config_from_manifest(built.manifest, total_days=5).total_days == 5
 
     def test_committed_pool_manifest_loads_with_default_physics(self):
         # the pool predates recording the Corey exponents: they take their defaults

@@ -30,8 +30,6 @@ class TestEigenvalues:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             GrfSpec(n=1)
-        with pytest.raises(ValueError):
-            GrfSpec(n=8, amplitude=0.0)
 
 
 class TestSampling:

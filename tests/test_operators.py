@@ -1,4 +1,4 @@
-"""FNO / MgNO architectures: spectral conv, V-cycle, forwards, counts."""
+"""FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, counts."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
                                classical_vcycle_kernels, make_input,
-                               parameter_count, spectral_conv, vcycle_apply,
-                               _LevelKernels)
+                               spectral_conv, vcycle_apply, _LevelKernels)
 from porolab.tensor import Tensor
 
 rng = np.random.default_rng(17)
@@ -40,12 +39,6 @@ class TestMakeInput:
     def test_missing_stats_raises(self):
         with pytest.raises(ValueError):
             make_input(rng.random((8, 8)), 0.0, 24.0, None)
-
-    def test_coordinate_channels(self):
-        x = make_input(rng.random((8, 8)), 0.0, 24.0, STATS, with_coords=True)
-        assert x.shape == (4, 8, 8)
-        assert np.allclose(x[2, :, 0], np.linspace(0, 1, 8))
-        assert np.allclose(x[3, 0, :], np.linspace(0, 1, 8))
 
 
 class TestSpectralConv:
@@ -305,19 +298,31 @@ class TestMgno:
 
 
 class TestParameterCount:
+    """Parameter totals against the closed form of each architecture's layout."""
+
     def test_fno_matches_enumeration(self):
-        cfg = FnoConfig(width=32, modes1=12, modes2=12, depth=4, in_channels=2)
-        model = Fno(cfg, stats=STATS)
-        assert parameter_count(cfg) == sum(p.data.size for p in model.parameters())
+        d, m1, m2, depth = 32, 12, 12, 4
+        model = Fno(FnoConfig(width=d, modes1=m1, modes2=m2, depth=depth), stats=STATS)
+        lift = 2 * d + d                              # 2 input channels -> d, plus bias
+        per_layer = 2 * m1 * m2 * d * d + d * d + d   # spectral re/im, pointwise w and b
+        proj = d + 1                                  # d -> 1 output channel, plus bias
+        assert sum(p.data.size for p in model.parameters()) == lift + depth * per_layer + proj
 
     def test_mgno_matches_enumeration(self):
-        cfg = MgnoConfig(depth=3, channels=10, levels=4, in_channels=2)
-        model = Mgno(cfg, stats=STATS)
-        assert parameter_count(cfg) == sum(p.data.size for p in model.parameters())
+        depth, c, levels = 3, 10, 4
+        model = Mgno(MgnoConfig(depth=depth, channels=c, levels=levels), stats=STATS)
+        total, ci = 0, 2
+        for _ in range(depth):
+            total += levels * 9 * ci * c * 2                     # A and S per level
+            total += (levels - 1) * 9 * (ci * ci + c * c)       # R and P per transition
+            total += ci * c + c                                 # pointwise B and bias
+            ci = c
+        total += c                                              # final c -> 1 map
+        assert sum(p.data.size for p in model.parameters()) == total
 
     def test_zero_depth_mgno(self):
-        cfg = MgnoConfig(depth=0, channels=8, levels=3, in_channels=2, out_channels=1)
-        assert parameter_count(cfg) == 2   # just the final 1x1 map
+        model = Mgno(MgnoConfig(depth=0, channels=8, levels=3), stats=STATS)
+        assert sum(p.data.size for p in model.parameters()) == 2   # just the final 1x1 map
         # full-scale reference totals reported alongside the paper's table are
         # 11,989,761 (FNO) and 18,500,124 (MgNO); exact architectures are not
         # published, so these are context, not assertions.

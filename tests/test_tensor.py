@@ -59,12 +59,12 @@ class TestElementwise:
 
 class TestConv2d:
     def test_single_pixel(self):
-        x = Tensor(np.array([[[5.0]]]))
+        x = Tensor(np.array([[[[5.0]]]]))
         k = Tensor(np.array([[[[3.0]]]]))
-        assert T.conv2d(x, k).data[0, 0, 0] == 15.0
+        assert T.conv2d(x, k).data[0, 0, 0, 0] == 15.0
 
     def test_identity_stencil(self):
-        x = Tensor(rng.standard_normal((1, 8, 8)))
+        x = Tensor(rng.standard_normal((1, 1, 8, 8)))
         ident = np.zeros((1, 1, 3, 3))
         ident[0, 0, 1, 1] = 1.0
         out = T.conv2d(x, Tensor(ident), stride=1, pad=1)
@@ -72,11 +72,11 @@ class TestConv2d:
 
     def test_two_by_two_direct(self):
         # hand arithmetic: 1*1 + 2*0 + 3*0 + 4*1 = 5
-        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         k = Tensor(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
         out = T.conv2d(x, k, stride=1, pad=0)
-        assert out.data.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 5.0
+        assert out.data.shape == (1, 1, 1, 1)
+        assert out.data[0, 0, 0, 0] == 5.0
 
     @pytest.mark.parametrize("stride,pad,kh", [(1, 0, 3), (1, 1, 3), (2, 1, 3),
                                                (2, 0, 2), (2, 1, 4), (1, 2, 5)])
@@ -87,14 +87,21 @@ class TestConv2d:
         assert np.allclose(out.data, naive_conv2d(x, k, stride, pad), atol=1e-12)
 
     def test_kernel_larger_than_input_raises(self):
-        with pytest.raises(ValueError):
-            T.conv2d(Tensor(rng.standard_normal((1, 2, 2))),
+        with pytest.raises(ValueError, match="larger than padded extent"):
+            T.conv2d(Tensor(rng.standard_normal((1, 1, 2, 2))),
                      Tensor(rng.standard_normal((1, 1, 5, 5))))
 
     def test_channel_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            T.conv2d(Tensor(rng.standard_normal((3, 4, 4))),
+        with pytest.raises(ValueError, match="incompatible with input"):
+            T.conv2d(Tensor(rng.standard_normal((1, 3, 4, 4))),
                      Tensor(rng.standard_normal((1, 2, 3, 3))))
+
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "pointwise_linear"])
+    def test_unbatched_input_rejected(self, op):
+        x = Tensor(np.ones((1, 4, 4)))
+        w = Tensor(np.ones((1, 1)) if op == "pointwise_linear" else np.ones((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match=r"expected 4-D \[B,C,H,W\]"):
+            getattr(T, op)(x, w)
 
 
 class TestConv2dTranspose:
@@ -133,16 +140,16 @@ class TestConv2dTranspose:
 
 class TestPointwiseLinear:
     def test_identity(self):
-        x = rng.standard_normal((3, 4, 4))
+        x = rng.standard_normal((1, 3, 4, 4))
         out = T.pointwise_linear(Tensor(x), Tensor(np.eye(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, x)
 
     def test_direct_arithmetic(self):
         # pixel (1, 2), w = [[1, 1]], bias = [1] -> 4
-        x = np.zeros((2, 1, 1))
-        x[0], x[1] = 1.0, 2.0
+        x = np.zeros((1, 2, 1, 1))
+        x[0, 0], x[0, 1] = 1.0, 2.0
         out = T.pointwise_linear(Tensor(x), Tensor([[1.0, 1.0]]), Tensor([1.0]))
-        assert out.data[0, 0, 0] == 4.0
+        assert out.data[0, 0, 0, 0] == 4.0
 
     def test_gradient(self):
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))

@@ -1,7 +1,5 @@
 """Training loop, losses, checkpoints and evaluation on the 16x16 fixture."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,10 +12,10 @@ TINY = {"fno": (Fno, FnoConfig(width=8, modes1=4, modes2=4, depth=2)),
         "mgno": (Mgno, MgnoConfig(depth=2, channels=4, levels=2))}
 
 
-def _model(bundle, kind, dtype=np.float32, in_channels=2, seed=4):
+def _model(bundle, kind, dtype=np.float32, seed=4):
     cls, cfg = TINY[kind]
-    return cls(replace(cfg, in_channels=in_channels), stats=bundle.fit_stats("p"),
-               t_max=float(bundle.n_days), dtype=dtype, seed=seed)
+    return cls(cfg, stats=bundle.fit_stats("p"), t_max=float(bundle.n_days), dtype=dtype,
+               seed=seed)
 
 
 def _train_cfg(epochs=2, **kw):
@@ -32,9 +30,10 @@ def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind):
     history = training.train(model, bundle, _train_cfg())
     assert len(history) == 2 and all(np.isfinite(r.train_loss) for r in history)
     save_checkpoint(model, tmp_path)
-    # checkpoints written before NormStats lost its k_log field carry this line
+    # checkpoints written before NormStats lost its k_log field and the configs
+    # lost their channel counts carry these lines
     with open(tmp_path / "manifest.txt", "a", encoding="utf-8") as fh:
-        fh.write("stats.k_log: True\n")
+        fh.write("stats.k_log: True\ncfg.in_channels: 2\ncfg.out_channels: 1\n")
     loaded = load_checkpoint(tmp_path)
     assert type(loaded) is type(model) and loaded.cfg == model.cfg
     assert loaded.stats == model.stats and loaded.t_max == model.t_max
@@ -67,10 +66,9 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle, loss_kind):
     assert abs(loss.item() - physical) <= 1e-10
 
 
-@pytest.mark.parametrize("in_channels", [2, 4])
-def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch, in_channels):
+def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
     bundle, _ = tiny_bundle
-    model = _model(bundle, "fno", in_channels=in_channels)
+    model = _model(bundle, "fno")
     seen = []
     forward = model.forward
 
@@ -82,13 +80,33 @@ def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch, in_chan
     training.train(model, bundle, _train_cfg(epochs=1))
     # one sample x 25 days with batch size 25: the single batch holds every day once
     (batch,) = seen
-    assert batch.dtype == np.float32 and batch.shape == (25, in_channels, 16, 16)
+    assert batch.dtype == np.float32 and batch.shape == (25, 2, 16, 16)
     batch = batch[np.argsort(batch[:, 1, 0, 0])]
     k = bundle.k[0].astype(np.float64)
-    expected = np.stack([make_input(k, float(d), model.t_max, model.stats,
-                                    with_coords=in_channels == 4)
+    expected = np.stack([make_input(k, float(d), model.t_max, model.stats)
                          for d in range(bundle.n_days + 1)]).astype(np.float32)
     assert np.array_equal(batch, expected)
+
+
+def test_evaluate_per_day_errors_are_relative_l2_of_predict_fields(tiny_bundle):
+    bundle, _ = tiny_bundle
+    # a second sample (the first one mirrored) so the per-day vector averages over samples
+    two = DatasetBundle(k=np.stack([bundle.k[0], bundle.k[0, ::-1]]),
+                        p=np.stack([bundle.p[0], bundle.p[0, :, ::-1]]),
+                        sw=np.stack([bundle.sw[0], bundle.sw[0, :, ::-1]]),
+                        manifest=bundle.manifest)
+    model = _model(bundle, "mgno")
+    err, per_day, secs = training.evaluate(model, two, [0, 1])
+    days = np.arange(two.n_days + 1)
+    by_sample = []
+    for i in (0, 1):
+        pred = model.predict_fields(two.k[i].astype(np.float64), days).astype(np.float64)
+        truth = two.p[i].astype(np.float64)
+        by_sample.append([np.linalg.norm(pred[d] - truth[d]) / np.linalg.norm(truth[d])
+                          for d in days])
+    assert per_day.shape == (two.n_days + 1,) and secs > 0
+    np.testing.assert_allclose(per_day, np.mean(by_sample, axis=0), rtol=1e-13, atol=0)
+    assert err == pytest.approx(per_day.mean(), rel=1e-14)
 
 
 def test_split_must_match_the_normalization_split():
