@@ -325,7 +325,10 @@ def load_checkpoint(in_dir):
     expected = raw.get("parameters", "").split(",")
     actual = [p.name for p in model.parameters()]
     if expected != actual:
-        raise ValueError(f"{src}: parameter list mismatch with architecture config")
+        extra = [n for n in expected if n not in actual]
+        missing = [n for n in actual if n not in expected]
+        raise ValueError(f"{src}: parameter list mismatch with architecture config: "
+                         f"extra {extra}, missing {missing}")
     for param in model.parameters():
         data = _load_npy(src / (param.name.replace(".", "__") + ".npy"))
         if data.shape != param.data.shape:

@@ -81,13 +81,6 @@ def sample_grf(spec: GrfSpec, draw_index: int) -> np.ndarray:
     return spec.n * idct2(coeff)
 
 
-def sample_grf_batch(spec: GrfSpec, draw_indices) -> np.ndarray:
-    """Stacked samples, identical to calling :func:`sample_grf` per index."""
-    coeffs = np.stack([_noise_grid(spec, int(d)) for d in draw_indices])
-    coeffs *= np.sqrt(kl_eigenvalues(spec))
-    return spec.n * idct2(coeffs)
-
-
 def to_permeability(g: np.ndarray, amplitude: float) -> np.ndarray:
     """Non-negative isotropic permeability field K = amplitude * |g|."""
     return amplitude * np.abs(g)

@@ -8,7 +8,9 @@ constant time channel) to a single output field:
   linear maps and GELU, and projects back.
 * :class:`Mgno` applies hidden layers of the form
   ``gelu(Vcycle(h) + B h + b)`` where the linear operator is a learned
-  multi-channel multigrid V-cycle, followed by a final 1x1 linear map.
+  multi-channel multigrid V(1,1) cycle (:func:`vcycle_apply`: one pre- and
+  one post-smoothing step per level, a single smoothing step on the
+  coarsest), followed by a final 1x1 linear map.
 
 The retained FNO mode rows are split across both corners of the spectrum
 (``m1`` total rows: non-negative row frequencies first, then the mirrored
@@ -140,7 +142,10 @@ class MgnoConfig:
     depth: int = 3            # hidden layers L
     channels: int = 12        # hidden channel count
     levels: int = 4           # multigrid levels J
-    smooth_steps: int = 1     # smoothing iterations per level
+
+    def __post_init__(self):
+        if self.levels < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
 
     def validate_grid(self, nx: int, nz: int):
         div = 2 ** (self.levels - 1)
@@ -153,48 +158,25 @@ def _uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class _LevelKernels:
-    """Per-level V-cycle kernels: operator A, smoother S, transfers R/P."""
+def vcycle_apply(f: Tensor, levels: list[tuple[Tensor, Tensor, Tensor, Tensor]],
+                 coarse_s: Tensor) -> Tensor:
+    """Multigrid V(1,1) cycle with learned 3x3 convolution kernels; linear in ``f``.
 
-    __slots__ = ("a", "s", "r", "p")
-
-    def __init__(self, a, s, r=None, p=None):
-        self.a, self.s, self.r, self.p = a, s, r, p
-
-
-def vcycle_apply(f: Tensor, levels: list[_LevelKernels], smooth_steps: int = 1,
-                 transfer_pad: int | None = None) -> Tensor:
-    """Multigrid V-cycle with learned convolution kernels; linear in ``f``.
-
-    Level j smooths ``u += S * (f - A * u)`` starting from zero, restricts
-    the residual with a stride-2 convolution, recurses, prolongs the coarse
-    correction with the transposed convolution, and post-smooths.  The
-    coarsest level applies the smoothing iterations only.
-
-    ``transfer_pad`` is the zero padding of the grid-transfer convolutions;
-    the default (k-1)//2 halves even extents, while 0 realizes classical
-    vertex coarsening (2m+1 -> m) on odd extents.
+    ``levels`` holds the operator, smoother and transfer kernels ``(A, S, R, P)``
+    of every level above the coarsest, finest first.  A level pre-smooths
+    ``u = S * f`` from zero, restricts the residual ``f - A * u`` with the
+    stride-2 convolution ``R``, recurses, adds the coarse correction prolonged
+    by the transposed convolution ``P`` and post-smooths
+    ``u += S * (f - A * u)``.  The coarsest level only smooths once,
+    ``u = coarse_s * f``, so it has no operator kernel.
     """
-    lvl = levels[0]
-    pad_a = lvl.a.data.shape[-1] // 2
-    pad_s = lvl.s.data.shape[-1] // 2
-    u = None
-    for _ in range(smooth_steps):
-        r = f if u is None else f - conv2d(u, lvl.a, 1, pad_a)
-        du = conv2d(r, lvl.s, 1, pad_s)
-        u = du if u is None else u + du
-    if len(levels) == 1:
-        return u
-    hw = f.data.shape[-2:]
-    pad_t = (lvl.r.data.shape[-1] - 1) // 2 if transfer_pad is None else transfer_pad
-    r = f - conv2d(u, lvl.a, 1, pad_a)
-    rc = conv2d(r, lvl.r, 2, pad_t)
-    ec = vcycle_apply(rc, levels[1:], smooth_steps, transfer_pad)
-    u = u + conv2d_transpose(ec, lvl.p, 2, pad_t, out_hw=hw)
-    for _ in range(smooth_steps):
-        r = f - conv2d(u, lvl.a, 1, pad_a)
-        u = u + conv2d(r, lvl.s, 1, pad_s)
-    return u
+    if not levels:
+        return conv2d(f, coarse_s, 1, 1)
+    a, s, r, p = levels[0]
+    u = conv2d(f, s, 1, 1)
+    ec = vcycle_apply(conv2d(f - conv2d(u, a, 1, 1), r, 2, 1), levels[1:], coarse_s)
+    u = u + conv2d_transpose(ec, p, 2, 1, out_hw=f.data.shape[-2:])
+    return u + conv2d(f - conv2d(u, a, 1, 1), s, 1, 1)
 
 
 class _Operator:
@@ -278,70 +260,34 @@ class Mgno(_Operator):
         for i in range(cfg.depth):
             co = cfg.channels
             levels = []
-            for j in range(cfg.levels):
-                a = Parameter(_uniform(rng, (ci, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.a")
-                s = Parameter(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.s")
-                if j < cfg.levels - 1:
-                    r = Parameter(_uniform(rng, (ci, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.r")
-                    p = Parameter(_uniform(rng, (co, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.p")
-                else:
-                    r = p = None
-                levels.append((a, s, r, p))
+            for j in range(cfg.levels - 1):
+                levels.append((
+                    Parameter(_uniform(rng, (ci, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.a"),
+                    Parameter(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.s"),
+                    Parameter(_uniform(rng, (ci, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.r"),
+                    Parameter(_uniform(rng, (co, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.p")))
+            coarse_s = Parameter(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt),
+                                 f"layer{i}.lvl{cfg.levels - 1}.s")
             bmat = Parameter(_uniform(rng, (co, ci), ci, dt), f"layer{i}.bmat")
             bias = Parameter(np.zeros(co, dt), f"layer{i}.bias")
-            self.layers.append((levels, bmat, bias))
+            self.layers.append((levels, coarse_s, bmat, bias))
             ci = co
         self.out_w = Parameter(_uniform(rng, (1, ci), ci, dt), "out.w")
 
     def parameters(self) -> list[Parameter]:
         params = []
-        for levels, bmat, bias in self.layers:
-            for a, s, r, p in levels:
-                params += [a, s]
-                if r is not None:
-                    params += [r, p]
-            params += [bmat, bias]
+        for levels, coarse_s, bmat, bias in self.layers:
+            for kernels in levels:
+                params += kernels
+            params += [coarse_s, bmat, bias]
         params.append(self.out_w)
         return params
 
     def forward(self, x: Tensor) -> Tensor:
         self.cfg.validate_grid(*x.data.shape[-2:])
         h = x
-        for levels, bmat, bias in self.layers:
-            kernels = [_LevelKernels(a.value, s.value,
-                                     r.value if r is not None else None,
-                                     p.value if p is not None else None)
-                       for a, s, r, p in levels]
-            linear = vcycle_apply(h, kernels, self.cfg.smooth_steps)
+        for levels, coarse_s, bmat, bias in self.layers:
+            kernels = [tuple(k.value for k in lvl) for lvl in levels]
+            linear = vcycle_apply(h, kernels, coarse_s.value)
             h = gelu(add(linear, pointwise_linear(h, bmat.value, bias.value)))
         return pointwise_linear(h, self.out_w.value, None)
-
-
-def classical_vcycle_kernels(levels: int, h0: float, omega: float = 0.8,
-                             dtype=np.float64) -> list[_LevelKernels]:
-    """Textbook Poisson V-cycle kernels for the contraction check.
-
-    Intended for vertex-centered hierarchies (2^k - 1 points per side,
-    transfer_pad=0).  Level j uses the 5-point Laplacian at spacing
-    ``h0 * 2**j``, a weighted Jacobi smoother, full-weighting restriction
-    and bilinear prolongation; the 1x1 coarsest level carries the exact
-    inverse (h^2/4) as its "smoother", so one step solves it.
-    """
-    fw = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float64)
-    out = []
-    for j in range(levels):
-        h = h0 * 2 ** j
-        lap = np.array([[0, -1, 0], [-1, 4, -1], [0, -1, 0]], dtype=np.float64) / h ** 2
-        smo = np.zeros((3, 3))
-        smo[1, 1] = omega * h ** 2 / 4.0
-        a = Tensor(lap[None, None].astype(dtype))
-        if j < levels - 1:
-            s = Tensor(smo[None, None].astype(dtype))
-            r = Tensor((fw / 16.0)[None, None].astype(dtype))
-            p = Tensor((fw / 4.0)[None, None].astype(dtype))
-        else:
-            smo[1, 1] = h ** 2 / 4.0   # exact inverse on the 1x1 grid
-            s = Tensor(smo[None, None].astype(dtype))
-            r = p = None
-        out.append(_LevelKernels(a, s, r, p))
-    return out

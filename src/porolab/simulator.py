@@ -292,7 +292,7 @@ def darcy_fluxes(p: np.ndarray, txm, tzm):
     return fx, fz
 
 
-def producer_sink(fx, fz, cfg: ReservoirConfig) -> np.ndarray:
+def producer_sink(fx, fz) -> np.ndarray:
     """Signed net face inflow of each producer cell (= its well discharge)."""
     sink = fx[-1, :].copy()
     sink[1:] += fz[-1, :]
@@ -310,7 +310,7 @@ def _cell_outflow(fx, fz, cfg: ReservoirConfig):
     out[:, 1:] += np.maximum(-fz, 0.0)
     src = np.zeros((nx, nz))
     src[0, :] = _injection_rate(cfg) / nz
-    src[-1, :] += np.abs(producer_sink(fx, fz, cfg))
+    src[-1, :] += np.abs(producer_sink(fx, fz))
     return out, src
 
 
@@ -355,7 +355,7 @@ def update_saturation(sw: np.ndarray, fx, fz, dt: float, cfg: ReservoirConfig):
     dv[:, 1:] += wflux * dt
 
     dv[0, :] += (_injection_rate(cfg) / nz) * dt           # pure-water injector
-    sink = producer_sink(fx, fz, cfg)                       # signed well discharge
+    sink = producer_sink(fx, fz)                            # signed well discharge
     produced = fw[-1, :] * sink * dt
     dv[-1, :] -= produced
 

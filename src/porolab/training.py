@@ -130,9 +130,7 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for i, p in enumerate(params):
-        # a parameter the loss never touched has an exactly-zero gradient
-        # (e.g. the coarsest-level operator kernel when smooth_steps == 1)
-        g = p.grad if p.grad is not None else 0.0
+        g = p.grad
         m = state.m[i]
         v = state.v[i]
         m *= b1

@@ -5,7 +5,7 @@ import pytest
 
 from porolab import spectral
 from porolab.grf import (GrfSpec, basis_values, covariance_pair, kl_eigenvalues,
-                         sample_grf, sample_grf_batch, to_permeability)
+                         sample_grf, to_permeability)
 
 
 class TestEigenvalues:
@@ -43,12 +43,6 @@ class TestSampling:
         spec = GrfSpec(n=16, seed=123)
         assert not np.array_equal(sample_grf(spec, 0), sample_grf(spec, 1))
 
-    def test_batch_matches_scalar(self):
-        spec = GrfSpec(n=12, seed=9)
-        batch = sample_grf_batch(spec, range(4))
-        for i in range(4):
-            assert np.array_equal(batch[i], sample_grf(spec, i))
-
     def test_negative_draw_rejected(self):
         with pytest.raises(ValueError):
             sample_grf(GrfSpec(n=8), -1)
@@ -56,7 +50,7 @@ class TestSampling:
     def test_field_variance_matches_trace(self):
         # analytic trace oracle: field-averaged variance = sum of eigenvalues
         spec = GrfSpec(n=16, seed=2)
-        fields = sample_grf_batch(spec, range(4000))
+        fields = np.stack([sample_grf(spec, d) for d in range(4000)])
         empirical = float(np.mean(fields ** 2))
         analytic = float(kl_eigenvalues(spec).sum())
         assert abs(empirical - analytic) < 0.06 * analytic
@@ -97,7 +91,7 @@ class TestCovariance:
 
     def test_pair_covariance_against_samples(self):
         spec = GrfSpec(n=12, seed=5)
-        fields = sample_grf_batch(spec, range(6000))
+        fields = np.stack([sample_grf(spec, d) for d in range(6000)])
         pair_rng = np.random.default_rng(0)
         for _ in range(3):
             a = tuple(pair_rng.integers(0, 12, size=2))

@@ -8,8 +8,7 @@ from porolab import spectral
 from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
-                               classical_vcycle_kernels, make_input,
-                               spectral_conv, vcycle_apply, _LevelKernels)
+                               make_input, spectral_conv, vcycle_apply)
 from porolab.tensor import Tensor
 
 rng = np.random.default_rng(17)
@@ -113,70 +112,70 @@ class TestSpectralConv:
 
 
 def random_level_kernels(ci, co, levels, scale=0.25, seed=0):
+    """``(A, S, R, P)`` for each level above the coarsest, and the coarsest smoother."""
     r = np.random.default_rng(seed)
     out = []
-    for j in range(levels):
-        a = Tensor(r.standard_normal((ci, co, 3, 3)) * scale)
-        s = Tensor(r.standard_normal((co, ci, 3, 3)) * scale)
-        if j < levels - 1:
-            out.append(_LevelKernels(a, s,
-                                     Tensor(r.standard_normal((ci, ci, 3, 3)) * scale),
-                                     Tensor(r.standard_normal((co, co, 3, 3)) * scale)))
-        else:
-            out.append(_LevelKernels(a, s))
-    return out
+    for _ in range(levels - 1):
+        out.append(tuple(Tensor(r.standard_normal(shape) * scale)
+                         for shape in ((ci, co, 3, 3), (co, ci, 3, 3),
+                                       (ci, ci, 3, 3), (co, co, 3, 3))))
+    return out, Tensor(r.standard_normal((co, ci, 3, 3)) * scale)
+
+
+def dense_matrix(op, in_shape):
+    """Matrix of the linear map ``op`` on [C,H,W] fields, from its unit-vector images."""
+    n = int(np.prod(in_shape))
+    return op(Tensor(np.eye(n).reshape((n,) + in_shape))).data.reshape(n, -1).T
+
+
+def dense_vcycle(levels, coarse_s, ci, co, h, w):
+    """V(1,1) cycle matrix composed from the dense matrix of each convolution."""
+    if not levels:
+        return dense_matrix(lambda x: T.conv2d(x, coarse_s, 1, 1), (ci, h, w))
+    a, s, r, p = levels[0]
+    smooth = dense_matrix(lambda x: T.conv2d(x, s, 1, 1), (ci, h, w))
+    op = dense_matrix(lambda x: T.conv2d(x, a, 1, 1), (co, h, w))
+    restrict = dense_matrix(lambda x: T.conv2d(x, r, 2, 1), (ci, h, w))
+    prolong = dense_matrix(lambda x: T.conv2d_transpose(x, p, 2, 1, out_hw=(h, w)),
+                           (co, h // 2, w // 2))
+    coarse = dense_vcycle(levels[1:], coarse_s, ci, co, h // 2, w // 2)
+    eye = np.eye(ci * h * w)
+    # pre-smooth u = S f, then the prolonged coarse solve of the restricted residual
+    corrected = smooth + prolong @ coarse @ restrict @ (eye - op @ smooth)
+    return corrected + smooth @ (eye - op @ corrected)     # post-smooth
 
 
 class TestVcycle:
     def test_zero_input_zero_output(self):
-        kern = random_level_kernels(3, 3, 3)
-        out = vcycle_apply(Tensor(np.zeros((1, 3, 8, 8))), kern)
+        levels, coarse_s = random_level_kernels(3, 3, 3)
+        out = vcycle_apply(Tensor(np.zeros((1, 3, 8, 8))), levels, coarse_s)
         assert not out.data.any()
 
     def test_linearity(self):
-        kern = random_level_kernels(2, 2, 3, seed=4)
+        levels, coarse_s = random_level_kernels(2, 2, 3, seed=4)
         f = rng.standard_normal((1, 2, 8, 8))
         g = rng.standard_normal((1, 2, 8, 8))
-        lhs = vcycle_apply(Tensor(1.5 * f - 2.0 * g), kern).data
-        rhs = (1.5 * vcycle_apply(Tensor(f), kern).data
-               - 2.0 * vcycle_apply(Tensor(g), kern).data)
+        lhs = vcycle_apply(Tensor(1.5 * f - 2.0 * g), levels, coarse_s).data
+        rhs = (1.5 * vcycle_apply(Tensor(f), levels, coarse_s).data
+               - 2.0 * vcycle_apply(Tensor(g), levels, coarse_s).data)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     def test_rectangular_channels(self):
         # first-layer form: input channels != hidden channels
-        kern = random_level_kernels(2, 5, 3, seed=9)
-        out = vcycle_apply(Tensor(rng.standard_normal((1, 2, 16, 16))), kern)
+        levels, coarse_s = random_level_kernels(2, 5, 3, seed=9)
+        out = vcycle_apply(Tensor(rng.standard_normal((1, 2, 16, 16))), levels, coarse_s)
         assert out.data.shape == (1, 5, 16, 16)
 
-    def test_classical_poisson_contraction_smoke(self):
-        # vertex hierarchy on a 32x32-cell Poisson problem (31x31 unknowns)
-        n, levels, nu = 31, 5, 2
-        kern = classical_vcycle_kernels(levels, 1.0 / (n + 1))
-        rfield = np.random.default_rng(0).standard_normal((1, 1, n, n))
-        a_op = lambda u: T.conv2d(Tensor(u), kern[0].a, 1, 1).data
-        x = np.zeros_like(rfield)
-        r = rfield - a_op(x)
-        p = r.copy()
-        rs = float(np.sum(r * r))
-        for _ in range(5000):
-            ap = a_op(p)
-            alpha = rs / float(np.sum(p * ap))
-            x += alpha * p
-            r -= alpha * ap
-            rs_new = float(np.sum(r * r))
-            if np.sqrt(rs_new) < 1e-14 * np.linalg.norm(rfield):
-                break
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        u = np.zeros_like(rfield)
-        factors = []
-        for _ in range(5):
-            e = x - u
-            before = np.sqrt(np.sum(e * a_op(e)))
-            u = u + vcycle_apply(Tensor(rfield - a_op(u)), kern, nu, transfer_pad=0).data
-            e = x - u
-            factors.append(np.sqrt(np.sum(e * a_op(e))) / before)
-        assert max(factors) <= 0.5
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    def test_matches_dense_composition(self, n_levels):
+        ci, co, h, w = 2, 3, 8, 8
+        levels, coarse_s = random_level_kernels(ci, co, n_levels, seed=n_levels)
+        f = np.random.default_rng(30 + n_levels).standard_normal((2, ci, h, w))
+        out = vcycle_apply(Tensor(f), levels, coarse_s).data
+        assert out.dtype == np.float64 and out.shape == (2, co, h, w)
+        mat = dense_vcycle(levels, coarse_s, ci, co, h, w)
+        expected = (f.reshape(2, -1) @ mat.T).reshape(out.shape)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 class TestFno:
@@ -253,7 +252,7 @@ class TestMgno:
         model = self.make(depth=1)
         for p in model.parameters():
             p.value.data = np.zeros_like(p.data)
-        model.layers[0][2].value.data = np.array([0.3, -1.0, 2.0])   # layer bias
+        model.layers[0][3].value.data = np.array([0.3, -1.0, 2.0])   # layer bias
         model.out_w.value.data = np.array([[1.0, 1.0, 1.0]])
         out = model.predict(rng.standard_normal((1, 2, 8, 8)))
         expected = float(np.sum(gelu(Tensor(np.array([0.3, -1.0, 2.0]))).data))
@@ -265,7 +264,7 @@ class TestMgno:
         model = self.make(depth=1, channels=2)
         for p in model.parameters():
             p.value.data = np.zeros_like(p.data)
-        model.layers[0][1].value.data = np.eye(2)
+        model.layers[0][2].value.data = np.eye(2)                    # pointwise B
         model.out_w.value.data = np.array([[1.0, 0.0]])
         x = rng.standard_normal((1, 2, 8, 8))
         out = model.predict(x)
@@ -296,6 +295,11 @@ class TestMgno:
         with pytest.raises(ValueError):
             model.predict(rng.standard_normal((1, 2, 12, 12)))
 
+    def test_levels_must_be_positive(self):
+        for levels in (0, -1):
+            with pytest.raises(ValueError, match="levels must be at least 1"):
+                MgnoConfig(levels=levels)
+
 
 class TestParameterCount:
     """Parameter totals against the closed form of each architecture's layout."""
@@ -313,7 +317,7 @@ class TestParameterCount:
         model = Mgno(MgnoConfig(depth=depth, channels=c, levels=levels), stats=STATS)
         total, ci = 0, 2
         for _ in range(depth):
-            total += levels * 9 * ci * c * 2                     # A and S per level
+            total += (2 * levels - 1) * 9 * ci * c               # A and S, no coarsest A
             total += (levels - 1) * 9 * (ci * ci + c * c)       # R and P per transition
             total += ci * c + c                                 # pointwise B and bias
             ci = c

@@ -31,9 +31,10 @@ def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind):
     assert len(history) == 2 and all(np.isfinite(r.train_loss) for r in history)
     save_checkpoint(model, tmp_path)
     # checkpoints written before NormStats lost its k_log field and the configs
-    # lost their channel counts carry these lines
+    # lost their channel counts and MgNO's smoothing step count carry these lines
     with open(tmp_path / "manifest.txt", "a", encoding="utf-8") as fh:
-        fh.write("stats.k_log: True\ncfg.in_channels: 2\ncfg.out_channels: 1\n")
+        fh.write("stats.k_log: True\ncfg.in_channels: 2\ncfg.out_channels: 1\n"
+                 "cfg.smooth_steps: 1\n")
     loaded = load_checkpoint(tmp_path)
     assert type(loaded) is type(model) and loaded.cfg == model.cfg
     assert loaded.stats == model.stats and loaded.t_max == model.t_max
@@ -44,6 +45,38 @@ def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind):
     k = bundle.k[0].astype(np.float64)
     before, after = model.predict_fields(k, days), loaded.predict_fields(k, days)
     assert after.dtype == np.float32 and np.array_equal(before, after)
+
+
+def test_checkpoint_parameter_list_must_match_the_architecture(tiny_bundle, tmp_path):
+    bundle, _ = tiny_bundle
+    model = _model(bundle, "mgno")
+    save_checkpoint(model, tmp_path)
+    names = [p.name for p in model.parameters()]
+    # an MgNO written while the coarsest level still had an operator kernel
+    # lists layer{i}.lvl1.a just before layer{i}.lvl1.s
+    with_dead_kernel = []
+    for name in names:
+        if name.endswith(".lvl1.s"):
+            with_dead_kernel.append(name[:-1] + "a")
+        with_dead_kernel.append(name)
+    manifest = tmp_path / "manifest.txt"
+    with open(manifest, "a", encoding="utf-8") as fh:   # the last line wins
+        fh.write(f"parameters: {','.join(with_dead_kernel)}\n")
+    with pytest.raises(ValueError, match=r"extra \['layer0\.lvl1\.a', 'layer1\.lvl1\.a'\], "
+                                         r"missing \[\]$"):
+        load_checkpoint(tmp_path)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(f"parameters: {','.join(names[:-1])}\n")
+    with pytest.raises(ValueError, match=r"extra \[\], missing \['out\.w'\]$"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_every_parameter_gets_a_gradient(tiny_bundle, kind):
+    bundle, _ = tiny_bundle
+    model = _model(bundle, kind)
+    training.train(model, bundle, _train_cfg(epochs=1))   # one batch of 25 pairs
+    assert [p.name for p in model.parameters() if p.grad is None] == []
 
 
 @pytest.mark.parametrize("loss_kind", ["rel_l2", "rel_h1"])
