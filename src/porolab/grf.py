@@ -85,20 +85,3 @@ def to_permeability(g: np.ndarray, amplitude: float) -> np.ndarray:
     """Non-negative isotropic permeability field K = amplitude * |g|."""
     return amplitude * np.abs(g)
 
-
-def basis_values(spec: GrfSpec, cell: tuple[int, int]) -> np.ndarray:
-    """phi_jk evaluated at one cell centre, as an (n, n) grid over (j, k)."""
-    n = spec.n
-    i, m = cell
-    j = np.arange(n, dtype=np.float64)
-    c = np.full(n, np.sqrt(2.0))
-    c[0] = 1.0
-    fx = c * np.cos(np.pi * j * (i + 0.5) / n)
-    fy = c * np.cos(np.pi * j * (m + 0.5) / n)
-    return np.outer(fx, fy)
-
-
-def covariance_pair(spec: GrfSpec, cell_a: tuple[int, int], cell_b: tuple[int, int]) -> float:
-    """Analytic covariance Cov(g(x_a), g(x_b)) = sum_jk mu_jk phi_jk(a) phi_jk(b)."""
-    mu = kl_eigenvalues(spec)
-    return float(np.sum(mu * basis_values(spec, cell_a) * basis_values(spec, cell_b)))

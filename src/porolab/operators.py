@@ -130,6 +130,13 @@ class FnoConfig:
     modes2: int = 12          # retained half-spectrum columns
     depth: int = 4            # number of Fourier layers
 
+    def __post_init__(self):
+        for name in ("width", "modes1", "modes2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be non-negative, got {self.depth}")
+
     def validate_grid(self, nx: int, nz: int):
         if self.modes1 > nx:
             raise ValueError(f"modes1={self.modes1} exceeds grid rows {nx}")
@@ -146,6 +153,10 @@ class MgnoConfig:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
+        if self.channels < 1:
+            raise ValueError(f"channels must be at least 1, got {self.channels}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be non-negative, got {self.depth}")
 
     def validate_grid(self, nx: int, nz: int):
         div = 2 ** (self.levels - 1)

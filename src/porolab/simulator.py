@@ -5,7 +5,10 @@ with a two-point flux approximation (harmonic-mean permeability, arithmetic
 face mobility), by conjugate gradients preconditioned with one geometric
 multigrid V-cycle (cell-centred linear interpolation, Galerkin coarse
 operators, damped-Jacobi smoothing); saturation is advanced explicitly with
-upwind fractional flow under a CFL-limited sub-step.  Water is injected at a
+upwind fractional flow under a CFL-limited sub-step.  What depends only on
+the grid is built once per shape (the CSR pattern and the prolongations);
+a run keeps one multigrid hierarchy over its sub-steps and rebuilds it only
+after a solve that needed many iterations.  Water is injected at a
 fixed total rate spread over the leftmost column; the rightmost column is
 held at a fixed producer pressure, which anchors the elliptic system.
 
@@ -154,7 +157,7 @@ def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
 
     # Dirichlet producer column: identity rows, symmetric elimination of the
     # coupling faces into the neighbours' right-hand side.
-    off_x = -txm.copy()
+    off_x = -txm
     b[-2, :] += txm[-1, :] * cfg.p_prod
     off_x[-1, :] = 0.0
     diag[-1, :] = 1.0
@@ -163,28 +166,35 @@ def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
     if np.any(diag <= 0.0):
         raise ValueError("degenerate permeability: cell with zero total mobility coupling")
 
-    rows, cols, vals = [], [], []
-    idx = np.arange(n).reshape(nx, nz)
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
-    rows.append(idx[:-1, :].ravel())
-    cols.append(idx[1:, :].ravel())
-    vals.append(off_x.ravel())
-    rows.append(idx[1:, :].ravel())
-    cols.append(idx[:-1, :].ravel())
-    vals.append(off_x.ravel())
     off_z = -tzm
     off_z[-1, :] = 0.0   # producer-producer couplings drop out
-    rows.append(idx[:, :-1].ravel())
-    cols.append(idx[:, 1:].ravel())
-    vals.append(off_z.ravel())
-    rows.append(idx[:, 1:].ravel())
-    cols.append(idx[:, :-1].ravel())
-    vals.append(off_z.ravel())
-    a = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n, n))
+    indices, indptr, order = _csr_pattern(nx, nz)
+    vals = np.concatenate([diag.ravel(), off_x.ravel(), off_x.ravel(),
+                           off_z.ravel(), off_z.ravel()])
+    a = sp.csr_array((vals[order], indices, indptr), shape=(n, n))
     return a, b
+
+
+@functools.lru_cache(maxsize=8)
+def _csr_pattern(nx: int, nz: int):
+    """CSR ``indices`` and ``indptr`` of the 5-point operator on an nx x nz grid.
+
+    Also returns ``order``, the permutation that takes the concatenated
+    values (diagonal, x-faces as (i, i+1) then (i+1, i), z-faces likewise)
+    to CSR order, each row's columns ascending.  The arrays are read-only
+    because every matrix of this shape shares them.
+    """
+    idx = np.arange(nx * nz).reshape(nx, nz)
+    pairs = [(idx, idx), (idx[:-1, :], idx[1:, :]), (idx[1:, :], idx[:-1, :]),
+             (idx[:, :-1], idx[:, 1:]), (idx[:, 1:], idx[:, :-1])]
+    rows = np.concatenate([r.ravel() for r, _ in pairs])
+    cols = np.concatenate([c.ravel() for _, c in pairs])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nx * nz))])
+    indices = cols[order]
+    for arr in (indices, indptr, order):
+        arr.setflags(write=False)
+    return indices, indptr, order
 
 
 _RTOL = 1e-10           # pressure solve: ||Ax - b|| <= _RTOL ||b||
@@ -192,6 +202,7 @@ _MAXITER = 1000         # CG iterations before the solve is declared failed
 _COARSEST = 64          # cells at most on the level inverted densely
 _OMEGA = 2.0 / 3.0      # damped-Jacobi smoothing weight
 _SWEEPS = 2             # smoothing sweeps before and after each coarse correction
+_REBUILD_AFTER = 8      # CG iterations beyond which the next solve rebuilds its hierarchy
 
 
 def _interpolation_1d(n: int):
@@ -245,7 +256,22 @@ def _vcycle(levels, coarse_inv, r, level=0):
     return x
 
 
-def solve_pressure(a, b, x0=None) -> np.ndarray:
+@dataclass
+class Multigrid:
+    """A V-cycle hierarchy that successive pressure solves share, and their counts.
+
+    ``hierarchy`` is ``(levels, coarse_inv)`` as :func:`_hierarchy` returns
+    it, built from the ``A`` of an earlier solve on the same grid, or
+    ``None`` when the next solve must build it.
+    """
+
+    hierarchy: tuple | None = None
+    solves: int = 0
+    cg_iterations: int = 0
+    rebuilds: int = 0
+
+
+def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     """Solve the SPD pressure system ``a x = b`` on the grid ``b.shape``.
 
     ``b`` is ``[nx, nz]`` (a 1-D ``b`` is an ``(n, 1)`` line) and the result
@@ -255,7 +281,15 @@ def solve_pressure(a, b, x0=None) -> np.ndarray:
     coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
     inverse on the coarsest level.  Returns ``x`` with
     ``||a x - b|| <= 1e-10 ||b||``, or raises ``RuntimeError``.
+
+    ``mg`` carries the hierarchy from one solve to the next on the same
+    grid; without it the solve builds its own.  A hierarchy built from an
+    earlier ``A`` is still SPD, so it only costs iterations: after a solve
+    that needed more than ``_REBUILD_AFTER`` of them it is dropped and the
+    next solve rebuilds it from its own ``a``.
     """
+    mg = Multigrid() if mg is None else mg
+    mg.solves += 1
     b = np.asarray(b, dtype=np.float64)
     shape = b.shape
     b = b.ravel()
@@ -267,16 +301,22 @@ def solve_pressure(a, b, x0=None) -> np.ndarray:
     tol = _RTOL * bnorm
     if np.linalg.norm(r) <= tol:
         return x.reshape(shape)
-    nx, nz = shape if len(shape) == 2 else (b.size, 1)
-    levels, coarse_inv = _hierarchy(a, nx, nz)
+    if mg.hierarchy is None:
+        nx, nz = shape if len(shape) == 2 else (b.size, 1)
+        mg.hierarchy = _hierarchy(a, nx, nz)
+        mg.rebuilds += 1
+    levels, coarse_inv = mg.hierarchy
     d = _vcycle(levels, coarse_inv, r)
     rz = r @ d
-    for _ in range(_MAXITER):
+    for it in range(1, _MAXITER + 1):
         ad = a @ d
         alpha = rz / (d @ ad)
         x += alpha * d
         r -= alpha * ad
         if np.linalg.norm(r) <= tol:
+            mg.cg_iterations += it
+            if it > _REBUILD_AFTER:
+                mg.hierarchy = None
             return x.reshape(shape)
         z = _vcycle(levels, coarse_inv, r)
         rz_new = r @ z
@@ -372,9 +412,13 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     """IMPES time series: daily (p, sw) snapshots for days 0..total_days.
 
     Pressure is re-solved before every saturation sub-step by multigrid-
-    preconditioned CG warm-started from the previous pressure; sub-steps are
+    preconditioned CG warm-started from the previous pressure.  The solves
+    share one hierarchy, rebuilt from the current matrix only after a solve
+    that needed more than ``_REBUILD_AFTER`` CG iterations.  Sub-steps are
     CFL-limited and land exactly on day boundaries.  Snapshot 0 is the
-    initial saturation with its consistent pressure field.
+    initial saturation with its consistent pressure field.  ``extra`` holds
+    the run's integer counts: ``substeps``, ``pressure_solves``,
+    ``cg_iterations`` and ``hierarchy_rebuilds``.
     """
     nx, nz = cfg.nx, cfg.nz
     tx, tz = face_transmissibility(k, cfg)
@@ -382,7 +426,8 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
 
     txm, tzm = _mobility_faces(tx, tz, sw, cfg)
     a, b = _assemble_from_faces(txm, tzm, cfg)
-    p = solve_pressure(a, b)
+    mg = Multigrid()
+    p = solve_pressure(a, b, mg=mg)
 
     days = cfg.total_days
     p_series = np.empty((days + 1, nx, nz))
@@ -392,6 +437,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     injected = 0.0
     produced = 0.0
     rate = _injection_rate(cfg)
+    substeps = 0
     for day in range(1, days + 1):
         t = 0.0
         while t < 1.0 - 1e-12:
@@ -401,9 +447,10 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
             injected += rate * dt
             produced += prod
             t += dt
+            substeps += 1
             txm, tzm = _mobility_faces(tx, tz, sw, cfg)
             a, b = _assemble_from_faces(txm, tzm, cfg)
-            p = solve_pressure(a, b, x0=p)
+            p = solve_pressure(a, b, x0=p, mg=mg)
         p_series[day], sw_series[day] = p, sw
 
     return TimeSeriesSample(
@@ -412,6 +459,8 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
         sw_series=sw_series,
         water_injected=injected,
         water_produced=produced,
+        extra={"substeps": substeps, "pressure_solves": mg.solves,
+               "cg_iterations": mg.cg_iterations, "hierarchy_rebuilds": mg.rebuilds},
     )
 
 

@@ -56,11 +56,6 @@ def irfft2_adjoint(g: np.ndarray, w_full: int) -> np.ndarray:
     return (weights / n) * rfft2(g)
 
 
-def dct2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal type-II DCT over the last two axes."""
-    return _fft.dctn(x, type=2, norm="ortho", axes=(-2, -1))
-
-
 def idct2(X: np.ndarray) -> np.ndarray:
-    """Orthonormal type-III DCT (inverse of :func:`dct2`)."""
+    """Orthonormal type-III DCT over the last two axes (inverse of the type-II DCT)."""
     return _fft.idctn(X, type=2, norm="ortho", axes=(-2, -1))

@@ -1,7 +1,8 @@
-"""Shared test helpers: finite-difference gradient checking and tiny datasets."""
+"""Shared test helpers: finite-difference gradient checking, the forward DCT and tiny datasets."""
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from porolab.tensor import Tape
 
@@ -43,6 +44,11 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
         worst = max(worst, float(np.max(np.abs(a - n) / (np.abs(n) + 1e-8))))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def dct2(x):
+    """Orthonormal type-II DCT over the last two axes: the oracle inverse of ``spectral.idct2``."""
+    return scipy.fft.dctn(x, type=2, norm="ortho", axes=(-2, -1))
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,26 @@
 import numpy as np
 import pytest
 
-from porolab import spectral
-from porolab.grf import (GrfSpec, basis_values, covariance_pair, kl_eigenvalues,
-                         sample_grf, to_permeability)
+from conftest import dct2
+from porolab.grf import GrfSpec, kl_eigenvalues, sample_grf, to_permeability
+
+
+def basis_values(spec, cell):
+    """phi_jk evaluated at one cell centre, as an (n, n) grid over (j, k)."""
+    n = spec.n
+    i, m = cell
+    j = np.arange(n, dtype=np.float64)
+    c = np.full(n, np.sqrt(2.0))
+    c[0] = 1.0
+    fx = c * np.cos(np.pi * j * (i + 0.5) / n)
+    fy = c * np.cos(np.pi * j * (m + 0.5) / n)
+    return np.outer(fx, fy)
+
+
+def covariance_pair(spec, cell_a, cell_b):
+    """Analytic covariance Cov(g(x_a), g(x_b)) = sum_jk mu_jk phi_jk(a) phi_jk(b)."""
+    mu = kl_eigenvalues(spec)
+    return float(np.sum(mu * basis_values(spec, cell_a) * basis_values(spec, cell_b)))
 
 
 class TestEigenvalues:
@@ -62,8 +79,8 @@ class TestSampling:
         for draw in (0, 3):
             gc = sample_grf(coarse, draw)
             gf = sample_grf(fine, draw)
-            cc = spectral.dct2(gc) / coarse.n
-            cf = spectral.dct2(gf) / fine.n
+            cc = dct2(gc) / coarse.n
+            cf = dct2(gf) / fine.n
             ratio = np.sqrt(kl_eigenvalues(coarse))
             xi_c = cc / ratio
             xi_f = cf[:8, :8] / ratio

@@ -240,6 +240,16 @@ class TestFno:
         assert np.max(np.abs(fine[0, :, ::2, ::2] - coarse[0])) < 1e-10
         assert np.max(np.abs(out_f[:, ::2, ::2] - out_c)) < 1e-8
 
+    @pytest.mark.parametrize("name", ["width", "modes1", "modes2"])
+    def test_sizes_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            FnoConfig(**{name: 0})
+
+    def test_depth_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+            FnoConfig(depth=-1)
+        assert FnoConfig(depth=0).depth == 0
+
 
 class TestMgno:
     def make(self, **kw):
@@ -299,6 +309,12 @@ class TestMgno:
         for levels in (0, -1):
             with pytest.raises(ValueError, match="levels must be at least 1"):
                 MgnoConfig(levels=levels)
+
+    def test_channels_and_depth_validated(self):
+        with pytest.raises(ValueError, match="channels must be at least 1, got 0"):
+            MgnoConfig(channels=0)
+        with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+            MgnoConfig(depth=-1)
 
 
 class TestParameterCount:

@@ -6,13 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from porolab import simulator
 from porolab.grf import GrfSpec, sample_grf, to_permeability
 from porolab.simulator import (ReservoirConfig, assemble_pressure, darcy_fluxes,
                                face_transmissibility, relperm, run_simulation,
                                solve_pressure, stable_dt, update_saturation,
-                               water_budget_error, _hierarchy, _mobility_faces, _vcycle)
+                               water_budget_error, _assemble_from_faces, _hierarchy,
+                               _mobility_faces, _vcycle)
 
 rng = np.random.default_rng(3)
 
@@ -29,6 +31,25 @@ def grid_k(nx, nz):
 # Grids of at most 64 cells (4x4, 8x8, 9x5, 20x1) are inverted directly;
 # 16x16 has one coarse level, 33x17 two with odd extents, 64x64 three.
 GRIDS = [(4, 4), (8, 8), (16, 16), (64, 64), (9, 5), (33, 17), (20, 1)]
+
+
+def coo_assembly(txm, tzm):
+    """Reference pressure matrix from COO triplets, producer column as identity rows."""
+    nx, nz = txm.shape[0] + 1, tzm.shape[1] + 1
+    diag = np.zeros((nx, nz))
+    diag[:-1, :] += txm
+    diag[1:, :] += txm
+    diag[:, :-1] += tzm
+    diag[:, 1:] += tzm
+    diag[-1, :] = 1.0
+    off_x, off_z = -txm, -tzm
+    off_x[-1, :] = 0.0
+    off_z[-1, :] = 0.0
+    idx = np.arange(nx * nz).reshape(nx, nz)
+    triplets = [(idx, idx, diag), (idx[:-1, :], idx[1:, :], off_x), (idx[1:, :], idx[:-1, :], off_x),
+                (idx[:, :-1], idx[:, 1:], off_z), (idx[:, 1:], idx[:, :-1], off_z)]
+    rows, cols, vals = (np.concatenate([t[i].ravel() for t in triplets]) for i in range(3))
+    return sp.csr_array((vals, (rows, cols)), shape=(nx * nz, nx * nz))
 
 
 class TestRelperm:
@@ -106,6 +127,19 @@ class TestPressureSystem:
         p2 = solve_pressure(a2, b2).reshape(8, 8)
         assert np.max(np.abs(p2 - p[:, ::-1])) < 1e-7 * max(1.0, np.max(np.abs(p)))
 
+    @pytest.mark.parametrize("nx,nz", [(2, 1), (8, 8), (33, 17), (100, 1)])
+    def test_pattern_matches_coo_assembly(self, nx, nz):
+        # the cached CSR pattern gives the matrix COO triplets give, bit for bit,
+        # explicit zeros of the producer couplings included
+        cfg = ReservoirConfig(nx=nx, nz=nz)
+        txm = rng.uniform(0.1, 2.0, (nx - 1, nz))
+        tzm = rng.uniform(0.1, 2.0, (nx, nz - 1))
+        a, _ = _assemble_from_faces(txm, tzm, cfg)
+        ref = coo_assembly(txm, tzm)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(a, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     def test_degenerate_isolated_cell_raises(self):
         cfg = ReservoirConfig(nx=4, nz=4)
         k = np.ones((4, 4))
@@ -116,7 +150,6 @@ class TestPressureSystem:
 
 class TestSolvePressure:
     def test_diagonal_system(self):
-        import scipy.sparse as sp
         d = np.array([2.0, 4.0, 5.0])
         a = sp.csr_array(sp.diags(d))
         b = np.array([2.0, 8.0, 20.0])
@@ -269,13 +302,37 @@ class TestRunSimulation:
         k = heterogeneous_k(16)
         sample = run_simulation(k, cfg)
 
-        def dense(a, b, x0=None):
+        def dense(a, b, x0=None, mg=None):
             return np.linalg.solve(a.toarray(), b.ravel()).reshape(b.shape)
 
         monkeypatch.setattr(simulator, "solve_pressure", dense)
         ref = run_simulation(k, cfg)
         assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-8 * np.max(np.abs(ref.p_series))
         assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
+
+    def test_solver_counts(self):
+        cfg = ReservoirConfig(nx=32, nz=32, total_days=6)
+        k = heterogeneous_k(32)
+        extra = run_simulation(k, cfg).extra
+        assert set(extra) == {"substeps", "pressure_solves", "cg_iterations", "hierarchy_rebuilds"}
+        assert all(type(v) is int for v in extra.values())
+        assert extra["pressure_solves"] == extra["substeps"] + 1
+        assert 0 < extra["hierarchy_rebuilds"] < extra["pressure_solves"]
+        assert extra["cg_iterations"] >= extra["pressure_solves"]
+        assert run_simulation(k, cfg).extra == extra
+
+    def test_reused_hierarchy_matches_rebuilding_every_solve(self, monkeypatch):
+        # a lagged hierarchy changes only the preconditioner, not the solve contract
+        cfg = ReservoirConfig(nx=32, nz=32, total_days=6)
+        k = heterogeneous_k(32)
+        sample = run_simulation(k, cfg)
+        monkeypatch.setattr(simulator, "_REBUILD_AFTER", 0)
+        ref = run_simulation(k, cfg)
+        assert ref.extra["hierarchy_rebuilds"] == ref.extra["pressure_solves"]
+        assert sample.extra["hierarchy_rebuilds"] < ref.extra["hierarchy_rebuilds"]
+        assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-10 * np.max(np.abs(ref.p_series))
+        assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
+        assert water_budget_error(sample, cfg) <= 1e-8
 
     def test_loads_no_scipy_linalg(self):
         # scipy.linalg and scipy.sparse.linalg cost import time and resident memory
