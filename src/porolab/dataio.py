@@ -334,5 +334,5 @@ def load_checkpoint(in_dir):
         if data.shape != param.data.shape:
             raise ValueError(f"{src}: parameter {param.name} shape {data.shape} "
                              f"!= expected {param.data.shape}")
-        param.value.data = data.astype(model.dtype, copy=False)
+        param.data = data.astype(model.dtype, copy=False)
     return model

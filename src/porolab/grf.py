@@ -40,6 +40,8 @@ class GrfSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid extent must be >= 2, got {self.n}")
+        if self.shift <= 0:
+            raise ValueError(f"shift must be positive, got {self.shift}")
 
 
 def kl_eigenvalues(spec: GrfSpec) -> np.ndarray:

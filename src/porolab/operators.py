@@ -192,7 +192,8 @@ def vcycle_apply(f: Tensor, levels: list[tuple[Tensor, Tensor, Tensor, Tensor]],
 
 class _Operator:
     """What both architectures share: normalization, time scale, precision,
-    initialization seed, and prediction through :meth:`forward`."""
+    initialization seed, the parameter list, and prediction through
+    :meth:`forward`."""
 
     def __init__(self, cfg, stats, t_max: float, dtype, seed: int):
         self.cfg = cfg
@@ -200,6 +201,16 @@ class _Operator:
         self.t_max = float(t_max)
         self.dtype = np.dtype(dtype).type
         self.seed = seed
+        self._params: list[Parameter] = []
+
+    def _param(self, data: np.ndarray, name: str) -> Parameter:
+        p = Parameter(data, name)
+        self._params.append(p)
+        return p
+
+    def parameters(self) -> list[Parameter]:
+        """Every parameter in creation order, which is the checkpoint order."""
+        return list(self._params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Tape-free forward on [B,C,H,W] inputs; returns [B,H,W]."""
@@ -223,37 +234,29 @@ class Fno(_Operator):
         rng = np.random.default_rng(seed)
         d, m1, m2 = cfg.width, cfg.modes1, cfg.modes2
         dt = self.dtype
-        self.lift_w = Parameter(_uniform(rng, (d, _IN_CHANNELS), _IN_CHANNELS, dt), "lift.w")
-        self.lift_b = Parameter(np.zeros(d, dt), "lift.b")
+        self.lift_w = self._param(_uniform(rng, (d, _IN_CHANNELS), _IN_CHANNELS, dt), "lift.w")
+        self.lift_b = self._param(np.zeros(d, dt), "lift.b")
         self.layers = []
         for i in range(cfg.depth):
             scale = 1.0 / d
-            wre = Parameter((rng.uniform(-1, 1, (m1, m2, d, d)) * scale).astype(dt),
-                            f"layer{i}.spec_re")
-            wim = Parameter((rng.uniform(-1, 1, (m1, m2, d, d)) * scale).astype(dt),
-                            f"layer{i}.spec_im")
-            w = Parameter(_uniform(rng, (d, d), d, dt), f"layer{i}.w")
-            b = Parameter(np.zeros(d, dt), f"layer{i}.b")
+            wre = self._param((rng.uniform(-1, 1, (m1, m2, d, d)) * scale).astype(dt),
+                              f"layer{i}.spec_re")
+            wim = self._param((rng.uniform(-1, 1, (m1, m2, d, d)) * scale).astype(dt),
+                              f"layer{i}.spec_im")
+            w = self._param(_uniform(rng, (d, d), d, dt), f"layer{i}.w")
+            b = self._param(np.zeros(d, dt), f"layer{i}.b")
             self.layers.append((wre, wim, w, b))
-        self.proj_w = Parameter(_uniform(rng, (1, d), d, dt), "proj.w")
-        self.proj_b = Parameter(np.zeros(1, dt), "proj.b")
-
-    def parameters(self) -> list[Parameter]:
-        params = [self.lift_w, self.lift_b]
-        for wre, wim, w, b in self.layers:
-            params += [wre, wim, w, b]
-        params += [self.proj_w, self.proj_b]
-        return params
+        self.proj_w = self._param(_uniform(rng, (1, d), d, dt), "proj.w")
+        self.proj_b = self._param(np.zeros(1, dt), "proj.b")
 
     def forward(self, x: Tensor) -> Tensor:
         self.cfg.validate_grid(*x.data.shape[-2:])
-        v = pointwise_linear(x, self.lift_w.value, self.lift_b.value)
+        v = pointwise_linear(x, self.lift_w, self.lift_b)
         last = len(self.layers) - 1
         for i, (wre, wim, w, b) in enumerate(self.layers):
-            mixed = add(pointwise_linear(v, w.value, b.value),
-                        spectral_conv(v, wre.value, wim.value))
+            mixed = add(pointwise_linear(v, w, b), spectral_conv(v, wre, wim))
             v = mixed if i == last else gelu(mixed)
-        return pointwise_linear(v, self.proj_w.value, self.proj_b.value)
+        return pointwise_linear(v, self.proj_w, self.proj_b)
 
 
 class Mgno(_Operator):
@@ -273,32 +276,22 @@ class Mgno(_Operator):
             levels = []
             for j in range(cfg.levels - 1):
                 levels.append((
-                    Parameter(_uniform(rng, (ci, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.a"),
-                    Parameter(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.s"),
-                    Parameter(_uniform(rng, (ci, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.r"),
-                    Parameter(_uniform(rng, (co, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.p")))
-            coarse_s = Parameter(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt),
-                                 f"layer{i}.lvl{cfg.levels - 1}.s")
-            bmat = Parameter(_uniform(rng, (co, ci), ci, dt), f"layer{i}.bmat")
-            bias = Parameter(np.zeros(co, dt), f"layer{i}.bias")
+                    self._param(_uniform(rng, (ci, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.a"),
+                    self._param(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.s"),
+                    self._param(_uniform(rng, (ci, ci, 3, 3), 9 * ci, dt), f"layer{i}.lvl{j}.r"),
+                    self._param(_uniform(rng, (co, co, 3, 3), 9 * co, dt), f"layer{i}.lvl{j}.p")))
+            coarse_s = self._param(_uniform(rng, (co, ci, 3, 3), 9 * ci, dt),
+                                   f"layer{i}.lvl{cfg.levels - 1}.s")
+            bmat = self._param(_uniform(rng, (co, ci), ci, dt), f"layer{i}.bmat")
+            bias = self._param(np.zeros(co, dt), f"layer{i}.bias")
             self.layers.append((levels, coarse_s, bmat, bias))
             ci = co
-        self.out_w = Parameter(_uniform(rng, (1, ci), ci, dt), "out.w")
-
-    def parameters(self) -> list[Parameter]:
-        params = []
-        for levels, coarse_s, bmat, bias in self.layers:
-            for kernels in levels:
-                params += kernels
-            params += [coarse_s, bmat, bias]
-        params.append(self.out_w)
-        return params
+        self.out_w = self._param(_uniform(rng, (1, ci), ci, dt), "out.w")
 
     def forward(self, x: Tensor) -> Tensor:
         self.cfg.validate_grid(*x.data.shape[-2:])
         h = x
         for levels, coarse_s, bmat, bias in self.layers:
-            kernels = [tuple(k.value for k in lvl) for lvl in levels]
-            linear = vcycle_apply(h, kernels, coarse_s.value)
-            h = gelu(add(linear, pointwise_linear(h, bmat.value, bias.value)))
-        return pointwise_linear(h, self.out_w.value, None)
+            linear = vcycle_apply(h, levels, coarse_s)
+            h = gelu(add(linear, pointwise_linear(h, bmat, bias)))
+        return pointwise_linear(h, self.out_w, None)

@@ -57,6 +57,13 @@ class ReservoirConfig:
                 raise ValueError(f"{name} must be positive")
         if not (0 < self.substep_cfl <= 1.0):
             raise ValueError("substep_cfl must lie in (0, 1]")
+        for name in ("corey_nw", "corey_no"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.q_inj < 0:
+            raise ValueError(f"q_inj must be non-negative, got {self.q_inj}")
+        if self.total_days < 0:
+            raise ValueError(f"total_days must be non-negative, got {self.total_days}")
 
     @property
     def cell_volume(self) -> float:
@@ -117,9 +124,8 @@ def face_transmissibility(k: np.ndarray, cfg: ReservoirConfig):
     return tx, tz
 
 
-def _mobility_faces(tx, tz, sw, cfg: ReservoirConfig):
-    """Total-mobility face coefficients (arithmetic face average)."""
-    _, lam_t = total_mobility(sw, cfg)
+def _mobility_faces(tx, tz, lam_t):
+    """Total-mobility face coefficients (arithmetic face average of ``lam_t``)."""
     txm = tx * 0.5 * (lam_t[:-1, :] + lam_t[1:, :])
     tzm = tz * 0.5 * (lam_t[:, :-1] + lam_t[:, 1:])
     return txm, tzm
@@ -139,7 +145,7 @@ def assemble_pressure(k: np.ndarray, sw: np.ndarray, cfg: ReservoirConfig):
     as Dirichlet rows p = p_prod.
     """
     tx, tz = face_transmissibility(k, cfg)
-    txm, tzm = _mobility_faces(tx, tz, sw, cfg)
+    txm, tzm = _mobility_faces(tx, tz, total_mobility(sw, cfg)[1])
     return _assemble_from_faces(txm, tzm, cfg)
 
 
@@ -341,23 +347,20 @@ def producer_sink(fx, fz) -> np.ndarray:
 
 
 def _cell_outflow(fx, fz, cfg: ReservoirConfig):
-    """Total outgoing volumetric flux per cell plus well source magnitudes."""
-    nx, nz = cfg.nx, cfg.nz
-    out = np.zeros((nx, nz))
+    """Total outgoing volumetric face flux per cell plus its well source magnitude."""
+    out = np.zeros((cfg.nx, cfg.nz))
     out[:-1, :] += np.maximum(fx, 0.0)
     out[1:, :] += np.maximum(-fx, 0.0)
     out[:, :-1] += np.maximum(fz, 0.0)
     out[:, 1:] += np.maximum(-fz, 0.0)
-    src = np.zeros((nx, nz))
-    src[0, :] = _injection_rate(cfg) / nz
-    src[-1, :] += np.abs(producer_sink(fx, fz))
-    return out, src
+    out[0, :] += _injection_rate(cfg) / cfg.nz
+    out[-1, :] += np.abs(producer_sink(fx, fz))
+    return out
 
 
 def stable_dt(fx, fz, cfg: ReservoirConfig, remaining: float) -> float:
     """CFL sub-step: substep_cfl * min phi V / (outflux + |source|), capped at ``remaining``."""
-    out, src = _cell_outflow(fx, fz, cfg)
-    denom = out + src
+    denom = _cell_outflow(fx, fz, cfg)
     pv_cell = cfg.porosity * cfg.cell_volume
     positive = denom > 0.0
     if not np.any(positive):
@@ -366,22 +369,21 @@ def stable_dt(fx, fz, cfg: ReservoirConfig, remaining: float) -> float:
     return min(dt, remaining)
 
 
-def update_saturation(sw: np.ndarray, fx, fz, dt: float, cfg: ReservoirConfig):
+def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, dt: float,
+                      cfg: ReservoirConfig):
     """Explicit upwind fractional-flow transport over one sub-step.
 
+    ``fw`` is the water fractional flow ``lam_w / lam_t`` at ``sw``.
     Returns (new sw, water volume produced during the step).  The injector
     source is pure water; each producer cell discharges its net volumetric
     inflow at its own fractional flow.
     """
     nx, nz = cfg.nx, cfg.nz
-    out, src = _cell_outflow(fx, fz, cfg)
     pv_cell = cfg.porosity * cfg.cell_volume
-    denom = out + src
+    denom = _cell_outflow(fx, fz, cfg)
     hard = np.where(denom > 0.0, pv_cell / np.where(denom > 0.0, denom, 1.0), np.inf)
     assert dt <= hard.min() * (1.0 + 1e-9), "CFL violation: dt exceeds the stability bound"
 
-    lam_w, lam_t = total_mobility(sw, cfg)
-    fw = lam_w / lam_t
     dv = np.zeros((nx, nz))  # net water volume gained per cell
 
     # upwind water flux through x-faces
@@ -424,7 +426,8 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     tx, tz = face_transmissibility(k, cfg)
     sw = np.full((nx, nz), cfg.sw_init, dtype=np.float64)
 
-    txm, tzm = _mobility_faces(tx, tz, sw, cfg)
+    lam_w, lam_t = total_mobility(sw, cfg)
+    txm, tzm = _mobility_faces(tx, tz, lam_t)
     a, b = _assemble_from_faces(txm, tzm, cfg)
     mg = Multigrid()
     p = solve_pressure(a, b, mg=mg)
@@ -443,12 +446,13 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
         while t < 1.0 - 1e-12:
             fx, fz = darcy_fluxes(p, txm, tzm)
             dt = stable_dt(fx, fz, cfg, remaining=1.0 - t)
-            sw, prod = update_saturation(sw, fx, fz, dt, cfg)
+            sw, prod = update_saturation(sw, lam_w / lam_t, fx, fz, dt, cfg)
             injected += rate * dt
             produced += prod
             t += dt
             substeps += 1
-            txm, tzm = _mobility_faces(tx, tz, sw, cfg)
+            lam_w, lam_t = total_mobility(sw, cfg)
+            txm, tzm = _mobility_faces(tx, tz, lam_t)
             a, b = _assemble_from_faces(txm, tzm, cfg)
             p = solve_pressure(a, b, x0=p, mg=mg)
         p_series[day], sw_series[day] = p, sw

@@ -6,6 +6,7 @@ record (output, inputs, backward rule) in execution order, which is already
 a valid topological order.  ``tape.backward(loss)`` replays the records in
 reverse and accumulates gradients into every reachable tensor, so a
 parameter used several times receives the sum of its per-use gradients.
+A :class:`Parameter` is a Tensor with a name and enters every op as itself.
 
 Convolutions are evaluated channels-last through a flat-offset scheme: the
 padded image is treated as one long pixel sequence and each kernel tap
@@ -29,8 +30,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -39,14 +40,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     @property
     def dtype(self):
@@ -76,32 +69,25 @@ class Tensor:
         return scale(self, -1.0)
 
 
-class Parameter:
-    """Named trainable tensor; gradient lives on the wrapped value."""
+class Parameter(Tensor):
+    """Trainable tensor with a name; the name keys it in checkpoints.
 
-    __slots__ = ("value", "name")
+    An optimizer step rebinds ``data``; ``grad`` is reset by assigning None.
+    """
 
-    def __init__(self, value, name: str, dtype=None):
-        self.value = value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
+    __slots__ = ("name",)
+
+    def __init__(self, data, name: str):
+        super().__init__(data)
         self.name = name
 
     @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self):
-        return self.value.grad
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def zero_grad(self):
-        self.value.grad = None
+    def value(self):
+        """The parameter itself; an alias kept for the scripts in ``perfbench/``."""
+        return self
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 class Tape:
@@ -125,9 +111,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _TAPE_STACK.pop()
         return False
-
-    def __len__(self):
-        return len(self._nodes)
 
     def record(self, out: Tensor, inputs, backward_fn):
         self._nodes.append((out, inputs, backward_fn))

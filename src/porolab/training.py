@@ -138,7 +138,7 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
         v *= b2
         v += (1.0 - b2) * g * g
         update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-        p.value.data = p.data - cfg.lr * update - cfg.lr * cfg.weight_decay * p.data
+        p.data = p.data - cfg.lr * update - cfg.lr * cfg.weight_decay * p.data
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
                 raise RuntimeError(
                     f"non-finite loss {value} at epoch {epoch}, step {start // cfg.batch_size}")
             for p in params:
-                p.zero_grad()
+                p.grad = None
             tape.backward(loss)
             adam_step(params, state, cfg)
             losses.append(value)

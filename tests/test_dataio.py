@@ -147,6 +147,12 @@ class TestManifestConfig:
         assert reservoir_config_from_manifest(built.manifest) == cfg
         assert reservoir_config_from_manifest(load_dataset(tmp_path).manifest) == cfg
 
+    def test_negative_injection_raises_at_once(self):
+        # a negative injection rate once made every draw fail its saturation
+        # bounds, and build_dataset resampled without end
+        with pytest.raises(ValueError, match="q_inj must be non-negative"):
+            build_dataset(1, ReservoirConfig(nx=8, nz=8, q_inj=-0.1), seed=0)
+
     def test_committed_pool_manifest_loads_with_default_physics(self):
         # the pool predates recording the Corey exponents: they take their defaults
         cfg = reservoir_config_from_manifest(load_dataset(POOL).manifest)

@@ -1,4 +1,4 @@
-"""FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, counts."""
+"""FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, registry, counts."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
                                make_input, spectral_conv, vcycle_apply)
-from porolab.tensor import Tensor
+from porolab.tensor import Parameter, Tensor
 
 rng = np.random.default_rng(17)
 STATS = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
@@ -187,16 +187,16 @@ class TestFno:
     def test_zero_params_give_constant(self):
         model = self.make()
         for p in model.parameters():
-            p.value.data = np.zeros_like(p.data)
+            p.data = np.zeros_like(p.data)
         out = model.predict(rng.standard_normal((2, 2, 8, 8)))
         assert np.max(np.abs(out)) < 1e-14
 
     def test_lift_identity(self):
         model = self.make(width=2)
-        model.lift_w.value.data = np.eye(2)
-        model.lift_b.value.data = np.zeros(2)
+        model.lift_w.data = np.eye(2)
+        model.lift_b.data = np.zeros(2)
         x = Tensor(rng.standard_normal((1, 2, 8, 8)))
-        v = T.pointwise_linear(x, model.lift_w.value, model.lift_b.value)
+        v = T.pointwise_linear(x, model.lift_w, model.lift_b)
         assert np.allclose(v.data, x.data)
 
     def test_forward_shape_and_determinism(self):
@@ -217,7 +217,7 @@ class TestFno:
     def test_end_to_end_gradients(self):
         model = self.make()
         x = Tensor(rng.standard_normal((2, 2, 8, 8)))
-        tensors = [p.value for p in model.parameters()] + [x]
+        tensors = model.parameters() + [x]
         gradient_check(
             lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
 
@@ -261,9 +261,9 @@ class TestMgno:
         from porolab.tensor import gelu
         model = self.make(depth=1)
         for p in model.parameters():
-            p.value.data = np.zeros_like(p.data)
-        model.layers[0][3].value.data = np.array([0.3, -1.0, 2.0])   # layer bias
-        model.out_w.value.data = np.array([[1.0, 1.0, 1.0]])
+            p.data = np.zeros_like(p.data)
+        model.layers[0][3].data = np.array([0.3, -1.0, 2.0])   # layer bias
+        model.out_w.data = np.array([[1.0, 1.0, 1.0]])
         out = model.predict(rng.standard_normal((1, 2, 8, 8)))
         expected = float(np.sum(gelu(Tensor(np.array([0.3, -1.0, 2.0]))).data))
         assert np.allclose(out, expected, atol=1e-6)
@@ -273,9 +273,9 @@ class TestMgno:
         from porolab.tensor import gelu
         model = self.make(depth=1, channels=2)
         for p in model.parameters():
-            p.value.data = np.zeros_like(p.data)
-        model.layers[0][2].value.data = np.eye(2)                    # pointwise B
-        model.out_w.value.data = np.array([[1.0, 0.0]])
+            p.data = np.zeros_like(p.data)
+        model.layers[0][2].data = np.eye(2)                    # pointwise B
+        model.out_w.data = np.array([[1.0, 0.0]])
         x = rng.standard_normal((1, 2, 8, 8))
         out = model.predict(x)
         assert np.allclose(out, gelu(Tensor(x[:, 0])).data, atol=1e-12)
@@ -283,7 +283,7 @@ class TestMgno:
     def test_depth_zero_is_pointwise_linear(self):
         model = self.make(depth=0)
         assert [p.name for p in model.parameters()] == ["out.w"]
-        model.out_w.value.data = np.array([[2.0, -1.0]])
+        model.out_w.data = np.array([[2.0, -1.0]])
         x = rng.standard_normal((1, 2, 8, 8))
         out = model.predict(x)
         assert np.allclose(out, 2.0 * x[:, 0] - x[:, 1], atol=1e-12)
@@ -296,7 +296,7 @@ class TestMgno:
     def test_end_to_end_gradients(self):
         model = self.make()
         x = Tensor(rng.standard_normal((1, 2, 16, 16)))
-        tensors = [p.value for p in model.parameters()] + [x]
+        tensors = model.parameters() + [x]
         gradient_check(
             lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
 
@@ -315,6 +315,42 @@ class TestMgno:
             MgnoConfig(channels=0)
         with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
             MgnoConfig(depth=-1)
+
+
+def _reachable_parameters(model):
+    """Every Parameter held in the model's attributes, its registry aside."""
+    found, stack = [], [v for name, v in vars(model).items() if name != "_params"]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Parameter):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
+class TestParameterRegistry:
+    """``parameters()`` lists each parameter once, in the order checkpoints store."""
+
+    FNO_NAMES = ["lift.w", "lift.b",
+                 "layer0.spec_re", "layer0.spec_im", "layer0.w", "layer0.b",
+                 "layer1.spec_re", "layer1.spec_im", "layer1.w", "layer1.b",
+                 "proj.w", "proj.b"]
+    MGNO_NAMES = ["layer0.lvl0.a", "layer0.lvl0.s", "layer0.lvl0.r", "layer0.lvl0.p",
+                  "layer0.lvl1.s", "layer0.bmat", "layer0.bias",
+                  "layer1.lvl0.a", "layer1.lvl0.s", "layer1.lvl0.r", "layer1.lvl0.p",
+                  "layer1.lvl1.s", "layer1.bmat", "layer1.bias",
+                  "out.w"]
+
+    @pytest.mark.parametrize("model,names", [
+        (Fno(FnoConfig(width=4, modes1=2, modes2=2, depth=2), stats=STATS), FNO_NAMES),
+        (Mgno(MgnoConfig(depth=2, channels=3, levels=2), stats=STATS), MGNO_NAMES),
+    ], ids=["fno", "mgno"])
+    def test_order_and_coverage(self, model, names):
+        params = model.parameters()
+        assert [p.name for p in params] == names
+        assert len({id(p) for p in params}) == len(params)
+        assert {id(p) for p in _reachable_parameters(model)} == {id(p) for p in params}
 
 
 class TestParameterCount:

@@ -12,15 +12,20 @@ from porolab import simulator
 from porolab.grf import GrfSpec, sample_grf, to_permeability
 from porolab.simulator import (ReservoirConfig, assemble_pressure, darcy_fluxes,
                                face_transmissibility, relperm, run_simulation,
-                               solve_pressure, stable_dt, update_saturation,
-                               water_budget_error, _assemble_from_faces, _hierarchy,
-                               _mobility_faces, _vcycle)
+                               solve_pressure, stable_dt, total_mobility,
+                               update_saturation, water_budget_error,
+                               _assemble_from_faces, _hierarchy, _mobility_faces, _vcycle)
 
 rng = np.random.default_rng(3)
 
 
 def heterogeneous_k(n, seed=21):
     return to_permeability(sample_grf(GrfSpec(n=n, seed=seed), 0), 10.0) + 0.05
+
+
+def fractional_flow(sw, cfg):
+    lam_w, lam_t = total_mobility(sw, cfg)
+    return lam_w / lam_t
 
 
 def grid_k(nx, nz):
@@ -50,6 +55,22 @@ def coo_assembly(txm, tzm):
                 (idx[:, :-1], idx[:, 1:], off_z), (idx[:, 1:], idx[:, :-1], off_z)]
     rows, cols, vals = (np.concatenate([t[i].ravel() for t in triplets]) for i in range(3))
     return sp.csr_array((vals, (rows, cols)), shape=(nx * nz, nx * nz))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name,value,match", [
+        ("q_inj", -0.1, "q_inj must be non-negative, got -0.1"),
+        ("corey_nw", 0.0, "corey_nw must be positive, got 0.0"),
+        ("corey_no", -1.0, "corey_no must be positive, got -1.0"),
+        ("total_days", -1, "total_days must be non-negative, got -1"),
+    ])
+    def test_unphysical_values_rejected(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            ReservoirConfig(**{name: value})
+
+    def test_zero_rate_and_horizon_allowed(self):
+        cfg = ReservoirConfig(nx=4, nz=4, q_inj=0.0, total_days=0)
+        assert run_simulation(np.ones((4, 4)), cfg).p_series.shape == (1, 4, 4)
 
 
 class TestRelperm:
@@ -112,7 +133,7 @@ class TestPressureSystem:
         a, b = assemble_pressure(k, sw, cfg)
         p = solve_pressure(a, b).reshape(2, 1)
         tx, tz = face_transmissibility(k, cfg)
-        txm, _ = _mobility_faces(tx, tz, sw, cfg)
+        txm, _ = _mobility_faces(tx, tz, total_mobility(sw, cfg)[1])
         q = cfg.q_inj * cfg.pore_volume
         assert abs(p[0, 0] - q / txm[0, 0]) < 1e-9
         assert abs(p[1, 0]) < 1e-12
@@ -210,7 +231,7 @@ class TestSaturationUpdate:
         sw = np.full((4, 4), 0.4)
         fx = np.zeros((3, 4))
         fz = np.zeros((4, 3))
-        new, produced = update_saturation(sw, fx, fz, 0.5, cfg)
+        new, produced = update_saturation(sw, fractional_flow(sw, cfg), fx, fz, 0.5, cfg)
         assert np.array_equal(new, sw)
         assert produced == 0.0
 
@@ -221,14 +242,12 @@ class TestSaturationUpdate:
         fx = np.array([[2.0]])
         fz = np.zeros((2, 0))
         dt = 0.1
-        from porolab.simulator import total_mobility
-        lam_w, lam_t = total_mobility(sw, cfg)
-        fw = lam_w / lam_t
+        fw = fractional_flow(sw, cfg)
         pv = cfg.porosity * cfg.cell_volume
         # producer cell (index 1) discharges its net inflow F at its own fw
         expected0 = sw[0, 0] - dt * fw[0, 0] * 2.0 / pv
         expected1 = sw[1, 0] + dt * (fw[0, 0] * 2.0 - fw[1, 0] * 2.0) / pv
-        new, produced = update_saturation(sw, fx, fz, dt, cfg)
+        new, produced = update_saturation(sw, fw, fx, fz, dt, cfg)
         assert abs(new[0, 0] - expected0) < 1e-14
         assert abs(new[1, 0] - expected1) < 1e-14
         assert abs(produced - dt * fw[1, 0] * 2.0) < 1e-14
@@ -238,7 +257,7 @@ class TestSaturationUpdate:
         sw = np.array([[0.6], [0.3]])
         fx = np.array([[2.0]])
         with pytest.raises(AssertionError):
-            update_saturation(sw, fx, np.zeros((2, 0)), 100.0, cfg)
+            update_saturation(sw, fractional_flow(sw, cfg), fx, np.zeros((2, 0)), 100.0, cfg)
 
 
 class TestStableDt:
