@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReservoirConfig:
     nx: int = 64
     nz: int = 64

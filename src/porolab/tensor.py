@@ -8,10 +8,19 @@ reverse and accumulates gradients into every reachable tensor, so a
 parameter used several times receives the sum of its per-use gradients.
 A :class:`Parameter` is a Tensor with a name and enters every op as itself.
 
-Convolutions are evaluated channels-last through a flat-offset scheme: the
-padded image is treated as one long pixel sequence and each kernel tap
-becomes a single GEMM on a contiguous view, which keeps the work inside
-BLAS without materialising an im2col buffer.
+Convolutions share one tap geometry: the zero-padded channels-last image
+[B, hp, wp, C] is read as one long run of pixels, so kernel tap (u, v) is the
+flat offset ``u*wp + v`` and one GEMM on a contiguous shifted view, with no
+im2col buffer.  A window that wraps across a row or into the next batch entry
+lands on a pixel no result keeps.  Three maps over the taps cover both ops
+and both gradients: the gather ``_conv_fwd`` (conv2d's forward); the scatter
+``_conv_adj``, its adjoint (conv2d_transpose's forward), which adds each
+pixel, or its gradient, spread to its window's corner by ``_spread``, back
+through every tap; and the kernel gradient ``_conv_kgrad``.  The scatter walks
+the taps last to first so that each pixel sums its terms in the order of a
+correlation with the flipped kernel, the textbook form of the transpose;
+porolab's float results, training losses and checkpoints are fixed to that
+order.
 """
 
 from __future__ import annotations
@@ -141,12 +150,6 @@ def _tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _as_tensor(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
     if a.data.shape != b.data.shape:
         raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
@@ -156,14 +159,13 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 # elementwise and reduction primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
+def add(a: Tensor, b: Tensor | float) -> Tensor:
+    if np.isscalar(b):
         out = Tensor(a.data + a.data.dtype.type(b))
         t = _tape()
         if t is not None:
             t.record(out, (a,), lambda g: (g,))
         return out
-    b = _as_tensor(b, a.data.dtype)
     _check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
     t = _tape()
@@ -172,10 +174,9 @@ def add(a: Tensor, b) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
+def sub(a: Tensor, b: Tensor | float) -> Tensor:
+    if np.isscalar(b):
         return add(a, -b)
-    b = _as_tensor(b, a.data.dtype)
     _check_same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
     t = _tape()
@@ -184,10 +185,9 @@ def sub(a: Tensor, b) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    if np.isscalar(b):
         return scale(a, b)
-    b = _as_tensor(b, a.data.dtype)
     _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
     t = _tape()
@@ -343,96 +343,58 @@ def _cl_pad(xd: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _corr_s1(xp: np.ndarray, k_cl: np.ndarray) -> np.ndarray:
-    """Stride-1 valid cross-correlation, channels-last.
-
-    xp: [B, Hp, Wp, Ci] contiguous; k_cl: [kh, kw, Ci, Co].
-    Treats the padded image as a flat pixel run: each kernel tap is one GEMM
-    on a shifted contiguous view; rows whose window wraps across an image
-    edge are cropped afterwards.
-    """
-    bsz, hp, wp, ci = xp.shape
-    kh, kw, _, co = k_cl.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    flat = xp.reshape(-1, ci)
-    npix = flat.shape[0]
-    nrun = npix - ((kh - 1) * wp + (kw - 1))
-    acc = None
-    for u in range(kh):
-        for v in range(kw):
-            d = u * wp + v
-            contrib = flat[d:d + nrun] @ k_cl[u, v]
-            acc = contrib if acc is None else acc + contrib
-    out = np.zeros((npix, co), dtype=xp.dtype)
-    out[:nrun] = acc
-    return out.reshape(bsz, hp, wp, co)[:, :ho, :wo, :]
-
-
-def _corr_s1_kgrad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Kernel gradient of the stride-1 correlation: [kh, kw, Ci, Co]."""
-    bsz, hp, wp, ci = xp.shape
-    _, ho, wo, co = g.shape
-    flat = xp.reshape(-1, ci)
-    gfull = np.zeros((bsz, hp, wp, co), dtype=g.dtype)
-    gfull[:, :ho, :wo, :] = g
-    gflat = gfull.reshape(-1, co)
-    nrun = flat.shape[0] - ((kh - 1) * wp + (kw - 1))
-    dk = np.empty((kh, kw, ci, co), dtype=g.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            d = u * wp + v
-            dk[u, v] = flat[d:d + nrun].T @ gflat[:nrun]
-    return dk
-
-
-def _zero_stuff(y: np.ndarray, stride: int, h1: int, w1: int) -> np.ndarray:
-    """Insert stride-1 zeros between entries of y to reach (h1, w1)."""
-    if stride == 1:
-        return y
-    bsz, ho, wo, co = y.shape
-    out = np.zeros((bsz, h1, w1, co), dtype=y.dtype)
-    out[:, ::stride, ::stride, :][:, :ho, :wo, :] = y
+def _spread(yd: np.ndarray, stride: int, hp: int, wp: int) -> np.ndarray:
+    """[B,C,Ho,Wo] -> channels-last [B,hp,wp,C] with each pixel at its window's corner."""
+    bsz, c, ho, wo = yd.shape
+    out = np.zeros((bsz, hp, wp, c), dtype=yd.dtype)
+    out[:, :ho * stride:stride, :wo * stride:stride, :] = yd.transpose(0, 2, 3, 1)
     return out
 
 
-def _conv2d_fwd_cl(xp: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
-    """Forward conv from a padded channels-last buffer; returns [B,Co,H',W']."""
+def _taps(xp: np.ndarray, kd: np.ndarray):
+    """Each tap's flat offset ``u*wp + v`` on the grid of ``xp`` with its [Ci, Co]
+    matrix, and the run length: the pixels every tap can shift without leaving it."""
+    bsz, hp, wp, _ = xp.shape
+    kh, kw = kd.shape[2:]
     k_cl = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))
-    y = _corr_s1(xp, k_cl)
-    if stride > 1:
-        y = y[:, ::stride, ::stride, :]
+    taps = [(u * wp + v, k_cl[u, v]) for u in range(kh) for v in range(kw)]
+    return taps, bsz * hp * wp - taps[-1][0]
+
+
+def _conv_fwd(xp: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Gather: the [B,Co,ho,wo] correlation of a padded channels-last image."""
+    taps, nrun = _taps(xp, kd)
+    flat = xp.reshape(-1, xp.shape[3])
+    out = np.empty((flat.shape[0], kd.shape[0]), dtype=xp.dtype)
+    (d, k), *rest = taps
+    np.matmul(flat[d:d + nrun], k, out=out[:nrun])
+    for d, k in rest:
+        out[:nrun] += flat[d:d + nrun] @ k
+    y = out.reshape(xp.shape[:3] + (-1,))[:, :ho * stride:stride, :wo * stride:stride, :]
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
-def _conv2d_transpose_raw(yd: np.ndarray, kd: np.ndarray, stride: int, pad: int,
-                          out_hw: tuple[int, int]) -> np.ndarray:
-    """Exact adjoint of :func:`conv2d`'s forward map with the same (k, stride, pad)."""
-    co, ci, kh, kw = kd.shape
-    oh, ow = out_hw
-    h1 = oh + 2 * pad - kh + 1
-    w1 = ow + 2 * pad - kw + 1
-    bsz = yd.shape[0]
-    # zero-stuff into a buffer padded by k-1 on each side in one go
-    gp = np.zeros((bsz, h1 + 2 * (kh - 1), w1 + 2 * (kw - 1), co), dtype=yd.dtype)
-    tgt = gp[:, kh - 1:kh - 1 + h1:stride, kw - 1:kw - 1 + w1:stride, :]
-    tgt[:, :yd.shape[2], :yd.shape[3], :] = yd.transpose(0, 2, 3, 1)
-    # adjoint of a valid stride-1 correlation: correlate with the spatially
-    # flipped, channel-transposed kernel
-    k_adj = np.ascontiguousarray(kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))
-    xe = _corr_s1(gp, k_adj)
-    if pad:
-        xe = xe[:, pad:pad + oh, pad:pad + ow, :]
+def _conv_adj(s: np.ndarray, kd: np.ndarray, pad: int, oh: int, ow: int) -> np.ndarray:
+    """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from a spread [B,hp,wp,Co].
+
+    Last tap first, for the summation order the module docstring gives.
+    """
+    taps, nrun = _taps(s, kd)
+    flat = s.reshape(-1, s.shape[3])
+    out = np.zeros((flat.shape[0], kd.shape[1]), dtype=s.dtype)
+    for d, k in reversed(taps):
+        out[d:d + nrun] += flat[:nrun] @ k.T
+    xe = out.reshape(s.shape[:3] + (-1,))[:, pad:pad + oh, pad:pad + ow, :]
     return np.ascontiguousarray(xe.transpose(0, 3, 1, 2))
 
 
-def _conv2d_kgrad_cl(xp: np.ndarray, gd: np.ndarray, kshape, stride: int) -> np.ndarray:
-    """Kernel grad from the saved padded channels-last input buffer."""
-    co, ci, kh, kw = kshape
-    h1 = xp.shape[1] - kh + 1
-    w1 = xp.shape[2] - kw + 1
-    g1 = _zero_stuff(gd.transpose(0, 2, 3, 1), stride, h1, w1)
-    dk = _corr_s1_kgrad(xp, g1, kh, kw)
-    return np.ascontiguousarray(dk.transpose(3, 2, 0, 1))
+def _conv_kgrad(xp: np.ndarray, s: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """Kernel gradient [Co,Ci,kh,kw] from the padded image and the spread gradient."""
+    taps, nrun = _taps(xp, kd)
+    flat = xp.reshape(-1, xp.shape[3])
+    sflat = s.reshape(-1, s.shape[3])[:nrun]
+    dk = np.stack([flat[d:d + nrun].T @ sflat for d, _ in taps])
+    return np.ascontiguousarray(dk.reshape(kd.shape[2:] + dk.shape[1:]).transpose(3, 2, 0, 1))
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -446,18 +408,16 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     kd = k.data
     if kd.ndim != 4 or kd.shape[1] != xd.shape[1]:
         raise ValueError(f"conv2d: kernel {kd.shape} incompatible with input {xd.shape}")
-    _conv_out_extent(xd.shape[2], kd.shape[2], stride, pad)
-    _conv_out_extent(xd.shape[3], kd.shape[3], stride, pad)
+    h, w = xd.shape[2:]
+    ho = _conv_out_extent(h, kd.shape[2], stride, pad)
+    wo = _conv_out_extent(w, kd.shape[3], stride, pad)
     xp = _cl_pad(xd, pad)
-    out = Tensor(_conv2d_fwd_cl(xp, kd, stride))
+    out = Tensor(_conv_fwd(xp, kd, stride, ho, wo))
     t = _tape()
     if t is not None:
-        hw = (xd.shape[2], xd.shape[3])
-
         def bwd(g):
-            dx = _conv2d_transpose_raw(g, kd, stride, pad, hw)
-            dk = _conv2d_kgrad_cl(xp, g, kd.shape, stride)
-            return (dx, dk)
+            s = _spread(g, stride, xp.shape[1], xp.shape[2])
+            return (_conv_adj(s, kd, pad, h, w), _conv_kgrad(xp, s, kd))
 
         t.record(out, (x, k), bwd)
     return out
@@ -485,14 +445,15 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
             raise ValueError(
                 f"conv2d_transpose: out_hw {out_hw} inconsistent with input {yd.shape[2:]} "
                 f"under (k={kk}, stride={stride}, pad={pad})")
-    out = Tensor(_conv2d_transpose_raw(yd, kd, stride, pad, out_hw))
+    oh, ow = out_hw
+    hp, wp = oh + 2 * pad, ow + 2 * pad
+    out = Tensor(_conv_adj(_spread(yd, stride, hp, wp), kd, pad, oh, ow))
     t = _tape()
     if t is not None:
         def bwd(g):
             gp = _cl_pad(g, pad)
-            dy = _conv2d_fwd_cl(gp, kd, stride)
-            dk = _conv2d_kgrad_cl(gp, yd, kd.shape, stride)
-            return (dy, dk)
+            dy = _conv_fwd(gp, kd, stride, yd.shape[2], yd.shape[3])
+            return (dy, _conv_kgrad(gp, _spread(yd, stride, hp, wp), kd))
 
         t.record(out, (y, k), bwd)
     return out

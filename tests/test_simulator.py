@@ -1,5 +1,6 @@
 """Two-phase IMPES simulator: physics oracles, budgets, bounds, refinement."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -67,6 +68,13 @@ class TestConfig:
     def test_unphysical_values_rejected(self, name, value, match):
         with pytest.raises(ValueError, match=match):
             ReservoirConfig(**{name: value})
+
+    def test_fields_cannot_be_reassigned(self):
+        # the checks above run only at construction, so a later assignment
+        # would bypass them
+        cfg = ReservoirConfig(nx=8, nz=8, total_days=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.q_inj = -0.1
 
     def test_zero_rate_and_horizon_allowed(self):
         cfg = ReservoirConfig(nx=4, nz=4, q_inj=0.0, total_days=0)

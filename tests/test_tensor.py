@@ -78,11 +78,17 @@ class TestConv2d:
         assert out.data.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 5.0
 
-    @pytest.mark.parametrize("stride,pad,kh", [(1, 0, 3), (1, 1, 3), (2, 1, 3),
-                                               (2, 0, 2), (2, 1, 4), (1, 2, 5)])
-    def test_matches_naive_oracle(self, stride, pad, kh):
-        x = rng.standard_normal((2, 3, 8, 8))
-        k = rng.standard_normal((4, 3, kh, kh))
+    # the rectangular and odd grids and kernels catch flat-offset windows that
+    # wrap across a row or into the next batch entry
+    @pytest.mark.parametrize("stride,pad,kh,kw,hw", [
+        (1, 0, 3, 3, (8, 8)), (1, 1, 3, 3, (8, 8)), (2, 1, 3, 3, (8, 8)),
+        (2, 0, 2, 2, (8, 8)), (2, 1, 4, 4, (8, 8)), (1, 2, 5, 5, (8, 8)),
+        (1, 1, 2, 3, (7, 11)), (2, 0, 3, 2, (9, 6)), (2, 1, 1, 3, (16, 5)),
+    ], ids=["1-0-3", "1-1-3", "2-1-3", "2-0-2", "2-1-4", "1-2-5",
+            "1-1-2x3-7x11", "2-0-3x2-9x6", "2-1-1x3-16x5"])
+    def test_matches_naive_oracle(self, stride, pad, kh, kw, hw):
+        x = rng.standard_normal((2, 3) + hw)
+        k = rng.standard_normal((4, 3, kh, kw))
         out = T.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad)
         assert np.allclose(out.data, naive_conv2d(x, k, stride, pad), atol=1e-12)
 
@@ -105,14 +111,17 @@ class TestConv2d:
 
 
 class TestConv2dTranspose:
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_adjoint_identity(self, stride, pad):
+    @pytest.mark.parametrize("stride,pad,b,out_hw", [
+        (1, 0, 1, (8, 8)), (1, 1, 1, (8, 8)), (2, 0, 1, (8, 8)), (2, 1, 1, (8, 8)),
+        (1, 0, 3, (7, 10)), (2, 1, 3, (9, 6)),
+    ], ids=["1-0", "1-1", "2-0", "2-1", "1-0-b3-7x10", "2-1-b3-9x6"])
+    def test_adjoint_identity(self, stride, pad, b, out_hw):
         # <conv(x), y> == <x, conv_transpose(y)> to near machine precision
-        x = rng.standard_normal((1, 3, 8, 8))
+        x = rng.standard_normal((b, 3) + out_hw)
         k = rng.standard_normal((2, 3, 3, 3))
         ax = T.conv2d(Tensor(x), Tensor(k), stride, pad).data
         y = rng.standard_normal(ax.shape)
-        aty = T.conv2d_transpose(Tensor(y), Tensor(k), stride, pad, out_hw=(8, 8)).data
+        aty = T.conv2d_transpose(Tensor(y), Tensor(k), stride, pad, out_hw=out_hw).data
         lhs = float(np.sum(ax * y))
         rhs = float(np.sum(x * aty))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -250,18 +259,34 @@ class TestGradientSuite:
         tensors = [Tensor(rng.standard_normal(s)) for s in shapes]
         gradient_check(lambda: build(*tensors), tensors, tol=1e-4)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (2, 0)])
-    def test_conv_gradients(self, stride, pad):
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)))
-        k = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.4)
+    @pytest.mark.parametrize("stride,pad,hw,kk", [
+        (1, 1, (6, 6), (3, 3)), (2, 1, (6, 6), (3, 3)), (2, 0, (6, 6), (3, 3)),
+        (2, 1, (5, 7), (2, 3)),
+    ], ids=["1-1", "2-1", "2-0", "2-1-5x7-2x3"])
+    def test_conv_gradients(self, stride, pad, hw, kk):
+        x = Tensor(rng.standard_normal((2, 3) + hw))
+        k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
         gradient_check(
             lambda: T.tensor_sum(T.mul(c := T.conv2d(x, k, stride, pad), c)),
             [x, k], tol=1e-4)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
-    def test_conv_transpose_gradients(self, stride, pad):
-        y = Tensor(rng.standard_normal((2, 4, 3, 3)))
-        k = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.4)
+    @pytest.mark.parametrize("stride,pad,hw,kk", [
+        (1, 1, (3, 3), (3, 3)), (2, 1, (3, 3), (3, 3)), (2, 1, (3, 5), (3, 2)),
+    ], ids=["1-1", "2-1", "2-1-3x5-3x2"])
+    def test_conv_transpose_gradients(self, stride, pad, hw, kk):
+        y = Tensor(rng.standard_normal((2, 4) + hw))
+        k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
         gradient_check(
             lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad), c)),
             [y, k], tol=1e-4)
+
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_float32_stays_float32(self, op, stride):
+        x = Tensor(rng.standard_normal((2, 3, 7, 6)).astype(np.float32))
+        k = Tensor(rng.standard_normal((3, 3, 3, 3)).astype(np.float32))
+        with Tape() as tape:
+            out = getattr(T, op)(x, k, stride, 1)
+            loss = T.tensor_sum(T.mul(out, out))
+        tape.backward(loss)
+        assert out.dtype == x.grad.dtype == k.grad.dtype == np.float32
