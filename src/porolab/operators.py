@@ -81,7 +81,7 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     the Nyquist column of a real field's spectrum force: retaining (r, 0)
     implies energy at (-r, 0), its other half).
     """
-    vd = _spatial(v, "spectral_conv")
+    vd = _spatial(v, "spectral_conv", w_re, w_im)
     m1, m2, cout, cin = w_re.data.shape
     bsz, c, h, w = vd.shape
     if cin != c:
@@ -136,12 +136,6 @@ class FnoConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.depth < 0:
             raise ValueError(f"depth must be non-negative, got {self.depth}")
-
-    def validate_grid(self, nx: int, nz: int):
-        if self.modes1 > nx:
-            raise ValueError(f"modes1={self.modes1} exceeds grid rows {nx}")
-        if self.modes2 > nz // 2 + 1:
-            raise ValueError(f"modes2={self.modes2} exceeds half-spectrum {nz // 2 + 1}")
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,6 @@ class Fno(_Operator):
         self.proj_b = self._param(np.zeros(1, dt), "proj.b")
 
     def forward(self, x: Tensor) -> Tensor:
-        self.cfg.validate_grid(*x.data.shape[-2:])
         v = pointwise_linear(x, self.lift_w, self.lift_b)
         last = len(self.layers) - 1
         for i, (wre, wim, w, b) in enumerate(self.layers):

@@ -5,10 +5,11 @@ with a two-point flux approximation (harmonic-mean permeability, arithmetic
 face mobility), by conjugate gradients preconditioned with one geometric
 multigrid V-cycle (cell-centred linear interpolation, Galerkin coarse
 operators, damped-Jacobi smoothing); saturation is advanced explicitly with
-upwind fractional flow under a CFL-limited sub-step.  What depends only on
-the grid is built once per shape (the CSR pattern and the prolongations);
-a run keeps one multigrid hierarchy over its sub-steps and rebuilds it only
-after a solve that needed many iterations.  Water is injected at a
+upwind fractional flow under a CFL-limited sub-step.  The pressure matrix
+is stored as its five diagonals; the prolongations depend only on the grid
+and are built once per shape, and a run keeps one multigrid hierarchy over
+its sub-steps, rebuilding it only after a solve that needed many
+iterations.  Water is injected at a
 fixed total rate spread over the leftmost column; the rightmost column is
 held at a fixed producer pressure, which anchors the elliptic system.
 
@@ -150,9 +151,19 @@ def assemble_pressure(k: np.ndarray, sw: np.ndarray, cfg: ReservoirConfig):
 
 
 def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
+    """``A`` as a DIA matrix with bands at offsets -nz, -1, 0, +1, +nz, and ``b``.
+
+    Band ``d`` holds ``A[c - d, c]`` at column ``c``: a face's coefficient
+    sits at its lower-index cell in the lower band and at its higher-index
+    cell in the upper one.  On a one-row grid (``nz = 1``) the empty z-bands
+    share their offsets with the x-bands, so bands add up per distinct offset.
+    """
     nx, nz = cfg.nx, cfg.nz
     n = nx * nz
-    diag = np.zeros((nx, nz))
+    offsets = np.unique([-nz, -1, 0, 1, nz])
+    data = np.zeros((offsets.size, nx, nz))
+    band = dict(zip(offsets.tolist(), data))
+    diag = band[0]
     diag[:-1, :] += txm
     diag[1:, :] += txm
     diag[:, :-1] += tzm
@@ -174,33 +185,12 @@ def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
 
     off_z = -tzm
     off_z[-1, :] = 0.0   # producer-producer couplings drop out
-    indices, indptr, order = _csr_pattern(nx, nz)
-    vals = np.concatenate([diag.ravel(), off_x.ravel(), off_x.ravel(),
-                           off_z.ravel(), off_z.ravel()])
-    a = sp.csr_array((vals[order], indices, indptr), shape=(n, n))
+    band[-nz][:-1, :] += off_x
+    band[nz][1:, :] += off_x
+    band[-1][:, :-1] += off_z
+    band[1][:, 1:] += off_z
+    a = sp.dia_array((data.reshape(offsets.size, n), offsets), shape=(n, n))
     return a, b
-
-
-@functools.lru_cache(maxsize=8)
-def _csr_pattern(nx: int, nz: int):
-    """CSR ``indices`` and ``indptr`` of the 5-point operator on an nx x nz grid.
-
-    Also returns ``order``, the permutation that takes the concatenated
-    values (diagonal, x-faces as (i, i+1) then (i+1, i), z-faces likewise)
-    to CSR order, each row's columns ascending.  The arrays are read-only
-    because every matrix of this shape shares them.
-    """
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    pairs = [(idx, idx), (idx[:-1, :], idx[1:, :]), (idx[1:, :], idx[:-1, :]),
-             (idx[:, :-1], idx[:, 1:]), (idx[:, 1:], idx[:, :-1])]
-    rows = np.concatenate([r.ravel() for r, _ in pairs])
-    cols = np.concatenate([c.ravel() for _, c in pairs])
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nx * nz))])
-    indices = cols[order]
-    for arr in (indices, indptr, order):
-        arr.setflags(write=False)
-    return indices, indptr, order
 
 
 _RTOL = 1e-10           # pressure solve: ||Ax - b|| <= _RTOL ||b||

@@ -206,22 +206,20 @@ def scale(a: Tensor, s: float) -> Tensor:
     return out
 
 
-def tensor_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    """Sum over ``axes`` (all axes when None, yielding a scalar tensor)."""
-    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
+def tensor_sum(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Sum over the tuple ``axes`` (all axes when None, yielding a scalar tensor)."""
+    out = Tensor(a.data.sum(axis=axes))
     t = _tape()
     if t is not None:
         in_shape = a.data.shape
 
         def bwd(g):
-            gg = g
-            if axes is not None and not keepdims:
-                ax = (axes,) if np.isscalar(axes) else axes
+            if axes is not None:
                 shape = list(in_shape)
-                for d in ax:
+                for d in axes:
                     shape[d] = 1
-                gg = g.reshape(shape)
-            return (np.broadcast_to(gg, in_shape).copy(),)
+                g = g.reshape(shape)
+            return (np.broadcast_to(g, in_shape).copy(),)
 
         t.record(out, (a,), bwd)
     return out
@@ -288,16 +286,20 @@ def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
 # spatial layers: pointwise channel mixing and 2-D convolution
 # ---------------------------------------------------------------------------
 
-def _spatial(x: Tensor, op: str) -> np.ndarray:
-    """The [B,C,H,W] array of a spatial layer's input."""
+def _spatial(x: Tensor, op: str, *weights: Tensor | None) -> np.ndarray:
+    """The [B,C,H,W] array of a spatial layer's input, whose weights share its dtype."""
     if x.data.ndim != 4:
         raise ValueError(f"{op}: expected 4-D [B,C,H,W], got {x.data.shape}")
+    for w in weights:
+        if w is not None and w.data.dtype != x.data.dtype:
+            raise ValueError(f"{op}: weight dtype {w.data.dtype} differs from input dtype "
+                             f"{x.data.dtype}")
     return x.data
 
 
 def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-pixel channel mixing: out[o] = sum_c w[o,c] x[c] (+ bias[o])."""
-    xd = _spatial(x, "pointwise_linear")
+    xd = _spatial(x, "pointwise_linear", w, bias)
     wd = w.data
     if wd.ndim != 2 or wd.shape[1] != xd.shape[1]:
         raise ValueError(f"pointwise_linear: weight {wd.shape} incompatible with input {xd.shape}")
@@ -404,7 +406,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """
     if stride not in (1, 2):
         raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
-    xd = _spatial(x, "conv2d")
+    xd = _spatial(x, "conv2d", k)
     kd = k.data
     if kd.ndim != 4 or kd.shape[1] != xd.shape[1]:
         raise ValueError(f"conv2d: kernel {kd.shape} incompatible with input {xd.shape}")
@@ -432,7 +434,7 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
     """
     if stride not in (1, 2):
         raise ValueError(f"conv2d_transpose: stride must be 1 or 2, got {stride}")
-    yd = _spatial(y, "conv2d_transpose")
+    yd = _spatial(y, "conv2d_transpose", k)
     kd = k.data
     if kd.ndim != 4 or kd.shape[0] != yd.shape[1]:
         raise ValueError(f"conv2d_transpose: kernel {kd.shape} incompatible with input {yd.shape}")

@@ -9,7 +9,7 @@ reported metrics are relative L2 errors on denormalized (physical) fields.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -93,15 +93,17 @@ def batched_relative_loss(pred: Tensor, target: np.ndarray, loss_kind: str,
 # Adam with decoupled weight decay
 # ---------------------------------------------------------------------------
 
+_WEIGHT_DECAY = 1e-5    # decoupled, scaled by the learning rate
+_BETA1 = 0.9            # first-moment decay
+_BETA2 = 0.999          # second-moment decay
+_EPS = 1e-8             # denominator floor of the Adam update
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 50
     lr: float = 1e-4
-    weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss_kind: str = "rel_l2"
     train_fraction: float = 0.8
     seed: int = 0
@@ -126,7 +128,7 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
     """One Adam update with bias correction and decoupled weight decay."""
     state.step += 1
     t = state.step
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = _BETA1, _BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for i, p in enumerate(params):
@@ -137,8 +139,8 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-        p.data = p.data - cfg.lr * update - cfg.lr * cfg.weight_decay * p.data
+        update = (m / c1) / (np.sqrt(v / c2) + _EPS)
+        p.data = p.data - cfg.lr * update - cfg.lr * _WEIGHT_DECAY * p.data
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +152,6 @@ class MetricsRecord:
     epoch: int
     train_loss: float
     val_rel_l2: float
-    per_timestep: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    seconds_per_sample: float = 0.0
 
 
 def evaluate(model, bundle: DatasetBundle, indices):
@@ -269,13 +269,8 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
             tape.backward(loss)
             adam_step(params, state, cfg)
             losses.append(value)
-        record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)),
-                               val_rel_l2=np.nan)
-        if len(val_idx):
-            err, vec, secs = evaluate(model, bundle, val_idx)
-            record.val_rel_l2 = err
-            record.per_timestep = vec
-            record.seconds_per_sample = secs
+        val = evaluate(model, bundle, val_idx)[0] if len(val_idx) else np.nan
+        record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)), val_rel_l2=val)
         history.append(record)
         if log is not None:
             log(record)

@@ -111,6 +111,22 @@ class TestSpectralConv:
             spectral_conv(v, w, w)
 
 
+WEIGHT_SHAPES = {"pointwise_linear": [(5, 3)], "conv2d": [(4, 3, 3, 3)],
+                 "conv2d_transpose": [(3, 4, 3, 3)], "spectral_conv": [(4, 3, 3, 3)] * 2}
+
+
+@pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float64), (np.float64, np.float32)],
+                         ids=["f32-input", "f64-input"])
+@pytest.mark.parametrize("op", list(WEIGHT_SHAPES))
+def test_spatial_layers_reject_mixed_dtypes(op, x_dtype, w_dtype):
+    fn = spectral_conv if op == "spectral_conv" else getattr(T, op)
+    x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(x_dtype))
+    weights = [Tensor(rng.standard_normal(shape).astype(w_dtype)) for shape in WEIGHT_SHAPES[op]]
+    msg = f"{op}: weight dtype {np.dtype(w_dtype)} differs from input dtype {np.dtype(x_dtype)}"
+    with pytest.raises(ValueError, match=msg):
+        fn(x, *weights)
+
+
 def random_level_kernels(ci, co, levels, scale=0.25, seed=0):
     """``(A, S, R, P)`` for each level above the coarsest, and the coarsest smoother."""
     r = np.random.default_rng(seed)
@@ -249,6 +265,14 @@ class TestFno:
         with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
             FnoConfig(depth=-1)
         assert FnoConfig(depth=0).depth == 0
+
+    @pytest.mark.parametrize("hw,match", [((3, 8), "retained rows 4 exceed grid rows 3"),
+                                          ((8, 3), "retained columns 3 exceed half-spectrum 2")],
+                             ids=["rows", "columns"])
+    def test_grid_smaller_than_modes_raises(self, hw, match):
+        model = self.make()   # modes1=4, modes2=3
+        with pytest.raises(ValueError, match=match):
+            model.forward(Tensor(rng.standard_normal((1, 2) + hw)))
 
 
 class TestMgno:
