@@ -76,43 +76,39 @@ def _mode_rows(h: int, m1: int) -> np.ndarray:
 def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     """Per-mode channel mixing in the truncated Fourier domain.
 
-    v: [B,C,H,W]; w_re/w_im: [m1, m2, C, C].  The output spectrum is zero
-    outside the retained modes (up to the conjugate images that column 0 and
-    the Nyquist column of a real field's spectrum force: retaining (r, 0)
-    implies energy at (-r, 0), its other half).
+    v: [B,C,H,W]; w_re/w_im: [m1, m2, C, C].  ``spectral.rfft2`` computes
+    only the retained block of v's spectrum, each mode mixes the channels
+    and ``spectral.irfft2`` maps the block back to the grid (the backward
+    pass uses their adjoints), so no full-size spectrum is formed.  The
+    output spectrum is zero outside the retained modes (up to the conjugate
+    images that column 0 and the Nyquist column of a real field's spectrum
+    force: retaining (r, 0) implies energy at (-r, 0), its other half).
     """
     vd = _spatial(v, "spectral_conv", w_re, w_im)
-    m1, m2, cout, cin = w_re.data.shape
-    bsz, c, h, w = vd.shape
+    m1, m2, _, cin = w_re.data.shape
+    _, c, h, w = vd.shape
     if cin != c:
         raise ValueError(f"spectral_conv: weights expect {cin} channels, input has {c}")
     if m2 > w // 2 + 1:
         raise ValueError(f"retained columns {m2} exceed half-spectrum {w // 2 + 1}")
     rows = _mode_rows(h, m1)
 
-    cols = np.arange(m2)
-    cplx = np.complex64 if vd.dtype == np.float32 else np.complex128
-    spec_in = spectral.rfft2(vd)
     block_t = np.ascontiguousarray(
-        spec_in[:, :, rows[:, None], cols[None, :]].transpose(2, 3, 1, 0))  # [m1,m2,C,B]
-    wc = (w_re.data + 1j * w_im.data).astype(cplx)                          # [m1,m2,Co,Ci]
+        spectral.rfft2(vd, rows, m2).transpose(2, 3, 1, 0))                # [m1,m2,C,B]
+    wc = (w_re.data + 1j * w_im.data).astype(block_t.dtype)                 # [m1,m2,Co,Ci]
     out_block = np.matmul(wc, block_t)                                      # [m1,m2,Co,B]
-    spec_out = np.zeros((bsz, cout, h, w // 2 + 1), dtype=spec_in.dtype)
-    spec_out[:, :, rows[:, None], cols[None, :]] = out_block.transpose(3, 2, 0, 1)
-    out = Tensor(spectral.irfft2(spec_out, s=(h, w)).astype(vd.dtype, copy=False))
+    out = Tensor(spectral.irfft2(out_block.transpose(3, 2, 0, 1), rows, (h, w)))
 
     t = _tape()
     if t is not None:
         def bwd(g):
-            gs = spectral.irfft2_adjoint(g, w)                     # [B,C,H,Wh] complex
             ablock_t = np.ascontiguousarray(
-                gs[:, :, rows[:, None], cols[None, :]].transpose(2, 3, 1, 0))  # [m1,m2,Co,B]
+                spectral.irfft2_adjoint(g, rows, m2).transpose(2, 3, 1, 0))  # [m1,m2,Co,B]
             dw = np.matmul(ablock_t, block_t.conj().transpose(0, 1, 3, 2))    # g C^H
             dblock = np.matmul(wc.conj().transpose(0, 1, 3, 2), ablock_t)     # W^H g
-            dspec = np.zeros_like(spec_in)
-            dspec[:, :, rows[:, None], cols[None, :]] = dblock.transpose(3, 2, 0, 1)
-            dv = spectral.rfft2_adjoint(dspec, w).astype(vd.dtype, copy=False)
-            return (dv, np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
+            dv = spectral.rfft2_adjoint(dblock.transpose(3, 2, 0, 1), rows, (h, w))
+            return (dv.astype(vd.dtype, copy=False),
+                    np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
                     np.ascontiguousarray(dw.imag, dtype=w_im.data.dtype))
 
         t.record(out, (v, w_re, w_im), bwd)
@@ -151,11 +147,6 @@ class MgnoConfig:
             raise ValueError(f"channels must be at least 1, got {self.channels}")
         if self.depth < 0:
             raise ValueError(f"depth must be non-negative, got {self.depth}")
-
-    def validate_grid(self, nx: int, nz: int):
-        div = 2 ** (self.levels - 1)
-        if min(nx, nz) % div:
-            raise ValueError(f"2^(levels-1)={div} must divide min grid extent {min(nx, nz)}")
 
 
 def _uniform(rng, shape, fan_in, dtype):
@@ -282,7 +273,6 @@ class Mgno(_Operator):
         self.out_w = self._param(_uniform(rng, (1, ci), ci, dt), "out.w")
 
     def forward(self, x: Tensor) -> Tensor:
-        self.cfg.validate_grid(*x.data.shape[-2:])
         h = x
         for levels, coarse_s, bmat, bias in self.layers:
             linear = vcycle_apply(h, levels, coarse_s)

@@ -408,7 +408,8 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     share one hierarchy, rebuilt from the current matrix only after a solve
     that needed more than ``_REBUILD_AFTER`` CG iterations.  Sub-steps are
     CFL-limited and land exactly on day boundaries.  Snapshot 0 is the
-    initial saturation with its consistent pressure field.  ``extra`` holds
+    initial saturation with its consistent pressure field; the producer
+    column holds exactly ``p_prod`` in every snapshot.  ``extra`` holds
     the run's integer counts: ``substeps``, ``pressure_solves``,
     ``cg_iterations`` and ``hierarchy_rebuilds``.
     """
@@ -421,6 +422,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     a, b = _assemble_from_faces(txm, tzm, cfg)
     mg = Multigrid()
     p = solve_pressure(a, b, mg=mg)
+    p[-1, :] = cfg.p_prod   # the Dirichlet column exactly, not to CG round-off
 
     days = cfg.total_days
     p_series = np.empty((days + 1, nx, nz))
@@ -445,6 +447,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
             txm, tzm = _mobility_faces(tx, tz, lam_t)
             a, b = _assemble_from_faces(txm, tzm, cfg)
             p = solve_pressure(a, b, x0=p, mg=mg)
+            p[-1, :] = cfg.p_prod
         p_series[day], sw_series[day] = p, sw
 
     return TimeSeriesSample(

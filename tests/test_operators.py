@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import gradient_check
-from porolab import spectral
 from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
@@ -79,7 +78,7 @@ class TestSpectralConv:
         x = rng.standard_normal((1, 2, 8, 8))
         w = rng.standard_normal((4, 3, 2, 2))
         out = spectral_conv(Tensor(x), Tensor(w), Tensor(w * 0.5)).data
-        spec = spectral.rfft2(out)
+        spec = np.fft.rfft2(out)
         rows = _mode_rows(8, 4)
         mask = np.ones((8, 5), dtype=bool)
         mask[rows[:, None], np.arange(3)[None, :]] = False
@@ -103,6 +102,16 @@ class TestSpectralConv:
         gradient_check(
             lambda: T.tensor_sum(T.mul(c := spectral_conv(v, w_re, w_im), c)),
             [v, w_re, w_im], tol=1e-4)
+
+    def test_float32_stays_float32(self):
+        v = Tensor(rng.standard_normal((2, 3, 8, 7)).astype(np.float32))
+        w_re = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+        w_im = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+        with T.Tape() as tape:
+            out = spectral_conv(v, w_re, w_im)
+            loss = T.tensor_sum(T.mul(out, out))
+        tape.backward(loss)
+        assert out.dtype == v.grad.dtype == w_re.grad.dtype == w_im.grad.dtype == np.float32
 
     def test_mode_bounds_checked(self):
         v = Tensor(rng.standard_normal((1, 2, 8, 8)))
@@ -244,13 +253,13 @@ class TestFno:
         model = Fno(cfg, stats=STATS, seed=8)
         coarse = rng.standard_normal((1, 2, 32, 32))
         coarse = band_limit(coarse, 5, 4)   # symmetric row set: rows 0..2, -2..-1
-        spec_c = spectral.rfft2(coarse)
+        spec_c = np.fft.rfft2(coarse)
         spec_f = np.zeros((1, 2, 64, 33), dtype=spec_c.dtype)
         rows_c = _mode_rows(32, 5)
         rows_f = _mode_rows(64, 5)
         spec_f[:, :, rows_f[:, None], np.arange(4)[None, :]] = \
             4.0 * spec_c[:, :, rows_c[:, None], np.arange(4)[None, :]]
-        fine = spectral.irfft2(spec_f, s=(64, 64))
+        fine = np.fft.irfft2(spec_f, s=(64, 64))
         out_c = model.predict(coarse)
         out_f = model.predict(fine)
         assert np.max(np.abs(fine[0, :, ::2, ::2] - coarse[0])) < 1e-10
@@ -324,10 +333,13 @@ class TestMgno:
         gradient_check(
             lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
 
-    def test_grid_divisibility_validated(self):
-        model = self.make(levels=4)
-        with pytest.raises(ValueError):
-            model.predict(rng.standard_normal((1, 2, 12, 12)))
+    def test_end_to_end_gradients_on_odd_grid(self):
+        # every level halves by ceil, as the simulator's hierarchy does: 9x7 -> 5x4 -> 3x2 -> 2x1
+        model = self.make(depth=1, levels=4)
+        x = Tensor(rng.standard_normal((1, 2, 9, 7)))
+        tensors = model.parameters() + [x]
+        gradient_check(
+            lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
 
     def test_levels_must_be_positive(self):
         for levels in (0, -1):

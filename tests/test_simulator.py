@@ -361,6 +361,13 @@ class TestRunSimulation:
         assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
         assert water_budget_error(sample, cfg) <= 1e-8
 
+    @pytest.mark.parametrize("p_prod", [0.0, 2.5])
+    def test_producer_column_is_exactly_p_prod(self, p_prod):
+        # Dirichlet rows are identity rows, but CG leaves round-off on their unknowns
+        cfg = ReservoirConfig(nx=16, nz=16, total_days=8, p_prod=p_prod)
+        sample = run_simulation(heterogeneous_k(16, seed=11), cfg)
+        assert np.all(sample.p_series[:, -1, :] == p_prod)
+
     def test_loads_no_scipy_linalg(self):
         # scipy.linalg and scipy.sparse.linalg cost import time and resident memory
         code = ("import sys, numpy as np, porolab\n"
