@@ -242,12 +242,11 @@ def load_dataset(in_dir) -> DatasetBundle:
             manifest[key] = val
     if manifest.get("layout") != "canonical":
         raise ValueError(f"{src}: unsupported dataset layout {manifest.get('layout')!r}")
-    return DatasetBundle(
-        k=_load_npy(src / "K.npy"),
-        p=_load_npy(src / "P.npy"),
-        sw=_load_npy(src / "Sw.npy"),
-        manifest=manifest,
-    )
+    k, p, sw = (_load_npy(src / name) for name in ("K.npy", "P.npy", "Sw.npy"))
+    if p.ndim != 4 or p.shape != sw.shape or k.shape != (p.shape[0], *p.shape[2:]):
+        raise ValueError(f"{src}: K {k.shape}, P {p.shape} and Sw {sw.shape} are not "
+                         f"[N,H,W], [N,T+1,H,W] and [N,T+1,H,W]")
+    return DatasetBundle(k=k, p=p, sw=sw, manifest=manifest)
 
 
 def reservoir_config_from_manifest(manifest: dict) -> ReservoirConfig:
@@ -311,7 +310,10 @@ def load_checkpoint(in_dir):
             target_std=float(raw["stats.target_std"]),
             target_name=raw.get("stats.target_name", "p"),
         )
-    dtype = np.float64 if raw.get("precision", "f8") == "f8" else np.float32
+    precision = raw.get("precision", "f8")   # older checkpoints have no precision line
+    if precision not in ("f4", "f8"):
+        raise ValueError(f"{src}: unknown precision {precision!r} (expected 'f4' or 'f8')")
+    dtype = np.float64 if precision == "f8" else np.float32
     common = dict(stats=stats, t_max=float(raw["t_max"]), dtype=dtype,
                   seed=int(raw["seed"]))
     classes = {"fno": (Fno, FnoConfig), "mgno": (Mgno, MgnoConfig)}

@@ -259,7 +259,13 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
-    """Forward difference along ``axis`` scaled by ``inv_h`` (one entry shorter)."""
+    """Forward difference along ``axis`` scaled by ``inv_h`` (one entry shorter).
+
+    No porolab code calls it.  It stays because the benchmark's per-layer
+    metrics list ``tensor.forward_diff`` as a span and
+    ``tests/test_benchmark_tracing.py`` fails on a listed span that is
+    missing; it goes with the next benchmark change.
+    """
     ad = a.data
     n = ad.shape[axis]
     if n < 2:

@@ -2,8 +2,10 @@
 
 Training pairs flatten (sample, day): every daily snapshot is an independent
 supervised example whose input is the normalized permeability plus a
-constant time channel.  Losses are computed on z-score-normalized targets;
-reported metrics are relative L2 errors on denormalized (physical) fields.
+constant time channel.  The one training loss is the relative L2 error,
+computed on z-score-normalized targets but scaled so that it equals the
+relative L2 error of the denormalized (physical) fields, which is also the
+reported metric.
 """
 
 from __future__ import annotations
@@ -36,55 +38,18 @@ def rel_l2(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm((pred - target).ravel()) / denom)
 
 
-def rel_h1(pred: np.ndarray, target: np.ndarray) -> float:
-    """Relative discrete H1 error with forward-difference gradients.
-
-    The difference quotient along each axis is scaled by 1/h with h = 1/n
-    per axis.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"rel_h1: shape mismatch {pred.shape} vs {target.shape}")
-    d = pred - target
-
-    def _h1_sq(x):
-        total = np.sum(x * x)
-        for axis in range(x.ndim):
-            diff = np.diff(x, axis=axis) * float(x.shape[axis])
-            total += np.sum(diff * diff)
-        return total
-
-    denom = _h1_sq(target)
-    if denom == 0.0:
-        raise ValueError("rel_h1: zero-norm target")
-    return float(np.sqrt(_h1_sq(d) / denom))
-
-
-def _batched_sq_norm(x: Tensor, loss_kind: str) -> Tensor:
-    """Per-sample squared (semi-)norm [B] of a [B,1,H,W] tensor."""
-    total = T.tensor_sum(T.mul(x, x), axes=(1, 2, 3))
-    if loss_kind == "rel_h1":
-        for axis, extent in ((2, x.shape[2]), (3, x.shape[3])):
-            diff = T.forward_diff(x, axis, inv_h=float(extent))
-            total = T.add(total, T.tensor_sum(T.mul(diff, diff), axes=(1, 2, 3)))
-    return total
-
-
-def batched_relative_loss(pred: Tensor, target: np.ndarray, loss_kind: str,
+def batched_relative_loss(pred: Tensor, target: np.ndarray,
                           denominators: np.ndarray) -> Tensor:
-    """Mean over the batch of per-sample relative L2 (or H1) errors.
+    """Mean over the batch of per-sample relative L2 errors.
 
     ``denominators`` are the per-sample normalizing norms; the training loop
     passes the physical-field norms (divided by the target std, see
     :func:`_pair_denominators`) so the normalized-space loss equals the
     physical relative error exactly.
     """
-    if loss_kind not in ("rel_l2", "rel_h1"):
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
     tgt = Tensor(np.ascontiguousarray(target, dtype=pred.dtype))
     d = T.sub(pred, tgt)
-    num = T.sqrt(_batched_sq_norm(d, loss_kind))
+    num = T.sqrt(T.tensor_sum(T.mul(d, d), axes=(1, 2, 3)))
     weights = (1.0 / np.asarray(denominators)) / pred.shape[0]
     return T.tensor_sum(T.mul(num, Tensor(weights.astype(pred.dtype))))
 
@@ -104,15 +69,12 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 50
     lr: float = 1e-4
-    loss_kind: str = "rel_l2"
     train_fraction: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.lr <= 0:
-            raise ValueError("epochs and lr must be positive")
-        if self.loss_kind not in ("rel_l2", "rel_h1"):
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        if self.epochs <= 0 or self.lr <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs, batch_size and lr must be positive")
 
 
 class AdamState:
@@ -200,16 +162,14 @@ def _normalized_views(bundle: DatasetBundle, stats: NormStats, dtype):
     return k_norm, tgt
 
 
-def _pair_denominators(bundle: DatasetBundle, stats: NormStats, loss_kind: str) -> np.ndarray:
+def _pair_denominators(bundle: DatasetBundle, stats: NormStats) -> np.ndarray:
     """Physical per-(sample, day) target norms scaled into normalized space.
 
     Dividing the normalized-space error norm by these reproduces the
     physical relative error, which is also the reported validation metric.
     """
     phys = bundle.target(stats.target_name).astype(np.float64)
-    n, t1, nx, nz = phys.shape
-    sq = _batched_sq_norm(Tensor(phys.reshape(n * t1, 1, nx, nz)), loss_kind).data
-    denom = np.sqrt(sq.reshape(n, t1)) / stats.target_std
+    denom = np.sqrt((phys * phys).sum(axis=(2, 3))) / stats.target_std
     if np.any(denom == 0.0):
         raise ValueError("relative loss: zero-norm target snapshot")
     return denom
@@ -223,7 +183,10 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     records, on which :meth:`DatasetBundle.fit_stats` fits the
     normalization; batch order within an epoch is shuffled by a
     counter-based generator keyed on the config seed, so the whole run is a
-    pure function of (dataset, config, seed).
+    pure function of (dataset, config, seed).  Each epoch takes as many full
+    batches of ``batch_size`` (sample, day) pairs as fit and drops the final
+    partial batch.  The loss is the batch mean of per-pair relative L2 errors
+    (:func:`batched_relative_loss`).
     """
     if model.stats is None:
         raise ValueError("model needs normalization stats before training")
@@ -239,7 +202,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     days = bundle.n_days
     dtype = model.dtype
     k_norm, tgt_norm = _normalized_views(bundle, model.stats, dtype)
-    denom_table = _pair_denominators(bundle, model.stats, cfg.loss_kind)
+    denom_table = _pair_denominators(bundle, model.stats)
 
     pairs = np.stack(np.meshgrid(np.arange(n_train), np.arange(days + 1),
                                  indexing="ij"), axis=-1).reshape(-1, 2)
@@ -259,7 +222,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
             denoms = denom_table[si, day]
             with Tape() as tape:
                 pred = model.forward(Tensor(x))
-                loss = batched_relative_loss(pred, y, cfg.loss_kind, denominators=denoms)
+                loss = batched_relative_loss(pred, y, denominators=denoms)
             value = loss.item()
             if not np.isfinite(value):
                 raise RuntimeError(

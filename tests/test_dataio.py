@@ -79,6 +79,24 @@ class TestDatasetRoundTrip:
         for fname in ("K.npy", "P.npy", "Sw.npy"):
             assert (tmp_path / fname).read_bytes() == (POOL / fname).read_bytes(), fname
 
+    @pytest.mark.parametrize("k, p, sw", [
+        ((3, 8, 8), (2, 5, 8, 8), (2, 3, 8, 8)),
+        ((2, 8, 8), (2, 5, 8, 8), (2, 4, 8, 8)),
+        ((3, 8, 8), (2, 5, 8, 8), (2, 5, 8, 8)),
+        ((2, 8, 6), (2, 5, 8, 8), (2, 5, 8, 8)),
+        ((2, 5, 8, 8), (2, 5, 8, 8), (2, 5, 8, 8)),
+        ((2, 8, 8), (2, 8, 8), (2, 8, 8)),
+        ((2, 8, 8, 1), (2, 5, 8, 8, 1), (2, 5, 8, 8, 1)),
+    ], ids=["all-three", "p-sw-days", "k-samples", "k-grid", "k-per-day", "no-day-axis",
+            "extra-axis"])
+    def test_arrays_that_disagree_rejected(self, tmp_path, k, p, sw):
+        save_dataset(_bundle(), tmp_path)
+        rng = np.random.default_rng(0)
+        for fname, shape in (("K.npy", k), ("P.npy", p), ("Sw.npy", sw)):
+            np.save(tmp_path / fname, rng.random(shape).astype("<f4"))
+        with pytest.raises(ValueError, match=rf"K \({k[0]}, .*are not \[N,H,W\]"):
+            load_dataset(tmp_path)
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)

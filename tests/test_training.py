@@ -71,6 +71,28 @@ def test_checkpoint_parameter_list_must_match_the_architecture(tiny_bundle, tmp_
         load_checkpoint(tmp_path)
 
 
+def test_checkpoint_precision_must_be_f4_or_f8(tiny_bundle, tmp_path):
+    bundle, _ = tiny_bundle
+    save_checkpoint(_model(bundle, "fno"), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert "precision: f4\n" in lines
+    manifest.write_text("".join(lines) + "precision: f16\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown precision 'f16'"):
+        load_checkpoint(tmp_path)
+    # a checkpoint written before precision was recorded holds float64 weights
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith("precision:")),
+                        encoding="utf-8")
+    assert load_checkpoint(tmp_path).dtype == np.float64
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 0), ("lr", 0.0), ("batch_size", 0),
+                                          ("batch_size", -5)])
+def test_train_config_rejects_non_positive_values(field, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        training.TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
 def test_every_parameter_gets_a_gradient(tiny_bundle, kind):
     bundle, _ = tiny_bundle
@@ -79,8 +101,7 @@ def test_every_parameter_gets_a_gradient(tiny_bundle, kind):
     assert [p.name for p in model.parameters() if p.grad is None] == []
 
 
-@pytest.mark.parametrize("loss_kind", ["rel_l2", "rel_h1"])
-def test_normalized_loss_equals_physical_relative_error(tiny_bundle, loss_kind):
+def test_normalized_loss_equals_physical_relative_error(tiny_bundle):
     bundle, _ = tiny_bundle
     model = _model(bundle, "fno", dtype=np.float64)
     stats = model.stats
@@ -89,12 +110,11 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle, loss_kind):
     x = np.stack([make_input(k, float(d), model.t_max, stats) for d in days])
     pred = model.predict(x)
     truth = bundle.p[0, days].astype(np.float64)
-    denoms = training._pair_denominators(bundle, stats, loss_kind)[0, days]
+    denoms = training._pair_denominators(bundle, stats)[0, days]
     loss = training.batched_relative_loss(Tensor(pred[:, None]),
                                           stats.normalize_target(truth)[:, None],
-                                          loss_kind, denominators=denoms)
-    metric = {"rel_l2": training.rel_l2, "rel_h1": training.rel_h1}[loss_kind]
-    physical = np.mean([metric(stats.denormalize_target(pred[j]), truth[j])
+                                          denominators=denoms)
+    physical = np.mean([training.rel_l2(stats.denormalize_target(pred[j]), truth[j])
                         for j in range(len(days))])
     assert abs(loss.item() - physical) <= 1e-10
 
