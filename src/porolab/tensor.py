@@ -8,19 +8,22 @@ reverse and accumulates gradients into every reachable tensor, so a
 parameter used several times receives the sum of its per-use gradients.
 A :class:`Parameter` is a Tensor with a name and enters every op as itself.
 
-Convolutions share one tap geometry: the zero-padded channels-last image
-[B, hp, wp, C] is read as one long run of pixels, so kernel tap (u, v) is the
-flat offset ``u*wp + v`` and one GEMM on a contiguous shifted view, with no
-im2col buffer.  A window that wraps across a row or into the next batch entry
-lands on a pixel no result keeps.  Three maps over the taps cover both ops
-and both gradients: the gather ``_conv_fwd`` (conv2d's forward); the scatter
-``_conv_adj``, its adjoint (conv2d_transpose's forward), which adds each
-pixel, or its gradient, spread to its window's corner by ``_spread``, back
-through every tap; and the kernel gradient ``_conv_kgrad``.  The scatter walks
-the taps last to first so that each pixel sums its terms in the order of a
-correlation with the flipped kernel, the textbook form of the transpose;
-porolab's float results, training losses and checkpoints are fixed to that
-order.
+Convolutions share one tap geometry.  The zero-padded image is split once into
+its stride**2 phases (``_phases``): phase (a, b) is the channels-last sub-image
+[B, hq, wq, C] of padded pixels (s*i + a, s*j + b), hq = ceil(hp/s), zero-filled
+where an extent does not divide; stride 1 is the one-phase case.  Each phase is
+read as one long run of pixels, so kernel tap (u, v) is phase (u % s, v % s) at
+flat offset ``(u//s)*wq + v//s`` and one GEMM on a contiguous shifted view, with
+no im2col buffer; a stride-2 convolution does all its work at coarse resolution.
+A window that wraps across a row or into the next batch entry lands on a cell
+no result keeps.  Three maps over the taps cover both ops and both gradients:
+the gather ``_conv_fwd`` (conv2d's forward); the scatter ``_conv_adj``, its
+adjoint (conv2d_transpose's forward), which adds each coarse pixel, or its
+gradient, back through every tap into the phases and interleaves them; and the
+kernel gradient ``_conv_kgrad``.  The scatter walks the taps last to first so
+that each pixel sums its terms in the order of a correlation with the flipped
+kernel, the textbook form of the transpose; porolab's float results, training
+losses and checkpoints are fixed to that order.
 """
 
 from __future__ import annotations
@@ -334,74 +337,90 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
     return out
 
 
-def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
+def _conv_out_extent(n: int, k: int, stride: int, pad: int, op: str) -> int:
     m = n + 2 * pad - k
     if m < 0:
-        raise ValueError(f"conv2d: kernel {k} larger than padded extent {n + 2 * pad}")
+        raise ValueError(f"{op}: kernel {k} larger than padded extent {n + 2 * pad}")
     return m // stride + 1
 
 
-def _cl_pad(xd: np.ndarray, pad: int) -> np.ndarray:
-    """[B,C,H,W] -> zero-padded channels-last [B,H+2p,W+2p,C], one copy."""
-    b, c, h, w = xd.shape
-    if pad == 0:
-        return np.ascontiguousarray(xd.transpose(0, 2, 3, 1))
-    out = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=xd.dtype)
-    out[:, pad:pad + h, pad:pad + w, :] = xd.transpose(0, 2, 3, 1)
+def _phase_grid(n: int, stride: int, pad: int) -> int:
+    """Extent of each phase of an extent-n axis padded by ``pad``."""
+    return -(-(n + 2 * pad) // stride)
+
+
+def _phase_blocks(h: int, w: int, stride: int, pad: int):
+    """Each phase p of an [h, w] image padded by ``pad``, with the (row, column)
+    slices of the phase cells its pixels fill and the slices of those pixels."""
+    def axis(n, a):
+        y0 = (a - pad) % stride          # first pixel of parity a once padded
+        i0 = (y0 + pad) // stride
+        return slice(i0, i0 + len(range(y0, n, stride))), slice(y0, None, stride)
+    return [(a * stride + b, *zip(axis(h, a), axis(w, b)))
+            for a in range(stride) for b in range(stride)]
+
+
+def _phases(xd: np.ndarray, stride: int, pad: int, hq: int, wq: int) -> np.ndarray:
+    """[B,C,H,W] zero-padded by ``pad`` on a [stride*hq, stride*wq] grid, split into
+    its channels-last phases [stride**2, B, hq, wq, C]: phase a*stride + b holds
+    padded pixel (stride*i + a, stride*j + b) at (i, j)."""
+    bsz, c, h, w = xd.shape
+    out = np.zeros((stride * stride, bsz, hq, wq, c), dtype=xd.dtype)
+    for p, (qi, qj), (yi, yj) in _phase_blocks(h, w, stride, pad):
+        out[p, :, qi, qj] = xd[:, :, yi, yj].transpose(0, 2, 3, 1)
     return out
 
 
-def _spread(yd: np.ndarray, stride: int, hp: int, wp: int) -> np.ndarray:
-    """[B,C,Ho,Wo] -> channels-last [B,hp,wp,C] with each pixel at its window's corner."""
-    bsz, c, ho, wo = yd.shape
-    out = np.zeros((bsz, hp, wp, c), dtype=yd.dtype)
-    out[:, :ho * stride:stride, :wo * stride:stride, :] = yd.transpose(0, 2, 3, 1)
-    return out
-
-
-def _taps(xp: np.ndarray, kd: np.ndarray):
-    """Each tap's flat offset ``u*wp + v`` on the grid of ``xp`` with its [Ci, Co]
-    matrix, and the run length: the pixels every tap can shift without leaving it."""
-    bsz, hp, wp, _ = xp.shape
+def _taps(grid: tuple[int, int, int], kd: np.ndarray, stride: int):
+    """Each tap's phase ``(u % s)*s + v % s`` and flat offset ``(u//s)*wq + v//s``
+    on a [B, hq, wq] phase grid with its [Ci, Co] matrix, and the run length:
+    the cells every tap can shift without leaving the grid."""
+    bsz, hq, wq = grid
     kh, kw = kd.shape[2:]
     k_cl = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))
-    taps = [(u * wp + v, k_cl[u, v]) for u in range(kh) for v in range(kw)]
-    return taps, bsz * hp * wp - taps[-1][0]
+    taps = [((u % stride) * stride + v % stride, (u // stride) * wq + v // stride, k_cl[u, v])
+            for u in range(kh) for v in range(kw)]
+    return taps, bsz * hq * wq - taps[-1][1]
 
 
-def _conv_fwd(xp: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Gather: the [B,Co,ho,wo] correlation of a padded channels-last image."""
-    taps, nrun = _taps(xp, kd)
-    flat = xp.reshape(-1, xp.shape[3])
-    out = np.empty((flat.shape[0], kd.shape[0]), dtype=xp.dtype)
-    (d, k), *rest = taps
-    np.matmul(flat[d:d + nrun], k, out=out[:nrun])
-    for d, k in rest:
-        out[:nrun] += flat[d:d + nrun] @ k
-    y = out.reshape(xp.shape[:3] + (-1,))[:, :ho * stride:stride, :wo * stride:stride, :]
+def _conv_fwd(xph: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Gather: the [B,Co,ho,wo] correlation of a phased image [s*s, B, hq, wq, Ci]."""
+    taps, nrun = _taps(xph.shape[1:4], kd, stride)
+    flat = xph.reshape(xph.shape[0], -1, xph.shape[4])
+    out = np.empty((flat.shape[1], kd.shape[0]), dtype=xph.dtype)
+    (p, d, k), *rest = taps
+    np.matmul(flat[p, d:d + nrun], k, out=out[:nrun])
+    for p, d, k in rest:
+        out[:nrun] += flat[p, d:d + nrun] @ k
+    y = out.reshape(xph.shape[1:4] + (-1,))[:, :ho, :wo, :]
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
-def _conv_adj(s: np.ndarray, kd: np.ndarray, pad: int, oh: int, ow: int) -> np.ndarray:
-    """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from a spread [B,hp,wp,Co].
+def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
+              oh: int, ow: int) -> np.ndarray:
+    """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from an image [B, hq, wq, Co]
+    on the phase grid, added into every phase and interleaved back.
 
     Last tap first, for the summation order the module docstring gives.
     """
-    taps, nrun = _taps(s, kd)
-    flat = s.reshape(-1, s.shape[3])
-    out = np.zeros((flat.shape[0], kd.shape[1]), dtype=s.dtype)
-    for d, k in reversed(taps):
-        out[d:d + nrun] += flat[:nrun] @ k.T
-    xe = out.reshape(s.shape[:3] + (-1,))[:, pad:pad + oh, pad:pad + ow, :]
-    return np.ascontiguousarray(xe.transpose(0, 3, 1, 2))
+    taps, nrun = _taps(gq.shape[:3], kd, stride)
+    flat = gq.reshape(-1, gq.shape[3])[:nrun]
+    out = np.zeros((stride * stride,) + gq.shape[:3] + (kd.shape[1],), dtype=gq.dtype)
+    oflat = out.reshape(stride * stride, -1, kd.shape[1])
+    for p, d, k in reversed(taps):
+        oflat[p, d:d + nrun] += flat @ k.T
+    xe = np.empty((gq.shape[0], kd.shape[1], oh, ow), dtype=gq.dtype)
+    for p, (qi, qj), (yi, yj) in _phase_blocks(oh, ow, stride, pad):
+        xe[:, :, yi, yj] = out[p, :, qi, qj].transpose(0, 3, 1, 2)
+    return xe
 
 
-def _conv_kgrad(xp: np.ndarray, s: np.ndarray, kd: np.ndarray) -> np.ndarray:
-    """Kernel gradient [Co,Ci,kh,kw] from the padded image and the spread gradient."""
-    taps, nrun = _taps(xp, kd)
-    flat = xp.reshape(-1, xp.shape[3])
-    sflat = s.reshape(-1, s.shape[3])[:nrun]
-    dk = np.stack([flat[d:d + nrun].T @ sflat for d, _ in taps])
+def _conv_kgrad(xph: np.ndarray, gq: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
+    """Kernel gradient [Co,Ci,kh,kw] from the phased image and the phase-grid gradient."""
+    taps, nrun = _taps(gq.shape[:3], kd, stride)
+    flat = xph.reshape(xph.shape[0], -1, xph.shape[4])
+    gflat = gq.reshape(-1, gq.shape[3])[:nrun]
+    dk = np.stack([flat[p, d:d + nrun].T @ gflat for p, d, _ in taps])
     return np.ascontiguousarray(dk.reshape(kd.shape[2:] + dk.shape[1:]).transpose(3, 2, 0, 1))
 
 
@@ -417,15 +436,16 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     if kd.ndim != 4 or kd.shape[1] != xd.shape[1]:
         raise ValueError(f"conv2d: kernel {kd.shape} incompatible with input {xd.shape}")
     h, w = xd.shape[2:]
-    ho = _conv_out_extent(h, kd.shape[2], stride, pad)
-    wo = _conv_out_extent(w, kd.shape[3], stride, pad)
-    xp = _cl_pad(xd, pad)
-    out = Tensor(_conv_fwd(xp, kd, stride, ho, wo))
+    ho = _conv_out_extent(h, kd.shape[2], stride, pad, "conv2d")
+    wo = _conv_out_extent(w, kd.shape[3], stride, pad, "conv2d")
+    hq, wq = _phase_grid(h, stride, pad), _phase_grid(w, stride, pad)
+    xph = _phases(xd, stride, pad, hq, wq)
+    out = Tensor(_conv_fwd(xph, kd, stride, ho, wo))
     t = _tape()
     if t is not None:
         def bwd(g):
-            s = _spread(g, stride, xp.shape[1], xp.shape[2])
-            return (_conv_adj(s, kd, pad, h, w), _conv_kgrad(xp, s, kd))
+            gq = _phases(g, 1, 0, hq, wq)[0]
+            return (_conv_adj(gq, kd, stride, pad, h, w), _conv_kgrad(xph, gq, kd, stride))
 
         t.record(out, (x, k), bwd)
     return out
@@ -449,19 +469,19 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
         out_hw = (stride * (yd.shape[2] - 1) - 2 * pad + kh,
                   stride * (yd.shape[3] - 1) - 2 * pad + kw)
     for n_out, n_in, kk in ((out_hw[0], yd.shape[2], kh), (out_hw[1], yd.shape[3], kw)):
-        if _conv_out_extent(n_out, kk, stride, pad) != n_in:
+        if _conv_out_extent(n_out, kk, stride, pad, "conv2d_transpose") != n_in:
             raise ValueError(
                 f"conv2d_transpose: out_hw {out_hw} inconsistent with input {yd.shape[2:]} "
                 f"under (k={kk}, stride={stride}, pad={pad})")
     oh, ow = out_hw
-    hp, wp = oh + 2 * pad, ow + 2 * pad
-    out = Tensor(_conv_adj(_spread(yd, stride, hp, wp), kd, pad, oh, ow))
+    hq, wq = _phase_grid(oh, stride, pad), _phase_grid(ow, stride, pad)
+    out = Tensor(_conv_adj(_phases(yd, 1, 0, hq, wq)[0], kd, stride, pad, oh, ow))
     t = _tape()
     if t is not None:
         def bwd(g):
-            gp = _cl_pad(g, pad)
-            dy = _conv_fwd(gp, kd, stride, yd.shape[2], yd.shape[3])
-            return (dy, _conv_kgrad(gp, _spread(yd, stride, hp, wp), kd))
+            gph = _phases(g, stride, pad, hq, wq)
+            dy = _conv_fwd(gph, kd, stride, yd.shape[2], yd.shape[3])
+            return (dy, _conv_kgrad(gph, _phases(yd, 1, 0, hq, wq)[0], kd, stride))
 
         t.record(out, (y, k), bwd)
     return out

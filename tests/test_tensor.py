@@ -146,6 +146,34 @@ class TestConv2dTranspose:
                                Tensor(rng.standard_normal((1, 1, 3, 3))),
                                stride=2, pad=1, out_hw=(128, 128))
 
+    def test_kernel_larger_than_output_names_the_op(self):
+        with pytest.raises(ValueError, match="conv2d_transpose: kernel 3 larger than padded"):
+            T.conv2d_transpose(Tensor(np.ones((1, 1, 1, 1))), Tensor(np.ones((1, 1, 3, 3))),
+                               1, 0, out_hw=(1, 1))
+
+
+class TestStridePhases:
+    """Stride 2 is stride 1 kept (gather) or fed (scatter) at every second pixel,
+    bit for bit: this pins each tap to its phase and its place in the sum."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (9, 6), (16, 5), (64, 64)],
+                             ids=["8x8", "9x7", "9x6", "16x5", "64x64"])
+    def test_stride2_is_subsampled_stride1(self, dtype, hw):
+        for pad in (0, 1):
+            for kk in ((3, 3), (2, 2), (3, 2), (1, 3)):
+                x = rng.standard_normal((2, 3) + hw).astype(dtype)
+                k = Tensor(rng.standard_normal((4, 3) + kk).astype(dtype))
+                full = T.conv2d(Tensor(x), k, 1, pad).data
+                assert np.array_equal(T.conv2d(Tensor(x), k, 2, pad).data,
+                                      full[..., ::2, ::2]), (pad, kk)
+                g = rng.standard_normal(full[..., ::2, ::2].shape).astype(dtype)
+                stuffed = np.zeros_like(full)
+                stuffed[..., ::2, ::2] = g
+                assert np.array_equal(T.conv2d_transpose(Tensor(g), k, 2, pad, out_hw=hw).data,
+                                      T.conv2d_transpose(Tensor(stuffed), k, 1, pad,
+                                                         out_hw=hw).data), (pad, kk)
+
 
 class TestPointwiseLinear:
     def test_identity(self):
@@ -270,14 +298,17 @@ class TestGradientSuite:
             lambda: T.tensor_sum(T.mul(c := T.conv2d(x, k, stride, pad), c)),
             [x, k], tol=1e-4)
 
-    @pytest.mark.parametrize("stride,pad,hw,kk", [
-        (1, 1, (3, 3), (3, 3)), (2, 1, (3, 3), (3, 3)), (2, 1, (3, 5), (3, 2)),
-    ], ids=["1-1", "2-1", "2-1-3x5-3x2"])
-    def test_conv_transpose_gradients(self, stride, pad, hw, kk):
+    # out_hw (6, 6) is MgNO's even-grid prolongation, one row and column past
+    # the default extent 5
+    @pytest.mark.parametrize("stride,pad,hw,kk,out_hw", [
+        (1, 1, (3, 3), (3, 3), None), (2, 1, (3, 3), (3, 3), None),
+        (2, 1, (3, 5), (3, 2), None), (2, 1, (3, 3), (3, 3), (6, 6)),
+    ], ids=["1-1", "2-1", "2-1-3x5-3x2", "2-1-3x3-to-6x6"])
+    def test_conv_transpose_gradients(self, stride, pad, hw, kk, out_hw):
         y = Tensor(rng.standard_normal((2, 4) + hw))
         k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
         gradient_check(
-            lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad), c)),
+            lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad, out_hw), c)),
             [y, k], tol=1e-4)
 
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])

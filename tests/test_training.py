@@ -47,6 +47,20 @@ def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind):
     assert after.dtype == np.float32 and np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_training_is_bit_deterministic(tiny_bundle, kind):
+    bundle, _ = tiny_bundle
+    runs = []
+    for _ in range(2):
+        model = _model(bundle, kind)
+        history = training.train(model, bundle, _train_cfg(epochs=3))
+        runs.append(([r.train_loss for r in history], [p.data for p in model.parameters()]))
+    (losses_a, params_a), (losses_b, params_b) = runs
+    assert losses_a == losses_b
+    for a, b in zip(params_a, params_b, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_checkpoint_parameter_list_must_match_the_architecture(tiny_bundle, tmp_path):
     bundle, _ = tiny_bundle
     model = _model(bundle, "mgno")
