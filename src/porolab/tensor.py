@@ -24,6 +24,14 @@ kernel gradient ``_conv_kgrad``.  The scatter walks the taps last to first so
 that each pixel sums its terms in the order of a correlation with the flipped
 kernel, the textbook form of the transpose; porolab's float results, training
 losses and checkpoints are fixed to that order.
+
+The three maps walk the run in blocks of ``_BLOCK_ROWS`` pixels (``_blocks``) and
+take every tap on a block before the next block.  A tap's GEMM writes into one
+block-sized buffer, not into a full-size temporary, so a block's input, output and
+products stay in cache across the taps instead of the whole image streaming
+through memory once per tap.  Each pixel still sums its terms in the same tap
+order, so outputs and input gradients are the same bits at any block size; only
+the kernel gradient's sum over the run is grouped by block.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# Pixels per block of the convolution tap loops.  A 12-channel float32 block of
+# input, output or product is 192 KB; 4096 was the fastest MgNO step of the sizes
+# 1024 to 65536 measured on a 2-core AMD EPYC VM (see CHANGES.md).
+_BLOCK_ROWS = 4096
 
 
 class Tensor:
@@ -233,7 +246,10 @@ def sqrt(a: Tensor) -> Tensor:
     out = Tensor(out_data)
     t = _tape()
     if t is not None:
-        t.record(out, (a,), lambda g: (g * (0.5 / out_data),))
+        # d sqrt(a)/da = 0.5 / sqrt(a), taken as 0 where sqrt(a) is 0 (an exact fit)
+        # so that one zero does not make every gradient inf or NaN
+        t.record(out, (a,), lambda g: (g * np.divide(0.5, out_data, where=out_data > 0,
+                                                     out=np.zeros_like(out_data)),))
     return out
 
 
@@ -383,15 +399,33 @@ def _taps(grid: tuple[int, int, int], kd: np.ndarray, stride: int):
     return taps, bsz * hq * wq - taps[-1][1]
 
 
+def _blocks(nrun: int) -> list[tuple[int, int]]:
+    """The [r0, r1) row blocks of a run of ``nrun`` pixels: ``_BLOCK_ROWS`` rows each
+    and the last one row longer where it would otherwise hold a single row.  No block
+    is one row unless the run is, because numpy sends a one-row product to a
+    matrix-vector kernel that orders its sums differently from a GEMM."""
+    starts = list(range(0, max(nrun - 1, 1), max(_BLOCK_ROWS, 2)))
+    return list(zip(starts, starts[1:] + [nrun]))
+
+
 def _conv_fwd(xph: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Gather: the [B,Co,ho,wo] correlation of a phased image [s*s, B, hq, wq, Ci]."""
+    """Gather: the [B,Co,ho,wo] correlation of a phased image [s*s, B, hq, wq, Ci].
+
+    Block by block, the first tap's product goes straight into the output rows and
+    every later tap's into one block-sized buffer that is then added on.
+    """
     taps, nrun = _taps(xph.shape[1:4], kd, stride)
     flat = xph.reshape(xph.shape[0], -1, xph.shape[4])
     out = np.empty((flat.shape[1], kd.shape[0]), dtype=xph.dtype)
-    (p, d, k), *rest = taps
-    np.matmul(flat[p, d:d + nrun], k, out=out[:nrun])
-    for p, d, k in rest:
-        out[:nrun] += flat[p, d:d + nrun] @ k
+    blocks = _blocks(nrun)
+    tmp = np.empty((max(r1 - r0 for r0, r1 in blocks), kd.shape[0]), dtype=xph.dtype)
+    (p0, d0, k0), *rest = taps
+    for r0, r1 in blocks:
+        ob, tb = out[r0:r1], tmp[:r1 - r0]
+        np.matmul(flat[p0, d0 + r0:d0 + r1], k0, out=ob)
+        for p, d, k in rest:
+            np.matmul(flat[p, d + r0:d + r1], k, out=tb)
+            ob += tb
     y = out.reshape(xph.shape[1:4] + (-1,))[:, :ho, :wo, :]
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
@@ -401,14 +435,24 @@ def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
     """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from an image [B, hq, wq, Co]
     on the phase grid, added into every phase and interleaved back.
 
-    Last tap first, for the summation order the module docstring gives.
+    Block by block, each tap's product goes into one block-sized buffer that is
+    added into the tap-shifted rows of its phase.  The tap matrices are those of
+    the kernel with its channel axes swapped, contiguous [Co, Ci].  Taps run last
+    to first, for the summation order the module docstring gives.  Within a phase
+    each tap walked later has a smaller offset, so it reaches a given pixel from a
+    later row, in the same block or a later one: every pixel keeps that order.
     """
-    taps, nrun = _taps(gq.shape[:3], kd, stride)
-    flat = gq.reshape(-1, gq.shape[3])[:nrun]
+    taps, nrun = _taps(gq.shape[:3], kd.transpose(1, 0, 2, 3), stride)
+    flat = gq.reshape(-1, gq.shape[3])
     out = np.zeros((stride * stride,) + gq.shape[:3] + (kd.shape[1],), dtype=gq.dtype)
     oflat = out.reshape(stride * stride, -1, kd.shape[1])
-    for p, d, k in reversed(taps):
-        oflat[p, d:d + nrun] += flat @ k.T
+    blocks = _blocks(nrun)
+    tmp = np.empty((max(r1 - r0 for r0, r1 in blocks), kd.shape[1]), dtype=gq.dtype)
+    for r0, r1 in blocks:
+        gb, tb = flat[r0:r1], tmp[:r1 - r0]
+        for p, d, kt in reversed(taps):
+            np.matmul(gb, kt, out=tb)
+            oflat[p, d + r0:d + r1] += tb
     xe = np.empty((gq.shape[0], kd.shape[1], oh, ow), dtype=gq.dtype)
     for p, (qi, qj), (yi, yj) in _phase_blocks(oh, ow, stride, pad):
         xe[:, :, yi, yj] = out[p, :, qi, qj].transpose(0, 3, 1, 2)
@@ -416,11 +460,21 @@ def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
 
 
 def _conv_kgrad(xph: np.ndarray, gq: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
-    """Kernel gradient [Co,Ci,kh,kw] from the phased image and the phase-grid gradient."""
+    """Kernel gradient [Co,Ci,kh,kw] from the phased image and the phase-grid gradient.
+
+    Each tap's [Ci, Co] product over one block goes into a small buffer and is
+    added into that tap's accumulator, so the sum over the run is grouped by block.
+    """
     taps, nrun = _taps(gq.shape[:3], kd, stride)
     flat = xph.reshape(xph.shape[0], -1, xph.shape[4])
-    gflat = gq.reshape(-1, gq.shape[3])[:nrun]
-    dk = np.stack([flat[p, d:d + nrun].T @ gflat for p, d, _ in taps])
+    gflat = gq.reshape(-1, gq.shape[3])
+    dk = np.zeros((len(taps), kd.shape[1], kd.shape[0]), dtype=gq.dtype)
+    tmp = np.empty(dk.shape[1:], dtype=gq.dtype)
+    for r0, r1 in _blocks(nrun):
+        gb = gflat[r0:r1]
+        for acc, (p, d, _) in zip(dk, taps):
+            np.matmul(flat[p, d + r0:d + r1].T, gb, out=tmp)
+            acc += tmp
     return np.ascontiguousarray(dk.reshape(kd.shape[2:] + dk.shape[1:]).transpose(3, 2, 0, 1))
 
 

@@ -56,6 +56,14 @@ class TestElementwise:
         b = T.mul(Tensor(x), Tensor(y)).data
         assert np.array_equal(a, b)
 
+    def test_sqrt_gradient_at_zero_is_zero(self):
+        # an exact fit makes a relative loss's numerator 0; its gradient must stay finite
+        a = Tensor([0.0, 4.0])
+        with Tape() as tape:
+            loss = T.tensor_sum(T.sqrt(a))
+        tape.backward(loss)
+        assert np.array_equal(a.grad, [0.0, 0.25])
+
 
 class TestConv2d:
     def test_single_pixel(self):
@@ -175,6 +183,48 @@ class TestStridePhases:
                                                          out_hw=hw).data), (pad, kk)
 
 
+def conv_with_grads(op, x, k, stride, pad, out_hw):
+    """Output, input gradient and kernel gradient of sum(op(x, k)**2)."""
+    xt, kt = Tensor(x), Tensor(k)
+    extra = () if op is T.conv2d else (out_hw,)
+    with Tape() as tape:
+        y = op(xt, kt, stride, pad, *extra)
+        loss = T.tensor_sum(T.mul(y, y))
+    tape.backward(loss)
+    return y.data, xt.grad, kt.grad
+
+
+class TestPixelBlocks:
+    """The tap loops walk the pixel run in blocks of ``_BLOCK_ROWS`` rows.  The
+    gather and the scatter keep every pixel's sum, bit for bit, whatever the block
+    size; the kernel gradient's sum over the run is only regrouped."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
+    @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
+                             ids=["conv2d", "conv2d_transpose"])
+    def test_blocks_match_one_block(self, op, hw, dtype, ktol, block, monkeypatch):
+        k = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        for stride in (1, 2):
+            for pad in (0, 1):
+                if op is T.conv2d:
+                    x = rng.standard_normal((2, 3) + hw).astype(dtype)
+                else:
+                    x = rng.standard_normal((2, 4) + tuple(
+                        (n + 2 * pad - 3) // stride + 1 for n in hw)).astype(dtype)
+                monkeypatch.setattr(T, "_BLOCK_ROWS", 1 << 30)
+                whole = conv_with_grads(op, x, k, stride, pad, hw)
+                monkeypatch.setattr(T, "_BLOCK_ROWS", block)
+                y, dx, dk = conv_with_grads(op, x, k, stride, pad, hw)
+                assert np.array_equal(y, whole[0]), (stride, pad)
+                assert np.array_equal(dx, whole[1]), (stride, pad)
+                assert dk.dtype == dtype
+                assert np.max(np.abs(dk - whole[2])) <= ktol * np.max(np.abs(whole[2])), \
+                    (stride, pad)
+
+
 class TestPointwiseLinear:
     def test_identity(self):
         x = rng.standard_normal((1, 3, 4, 4))
@@ -291,12 +341,14 @@ class TestGradientSuite:
         (1, 1, (6, 6), (3, 3)), (2, 1, (6, 6), (3, 3)), (2, 0, (6, 6), (3, 3)),
         (2, 1, (5, 7), (2, 3)),
     ], ids=["1-1", "2-1", "2-0", "2-1-5x7-2x3"])
-    def test_conv_gradients(self, stride, pad, hw, kk):
+    def test_conv_gradients(self, stride, pad, hw, kk, monkeypatch):
         x = Tensor(rng.standard_normal((2, 3) + hw))
         k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
-        gradient_check(
-            lambda: T.tensor_sum(T.mul(c := T.conv2d(x, k, stride, pad), c)),
-            [x, k], tol=1e-4)
+        for block in (T._BLOCK_ROWS, 7):
+            monkeypatch.setattr(T, "_BLOCK_ROWS", block)
+            gradient_check(
+                lambda: T.tensor_sum(T.mul(c := T.conv2d(x, k, stride, pad), c)),
+                [x, k], tol=1e-4)
 
     # out_hw (6, 6) is MgNO's even-grid prolongation, one row and column past
     # the default extent 5
@@ -304,20 +356,25 @@ class TestGradientSuite:
         (1, 1, (3, 3), (3, 3), None), (2, 1, (3, 3), (3, 3), None),
         (2, 1, (3, 5), (3, 2), None), (2, 1, (3, 3), (3, 3), (6, 6)),
     ], ids=["1-1", "2-1", "2-1-3x5-3x2", "2-1-3x3-to-6x6"])
-    def test_conv_transpose_gradients(self, stride, pad, hw, kk, out_hw):
+    def test_conv_transpose_gradients(self, stride, pad, hw, kk, out_hw, monkeypatch):
         y = Tensor(rng.standard_normal((2, 4) + hw))
         k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
-        gradient_check(
-            lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad, out_hw), c)),
-            [y, k], tol=1e-4)
+        for block in (T._BLOCK_ROWS, 7):
+            monkeypatch.setattr(T, "_BLOCK_ROWS", block)
+            gradient_check(
+                lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad, out_hw), c)),
+                [y, k], tol=1e-4)
 
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv_float32_stays_float32(self, op, stride):
+    def test_conv_float32_stays_float32(self, op, stride, monkeypatch):
         x = Tensor(rng.standard_normal((2, 3, 7, 6)).astype(np.float32))
         k = Tensor(rng.standard_normal((3, 3, 3, 3)).astype(np.float32))
-        with Tape() as tape:
-            out = getattr(T, op)(x, k, stride, 1)
-            loss = T.tensor_sum(T.mul(out, out))
-        tape.backward(loss)
-        assert out.dtype == x.grad.dtype == k.grad.dtype == np.float32
+        for block in (T._BLOCK_ROWS, 7):
+            monkeypatch.setattr(T, "_BLOCK_ROWS", block)
+            x.grad = k.grad = None
+            with Tape() as tape:
+                out = getattr(T, op)(x, k, stride, 1)
+                loss = T.tensor_sum(T.mul(out, out))
+            tape.backward(loss)
+            assert out.dtype == x.grad.dtype == k.grad.dtype == np.float32, block
