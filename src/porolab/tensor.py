@@ -9,29 +9,34 @@ parameter used several times receives the sum of its per-use gradients.
 A :class:`Parameter` is a Tensor with a name and enters every op as itself.
 
 Convolutions share one tap geometry.  The zero-padded image is split once into
-its stride**2 phases (``_phases``): phase (a, b) is the channels-last sub-image
-[B, hq, wq, C] of padded pixels (s*i + a, s*j + b), hq = ceil(hp/s), zero-filled
-where an extent does not divide; stride 1 is the one-phase case.  Each phase is
-read as one long run of pixels, so kernel tap (u, v) is phase (u % s, v % s) at
-flat offset ``(u//s)*wq + v//s`` and one GEMM on a contiguous shifted view, with
-no im2col buffer; a stride-2 convolution does all its work at coarse resolution.
-A window that wraps across a row or into the next batch entry lands on a cell
-no result keeps.  Three maps over the taps cover both ops and both gradients:
-the gather ``_conv_fwd`` (conv2d's forward); the scatter ``_conv_adj``, its
-adjoint (conv2d_transpose's forward), which adds each coarse pixel, or its
-gradient, back through every tap into the phases and interleaves them; and the
-kernel gradient ``_conv_kgrad``.  The scatter walks the taps last to first so
-that each pixel sums its terms in the order of a correlation with the flipped
-kernel, the textbook form of the transpose; porolab's float results, training
-losses and checkpoints are fixed to that order.
+its stride**2 phases (``_phases``): phase (a, b) is the channel-planar sub-image
+[B, C, hq, wq] of padded pixels (s*i + a, s*j + b), hq = ceil(hp/s), zero-filled
+where an extent does not divide; stride 1 is the one-phase case.  Each channel's
+plane is read as one run of hq*wq pixels, so kernel tap (u, v) is phase
+(u % s, v % s) at flat offset ``(u//s)*wq + v//s``: one [Co, Ci] @ [Ci, run]
+GEMM on a shifted view of each batch entry's planes, with no im2col buffer and
+no channels-last copy, and a stride-2 convolution does all its work at coarse
+resolution.  A window that wraps across a row, or runs past the end of its
+plane, lands on a cell no result keeps.  Three maps over the taps cover both
+ops and both gradients: the gather ``_conv_fwd`` (conv2d's forward); the
+scatter ``_conv_adj``, its adjoint (conv2d_transpose's forward), which adds
+each coarse pixel, or its gradient, back through every tap into the phases and
+interleaves them; and the kernel gradient ``_conv_kgrad``.  The scatter walks
+the taps last to first so that each pixel sums its terms in the order of a
+correlation with the flipped kernel, the textbook form of the transpose;
+porolab's float results, training losses and checkpoints are fixed to that
+order.
 
-The three maps walk the run in blocks of ``_BLOCK_ROWS`` pixels (``_blocks``) and
-take every tap on a block before the next block.  A tap's GEMM writes into one
-block-sized buffer, not into a full-size temporary, so a block's input, output and
-products stay in cache across the taps instead of the whole image streaming
-through memory once per tap.  Each pixel still sums its terms in the same tap
-order, so outputs and input gradients are the same bits at any block size; only
-the kernel gradient's sum over the run is grouped by block.
+The three maps walk the batch in blocks of whole planes (``_blocks``), at most
+``_BLOCK_ROWS`` pixels or one plane each, and take every tap on a block before
+the next block.  A tap's GEMM writes into one block-sized buffer, not into a
+full-size temporary, so a block's input, output and products stay in cache
+across the taps instead of the whole image streaming through memory once per
+tap.  The gather and the scatter add that buffer on over whole planes, one
+contiguous sum per tap; the cells past a plane's run take zeros.  Each pixel
+sums its terms in the same tap order and every plane's product has the same
+shape in any block, so outputs and input gradients are the same bits at any
+block size; only the kernel gradient's sum over the batch is grouped by block.
 """
 
 from __future__ import annotations
@@ -44,9 +49,13 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# Pixels per block of the convolution tap loops.  A 12-channel float32 block of
-# input, output or product is 192 KB; 4096 was the fastest MgNO step of the sizes
-# 1024 to 65536 measured on a 2-core AMD EPYC VM (see CHANGES.md).
+# Pixels per block of the convolution tap loops, taken in whole phase planes:
+# max(1, _BLOCK_ROWS // plane) planes per block, so a padded 64x64 plane of
+# 4356 pixels is a block of its own and a padded 32x32 plane shares one with two
+# more.  A 12-channel float32 plane of input, output or product is about 200 KB
+# at 64x64.  Of the sizes 2048 to 65536 measured on a 2-core AMD EPYC VM, 4096
+# and 8192 tied for the fastest MgNO step; 2048, one 32x32 plane per block, was
+# slower (see CHANGES.md).
 _BLOCK_ROWS = 4096
 
 
@@ -378,104 +387,116 @@ def _phase_blocks(h: int, w: int, stride: int, pad: int):
 
 def _phases(xd: np.ndarray, stride: int, pad: int, hq: int, wq: int) -> np.ndarray:
     """[B,C,H,W] zero-padded by ``pad`` on a [stride*hq, stride*wq] grid, split into
-    its channels-last phases [stride**2, B, hq, wq, C]: phase a*stride + b holds
+    its channel-planar phases [stride**2, B, C, hq, wq]: phase a*stride + b holds
     padded pixel (stride*i + a, stride*j + b) at (i, j)."""
     bsz, c, h, w = xd.shape
-    out = np.zeros((stride * stride, bsz, hq, wq, c), dtype=xd.dtype)
+    out = np.zeros((stride * stride, bsz, c, hq, wq), dtype=xd.dtype)
     for p, (qi, qj), (yi, yj) in _phase_blocks(h, w, stride, pad):
-        out[p, :, qi, qj] = xd[:, :, yi, yj].transpose(0, 2, 3, 1)
+        out[p, :, :, qi, qj] = xd[:, :, yi, yj]
     return out
 
 
-def _taps(grid: tuple[int, int, int], kd: np.ndarray, stride: int):
+def _taps(plane: tuple[int, int], kd: np.ndarray, stride: int):
     """Each tap's phase ``(u % s)*s + v % s`` and flat offset ``(u//s)*wq + v//s``
-    on a [B, hq, wq] phase grid with its [Ci, Co] matrix, and the run length:
-    the cells every tap can shift without leaving the grid."""
-    bsz, hq, wq = grid
+    in an [hq, wq] phase plane with its contiguous [kd.shape[0], kd.shape[1]] matrix,
+    and the run length: the cells every tap can shift without leaving the plane."""
+    hq, wq = plane
     kh, kw = kd.shape[2:]
-    k_cl = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))
-    taps = [((u % stride) * stride + v % stride, (u // stride) * wq + v // stride, k_cl[u, v])
+    k_taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))
+    taps = [((u % stride) * stride + v % stride, (u // stride) * wq + v // stride, k_taps[u, v])
             for u in range(kh) for v in range(kw)]
-    return taps, bsz * hq * wq - taps[-1][1]
+    return taps, hq * wq - taps[-1][1]
 
 
-def _blocks(nrun: int) -> list[tuple[int, int]]:
-    """The [r0, r1) row blocks of a run of ``nrun`` pixels: ``_BLOCK_ROWS`` rows each
-    and the last one row longer where it would otherwise hold a single row.  No block
-    is one row unless the run is, because numpy sends a one-row product to a
-    matrix-vector kernel that orders its sums differently from a GEMM."""
-    starts = list(range(0, max(nrun - 1, 1), max(_BLOCK_ROWS, 2)))
-    return list(zip(starts, starts[1:] + [nrun]))
+def _blocks(bsz: int, plane: int) -> list[tuple[int, int]]:
+    """The [b0, b1) blocks of ``bsz`` batch entries whose planes hold ``plane``
+    pixels: ``max(1, _BLOCK_ROWS // plane)`` entries per block, the last one ragged.
+    A block only groups planes, and each plane's product has the same shape in
+    any block, so no block size turns a product into a matrix-vector one."""
+    step = max(1, _BLOCK_ROWS // plane)
+    return [(b0, min(b0 + step, bsz)) for b0 in range(0, bsz, step)]
 
 
 def _conv_fwd(xph: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Gather: the [B,Co,ho,wo] correlation of a phased image [s*s, B, hq, wq, Ci].
+    """Gather: the [B,Co,ho,wo] correlation of a phased image [s*s, B, Ci, hq, wq].
 
-    Block by block, the first tap's product goes straight into the output rows and
-    every later tap's into one block-sized buffer that is then added on.
+    Block by block, the first tap's product goes straight into the output planes
+    and every later tap's into one block-sized buffer that is then added on, over
+    whole planes.  Both are zero past the run, so those cells, which the crop
+    drops, add zeros.
     """
-    taps, nrun = _taps(xph.shape[1:4], kd, stride)
-    flat = xph.reshape(xph.shape[0], -1, xph.shape[4])
-    out = np.empty((flat.shape[1], kd.shape[0]), dtype=xph.dtype)
-    blocks = _blocks(nrun)
-    tmp = np.empty((max(r1 - r0 for r0, r1 in blocks), kd.shape[0]), dtype=xph.dtype)
+    ns, bsz, ci, hq, wq = xph.shape
+    taps, nrun = _taps((hq, wq), kd, stride)
+    flat = xph.reshape(ns, bsz, ci, hq * wq)
+    out = np.zeros((bsz, kd.shape[0], hq * wq), dtype=xph.dtype)
+    blocks = _blocks(bsz, hq * wq)
+    tmp = np.zeros((blocks[0][1], kd.shape[0], hq * wq), dtype=xph.dtype)
     (p0, d0, k0), *rest = taps
-    for r0, r1 in blocks:
-        ob, tb = out[r0:r1], tmp[:r1 - r0]
-        np.matmul(flat[p0, d0 + r0:d0 + r1], k0, out=ob)
+    for b0, b1 in blocks:
+        ob, tb = out[b0:b1], tmp[:b1 - b0]
+        np.matmul(k0, flat[p0, b0:b1, :, d0:d0 + nrun], out=ob[:, :, :nrun])
         for p, d, k in rest:
-            np.matmul(flat[p, d + r0:d + r1], k, out=tb)
+            np.matmul(k, flat[p, b0:b1, :, d:d + nrun], out=tb[:, :, :nrun])
             ob += tb
-    y = out.reshape(xph.shape[1:4] + (-1,))[:, :ho, :wo, :]
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    return np.ascontiguousarray(out.reshape(bsz, -1, hq, wq)[:, :, :ho, :wo])
 
 
 def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
               oh: int, ow: int) -> np.ndarray:
-    """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from an image [B, hq, wq, Co]
+    """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from an image [B, Co, hq, wq]
     on the phase grid, added into every phase and interleaved back.
 
-    Block by block, each tap's product goes into one block-sized buffer that is
-    added into the tap-shifted rows of its phase.  The tap matrices are those of
-    the kernel with its channel axes swapped, contiguous [Co, Ci].  Taps run last
-    to first, for the summation order the module docstring gives.  Within a phase
-    each tap walked later has a smaller offset, so it reaches a given pixel from a
-    later row, in the same block or a later one: every pixel keeps that order.
+    Block by block, each tap's product over whole planes goes into one
+    block-sized buffer that is added, as one contiguous run, onto its phase
+    shifted by the tap's offset.  A plane's last ``offset`` cells thus land in
+    the next plane (or in the plane of slack after the last phase), but they
+    are products of cells past the run, where the image is zero, so they add
+    zeros.  The tap matrices are those of the kernel with its channel axes
+    swapped, [Ci, Co].  Taps run last to first, for the summation order the
+    module docstring gives.
     """
-    taps, nrun = _taps(gq.shape[:3], kd.transpose(1, 0, 2, 3), stride)
-    flat = gq.reshape(-1, gq.shape[3])
-    out = np.zeros((stride * stride,) + gq.shape[:3] + (kd.shape[1],), dtype=gq.dtype)
-    oflat = out.reshape(stride * stride, -1, kd.shape[1])
-    blocks = _blocks(nrun)
-    tmp = np.empty((max(r1 - r0 for r0, r1 in blocks), kd.shape[1]), dtype=gq.dtype)
-    for r0, r1 in blocks:
-        gb, tb = flat[r0:r1], tmp[:r1 - r0]
+    bsz, co, hq, wq = gq.shape
+    ci, plane = kd.shape[1], hq * wq
+    taps, _ = _taps((hq, wq), kd.transpose(1, 0, 2, 3), stride)
+    flat = gq.reshape(bsz, co, plane)
+    size = bsz * ci * plane
+    buf = np.zeros(stride * stride * size + plane, dtype=gq.dtype)
+    blocks = _blocks(bsz, plane)
+    tmp = np.empty((blocks[0][1], ci, plane), dtype=gq.dtype)
+    for b0, b1 in blocks:
+        tb = tmp[:b1 - b0]
         for p, d, kt in reversed(taps):
-            np.matmul(gb, kt, out=tb)
-            oflat[p, d + r0:d + r1] += tb
-    xe = np.empty((gq.shape[0], kd.shape[1], oh, ow), dtype=gq.dtype)
+            np.matmul(kt, flat[b0:b1], out=tb)
+            r0 = p * size + b0 * ci * plane + d
+            buf[r0:r0 + tb.size] += tb.ravel()
+    out = buf[:stride * stride * size].reshape(stride * stride, bsz, ci, hq, wq)
+    xe = np.empty((bsz, ci, oh, ow), dtype=gq.dtype)
     for p, (qi, qj), (yi, yj) in _phase_blocks(oh, ow, stride, pad):
-        xe[:, :, yi, yj] = out[p, :, qi, qj].transpose(0, 3, 1, 2)
+        xe[:, :, yi, yj] = out[p, :, :, qi, qj]
     return xe
 
 
 def _conv_kgrad(xph: np.ndarray, gq: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
     """Kernel gradient [Co,Ci,kh,kw] from the phased image and the phase-grid gradient.
 
-    Each tap's [Ci, Co] product over one block goes into a small buffer and is
-    added into that tap's accumulator, so the sum over the run is grouped by block.
+    Each tap's [Co, n] @ [n, Ci] products over one block's planes go into a small
+    buffer, summed over the block and added into that tap's accumulator, so the
+    sum over the batch is grouped by plane and by block.
     """
-    taps, nrun = _taps(gq.shape[:3], kd, stride)
-    flat = xph.reshape(xph.shape[0], -1, xph.shape[4])
-    gflat = gq.reshape(-1, gq.shape[3])
-    dk = np.zeros((len(taps), kd.shape[1], kd.shape[0]), dtype=gq.dtype)
-    tmp = np.empty(dk.shape[1:], dtype=gq.dtype)
-    for r0, r1 in _blocks(nrun):
-        gb = gflat[r0:r1]
-        for acc, (p, d, _) in zip(dk, taps):
-            np.matmul(flat[p, d + r0:d + r1].T, gb, out=tmp)
-            acc += tmp
-    return np.ascontiguousarray(dk.reshape(kd.shape[2:] + dk.shape[1:]).transpose(3, 2, 0, 1))
+    ns, bsz, ci, hq, wq = xph.shape
+    co = gq.shape[1]
+    taps, nrun = _taps((hq, wq), kd, stride)
+    flat = xph.reshape(ns, bsz, ci, hq * wq)
+    gflat = gq.reshape(bsz, co, hq * wq)
+    dk = np.zeros((len(taps), co, ci), dtype=gq.dtype)
+    blocks = _blocks(bsz, hq * wq)
+    tmp = np.empty((len(taps), blocks[0][1], co, ci), dtype=gq.dtype)
+    for b0, b1 in blocks:
+        gb, tb = gflat[b0:b1, :, :nrun], tmp[:, :b1 - b0]
+        for t, (p, d, _) in zip(tb, taps):
+            np.matmul(gb, flat[p, b0:b1, :, d:d + nrun].transpose(0, 2, 1), out=t)
+        dk += tb.sum(axis=1)
+    return np.ascontiguousarray(dk.reshape(kd.shape[2:] + (co, ci)).transpose(2, 3, 0, 1))
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:

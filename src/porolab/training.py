@@ -116,12 +116,19 @@ class MetricsRecord:
     val_rel_l2: float
 
 
+def _check_indices(indices, op: str):
+    """A per-series average needs at least one series."""
+    if len(indices) == 0:
+        raise ValueError(f"{op}: indices is empty; give at least one sample index")
+
+
 def evaluate(model, bundle: DatasetBundle, indices):
     """Mean physical-space relative L2 over (sample, day) pairs, plus timing.
 
     Returns (mean error, per-day error vector over days 0..n_days, seconds
     per full time series).
     """
+    _check_indices(indices, "evaluate")
     days = np.arange(bundle.n_days + 1)
     truth = bundle.target(model.stats.target_name)
     errors = np.empty((len(indices), len(days)))
@@ -132,13 +139,14 @@ def evaluate(model, bundle: DatasetBundle, indices):
         elapsed += time.perf_counter() - t0
         for day in days:
             errors[row, day] = rel_l2(pred[day], truth[i, day].astype(np.float64))
-    return float(errors.mean()), errors.mean(axis=0), elapsed / max(len(indices), 1)
+    return float(errors.mean()), errors.mean(axis=0), elapsed / len(indices)
 
 
 def throughput_report(model, bundle: DatasetBundle, cfg, indices):
     """Wall-clock seconds per full time series: surrogate vs simulator."""
     from .simulator import run_simulation
 
+    _check_indices(indices, "throughput_report")
     days = np.arange(bundle.n_days + 1)
     t0 = time.perf_counter()
     for i in indices:

@@ -195,9 +195,11 @@ def conv_with_grads(op, x, k, stride, pad, out_hw):
 
 
 class TestPixelBlocks:
-    """The tap loops walk the pixel run in blocks of ``_BLOCK_ROWS`` rows.  The
-    gather and the scatter keep every pixel's sum, bit for bit, whatever the block
-    size; the kernel gradient's sum over the run is only regrouped."""
+    """The tap loops walk the batch in blocks of ``max(1, _BLOCK_ROWS // plane)``
+    whole phase planes: here one plane per block, two (a ragged last block of
+    the three entries, at block 64 on the stride-2 phases) or the whole batch.
+    The gather and the scatter keep every pixel's sum, bit for bit, whatever the
+    block; the kernel gradient's sum over the batch is only regrouped."""
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
@@ -210,9 +212,9 @@ class TestPixelBlocks:
         for stride in (1, 2):
             for pad in (0, 1):
                 if op is T.conv2d:
-                    x = rng.standard_normal((2, 3) + hw).astype(dtype)
+                    x = rng.standard_normal((3, 3) + hw).astype(dtype)
                 else:
-                    x = rng.standard_normal((2, 4) + tuple(
+                    x = rng.standard_normal((3, 4) + tuple(
                         (n + 2 * pad - 3) // stride + 1 for n in hw)).astype(dtype)
                 monkeypatch.setattr(T, "_BLOCK_ROWS", 1 << 30)
                 whole = conv_with_grads(op, x, k, stride, pad, hw)
@@ -223,6 +225,61 @@ class TestPixelBlocks:
                 assert dk.dtype == dtype
                 assert np.max(np.abs(dk - whole[2])) <= ktol * np.max(np.abs(whole[2])), \
                     (stride, pad)
+
+
+def loop_conv(x, k, stride, pad, g):
+    """Explicit tap and pixel loops: the output of conv2d(x, k) and the input and
+    kernel gradients of sum(conv2d(x, k) * g)."""
+    h, w = x.shape[2:]
+    kh, kw = k.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    y = np.zeros(g.shape, dtype=x.dtype)
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for u in range(kh):
+        for v in range(kw):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    r, c = stride * i + u, stride * j + v
+                    y[:, :, i, j] += xp[:, :, r, c] @ k[:, :, u, v].T
+                    dxp[:, :, r, c] += g[:, :, i, j] @ k[:, :, u, v]
+                    dk[:, :, u, v] += g[:, :, i, j].T @ xp[:, :, r, c]
+    return y, dxp[:, :, pad:pad + h, pad:pad + w], dk
+
+
+class TestConvReference:
+    """Output, input gradient and kernel gradient of both ops against explicit
+    loops, bit for bit.  Small-integer data make every sum exact in float32 and
+    float64, so no summation order can hide a wrong tap, phase or offset; one
+    channel on either side covers numpy's matrix-vector products."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("ci,co", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 4)],
+                             ids=["1to1", "1to4", "3to1", "2to3", "4to4"])
+    @pytest.mark.parametrize("hw", [(9, 7), (8, 5)], ids=["9x7", "8x5"])
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
+    def test_matches_loops(self, op, hw, ci, co, dtype):
+        ints = np.random.default_rng(7)
+        for stride in (1, 2):
+            for pad in (0, 1):
+                for kk in ((3, 3), (2, 2), (1, 3)):
+                    k = ints.integers(-3, 4, (co, ci) + kk).astype(dtype)
+                    coarse_hw = tuple((n + 2 * pad - q) // stride + 1 for n, q in zip(hw, kk))
+                    fine = ints.integers(-3, 4, (2, ci) + hw).astype(dtype)
+                    coarse = ints.integers(-3, 4, (2, co) + coarse_hw).astype(dtype)
+                    y, dx, dk = loop_conv(fine, k, stride, pad, coarse)
+                    x_in, g_out, want = ((fine, coarse, (y, dx, dk)) if op == "conv2d"
+                                         else (coarse, fine, (dx, y, dk)))
+                    xt, kt = Tensor(x_in), Tensor(k)
+                    extra = () if op == "conv2d" else (hw,)
+                    with Tape() as tape:
+                        out = getattr(T, op)(xt, kt, stride, pad, *extra)
+                        loss = T.tensor_sum(T.mul(out, Tensor(g_out)))
+                    tape.backward(loss)
+                    for name, got, ref in zip(("output", "input grad", "kernel grad"),
+                                              (out.data, xt.grad, kt.grad), want):
+                        assert got.dtype == dtype and np.array_equal(got, ref), \
+                            (name, stride, pad, kk)
 
 
 class TestPointwiseLinear:

@@ -195,3 +195,12 @@ def test_throughput_report_times_both_sides(tiny_bundle):
     model = _model(bundle, "mgno")
     model_s, sim_s, speedup = training.throughput_report(model, bundle, cfg, [0])
     assert model_s > 0 and sim_s > 0 and speedup == pytest.approx(sim_s / model_s)
+
+
+@pytest.mark.parametrize("call", ["evaluate", "throughput_report"])
+def test_empty_indices_are_rejected(tiny_bundle, call):
+    bundle, cfg = tiny_bundle
+    model = _model(bundle, "mgno")
+    args = (model, bundle, []) if call == "evaluate" else (model, bundle, cfg, [])
+    with pytest.raises(ValueError, match="indices"):
+        getattr(training, call)(*args)
