@@ -8,10 +8,12 @@ operators, damped-Jacobi smoothing); saturation is advanced explicitly with
 upwind fractional flow under a CFL-limited sub-step.  The pressure matrix
 is stored as its five diagonals; the prolongations depend only on the grid
 and are built once per shape, and a run keeps one multigrid hierarchy over
-its sub-steps, rebuilding it only after a solve that needed many
-iterations.  Water is injected at a
-fixed total rate spread over the leftmost column; the rightmost column is
-held at a fixed producer pressure, which anchors the elliptic system.
+its sub-steps, rebuilding it only after a solve that needed more than one
+iteration beyond the first solve on that hierarchy.  Each sub-step's solve
+starts from the pressure extrapolated linearly from the two previous ones.
+Water is injected at a fixed total rate spread over the leftmost column; the
+rightmost column is held at a fixed producer pressure, which anchors the
+elliptic system.
 
 Units are internally consistent and dimensionless: permeability is a
 mobility multiplier, the injection rate is expressed in pore volumes per
@@ -198,7 +200,7 @@ _MAXITER = 1000         # CG iterations before the solve is declared failed
 _COARSEST = 64          # cells at most on the level inverted densely
 _OMEGA = 2.0 / 3.0      # damped-Jacobi smoothing weight
 _SWEEPS = 2             # smoothing sweeps before and after each coarse correction
-_REBUILD_AFTER = 8      # CG iterations beyond which the next solve rebuilds its hierarchy
+_REBUILD_AFTER = 1      # CG iterations beyond a hierarchy's first solve after which it is rebuilt
 
 
 def _interpolation_1d(n: int):
@@ -258,10 +260,13 @@ class Multigrid:
 
     ``hierarchy`` is ``(levels, coarse_inv)`` as :func:`_hierarchy` returns
     it, built from the ``A`` of an earlier solve on the same grid, or
-    ``None`` when the next solve must build it.
+    ``None`` when the next solve must build it.  ``fresh_iterations`` is the
+    CG iteration count of the first solve on the current hierarchy: later
+    solves are measured against it.
     """
 
     hierarchy: tuple | None = None
+    fresh_iterations: int = 0
     solves: int = 0
     cg_iterations: int = 0
     rebuilds: int = 0
@@ -281,8 +286,10 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     ``mg`` carries the hierarchy from one solve to the next on the same
     grid; without it the solve builds its own.  A hierarchy built from an
     earlier ``A`` is still SPD, so it only costs iterations: after a solve
-    that needed more than ``_REBUILD_AFTER`` of them it is dropped and the
-    next solve rebuilds it from its own ``a``.
+    that needed more than ``_REBUILD_AFTER`` iterations beyond the first
+    solve on that hierarchy it is dropped, and the next solve rebuilds it
+    from its own ``a``.  The check follows every solve, the first included,
+    so a negative ``_REBUILD_AFTER`` rebuilds the hierarchy for every solve.
     """
     mg = Multigrid() if mg is None else mg
     mg.solves += 1
@@ -294,10 +301,11 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
         return np.zeros(shape)
     x = np.zeros(b.size) if x0 is None else np.asarray(x0, dtype=np.float64).ravel().copy()
     r = b - a @ x
-    tol = _RTOL * bnorm
-    if np.linalg.norm(r) <= tol:
+    tol2 = (_RTOL * bnorm) ** 2
+    if r @ r <= tol2:
         return x.reshape(shape)
-    if mg.hierarchy is None:
+    fresh = mg.hierarchy is None
+    if fresh:
         nx, nz = shape if len(shape) == 2 else (b.size, 1)
         mg.hierarchy = _hierarchy(a, nx, nz)
         mg.rebuilds += 1
@@ -309,9 +317,11 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
         alpha = rz / (d @ ad)
         x += alpha * d
         r -= alpha * ad
-        if np.linalg.norm(r) <= tol:
+        if r @ r <= tol2:
             mg.cg_iterations += it
-            if it > _REBUILD_AFTER:
+            if fresh:
+                mg.fresh_iterations = it
+            if it > mg.fresh_iterations + _REBUILD_AFTER:
                 mg.hierarchy = None
             return x.reshape(shape)
         z = _vcycle(levels, coarse_inv, r)
@@ -404,9 +414,12 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     """IMPES time series: daily (p, sw) snapshots for days 0..total_days.
 
     Pressure is re-solved before every saturation sub-step by multigrid-
-    preconditioned CG warm-started from the previous pressure.  The solves
-    share one hierarchy, rebuilt from the current matrix only after a solve
-    that needed more than ``_REBUILD_AFTER`` CG iterations.  Sub-steps are
+    preconditioned CG.  Each solve starts from the linear extrapolation
+    ``2 p_n - p_{n-1}`` of the two previous pressures (from ``p_n`` on the
+    first sub-step), which is exactly ``p_prod`` on the producer column.
+    The solves share one hierarchy, rebuilt from the current matrix only
+    after a solve that needed more than ``_REBUILD_AFTER`` CG iterations
+    beyond the first solve on that hierarchy.  Sub-steps are
     CFL-limited and land exactly on day boundaries.  Snapshot 0 is the
     initial saturation with its consistent pressure field; the producer
     column holds exactly ``p_prod`` in every snapshot.  ``extra`` holds
@@ -423,6 +436,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     mg = Multigrid()
     p = solve_pressure(a, b, mg=mg)
     p[-1, :] = cfg.p_prod   # the Dirichlet column exactly, not to CG round-off
+    p_prev = p
 
     days = cfg.total_days
     p_series = np.empty((days + 1, nx, nz))
@@ -446,7 +460,9 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
             lam_w, lam_t = total_mobility(sw, cfg)
             txm, tzm = _mobility_faces(tx, tz, lam_t)
             a, b = _assemble_from_faces(txm, tzm, cfg)
-            p = solve_pressure(a, b, x0=p, mg=mg)
+            # p_prev is p on the first sub-step, and 2 c - c == c exactly: that guess
+            # is p itself, and every guess holds p_prod on the producer column
+            p, p_prev = solve_pressure(a, b, x0=2.0 * p - p_prev, mg=mg), p
             p[-1, :] = cfg.p_prod
         p_series[day], sw_series[day] = p, sw
 

@@ -353,13 +353,25 @@ class TestRunSimulation:
         cfg = ReservoirConfig(nx=32, nz=32, total_days=6)
         k = heterogeneous_k(32)
         sample = run_simulation(k, cfg)
-        monkeypatch.setattr(simulator, "_REBUILD_AFTER", 0)
+        monkeypatch.setattr(simulator, "_REBUILD_AFTER", -simulator._MAXITER)
         ref = run_simulation(k, cfg)
         assert ref.extra["hierarchy_rebuilds"] == ref.extra["pressure_solves"]
         assert sample.extra["hierarchy_rebuilds"] < ref.extra["hierarchy_rebuilds"]
         assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-10 * np.max(np.abs(ref.p_series))
         assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
         assert water_budget_error(sample, cfg) <= 1e-8
+
+    @pytest.mark.parametrize("draw", [0, 1, 2, 7])
+    def test_hierarchy_rebuilt_rarely_at_32(self, draw):
+        # the rebuild limit counts from each hierarchy's first solve, so it
+        # holds on a grid other than the 64x64 it was tuned on
+        cfg = ReservoirConfig(nx=32, nz=32)
+        k = to_permeability(sample_grf(GrfSpec(n=32, seed=0), draw), 10.0)
+        sample = run_simulation(k, cfg)
+        extra = sample.extra
+        assert extra["hierarchy_rebuilds"] * 10 < extra["pressure_solves"]
+        assert water_budget_error(sample, cfg) <= 1e-8
+        assert run_simulation(k, cfg).extra == extra
 
     @pytest.mark.parametrize("p_prod", [0.0, 2.5])
     def test_producer_column_is_exactly_p_prod(self, p_prod):

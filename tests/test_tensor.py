@@ -196,12 +196,15 @@ def conv_with_grads(op, x, k, stride, pad, out_hw):
 
 class TestPixelBlocks:
     """The tap loops walk the batch in blocks of ``max(1, _BLOCK_ROWS // plane)``
-    whole phase planes: here one plane per block, two (a ragged last block of
-    the three entries, at block 64 on the stride-2 phases) or the whole batch.
-    The gather and the scatter keep every pixel's sum, bit for bit, whatever the
-    block; the kernel gradient's sum over the batch is only regrouped."""
+    whole phase planes.  Block 1 gives one plane per block; two of the case's
+    own planes split the batch of three 2+1 at every shape, stride and pad;
+    block 64 gives one plane per block, a 2+1 split or the whole batch,
+    depending on the plane.  The gather and the scatter keep every pixel's sum,
+    bit for bit, whatever the block; the kernel gradient's sum over the batch
+    is only regrouped."""
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("block", [lambda plane: 1, lambda plane: 2 * plane,
+                                       lambda plane: 64], ids=["1", "2planes", "64"])
     @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
@@ -218,7 +221,8 @@ class TestPixelBlocks:
                         (n + 2 * pad - 3) // stride + 1 for n in hw)).astype(dtype)
                 monkeypatch.setattr(T, "_BLOCK_ROWS", 1 << 30)
                 whole = conv_with_grads(op, x, k, stride, pad, hw)
-                monkeypatch.setattr(T, "_BLOCK_ROWS", block)
+                plane = T._phase_grid(hw[0], stride, pad) * T._phase_grid(hw[1], stride, pad)
+                monkeypatch.setattr(T, "_BLOCK_ROWS", block(plane))
                 y, dx, dk = conv_with_grads(op, x, k, stride, pad, hw)
                 assert np.array_equal(y, whole[0]), (stride, pad)
                 assert np.array_equal(dx, whole[1]), (stride, pad)
