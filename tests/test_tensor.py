@@ -196,15 +196,16 @@ def conv_with_grads(op, x, k, stride, pad, out_hw):
 
 class TestPixelBlocks:
     """The tap loops walk the batch in blocks of ``max(1, _BLOCK_ROWS // plane)``
-    whole phase planes.  Block 1 gives one plane per block; two of the case's
-    own planes split the batch of three 2+1 at every shape, stride and pad;
-    block 64 gives one plane per block, a 2+1 split or the whole batch,
-    depending on the plane.  The gather and the scatter keep every pixel's sum,
+    whole phase planes.  Blocks 1 and 7 give one plane per block (the smallest
+    plane here is 16 px); two of the case's own planes split the batch of three
+    2+1 at every shape, stride and pad; block 64 gives one plane per block, a
+    2+1 split or the whole batch, depending on the plane.  The gather and the scatter keep every pixel's sum,
     bit for bit, whatever the block; the kernel gradient's sum over the batch
     is only regrouped."""
 
-    @pytest.mark.parametrize("block", [lambda plane: 1, lambda plane: 2 * plane,
-                                       lambda plane: 64], ids=["1", "2planes", "64"])
+    @pytest.mark.parametrize("block", [lambda plane: 1, lambda plane: 7,
+                                       lambda plane: 2 * plane, lambda plane: 64],
+                             ids=["1", "7", "2planes", "64"])
     @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
