@@ -5,15 +5,15 @@ with a two-point flux approximation (harmonic-mean permeability, arithmetic
 face mobility), by conjugate gradients preconditioned with one geometric
 multigrid V-cycle (cell-centred linear interpolation, Galerkin coarse
 operators, damped-Jacobi smoothing); saturation is advanced explicitly with
-upwind fractional flow under a CFL-limited sub-step.  The pressure matrix
-is stored as its five diagonals; the prolongations depend only on the grid
-and are built once per shape, and a run keeps one multigrid hierarchy over
-its sub-steps, rebuilding it only after a solve that needed more than one
-iteration beyond the first solve on that hierarchy.  Each sub-step's solve
-starts from the pressure extrapolated linearly from the two previous ones.
-Water is injected at a fixed total rate spread over the leftmost column; the
-rightmost column is held at a fixed producer pressure, which anchors the
-elliptic system.
+upwind fractional flow, and each update picks its own CFL-limited sub-step.
+The pressure matrix is stored as its five diagonals; the prolongations
+depend only on the grid and are built once per shape, and a run keeps one
+multigrid hierarchy over its sub-steps, rebuilding it only after a solve
+that needed more than one iteration beyond the first solve on that
+hierarchy.  Each sub-step's solve starts from the pressure extrapolated
+linearly from the two previous ones.  Water is injected at a fixed total
+rate spread over the leftmost column; the rightmost column is held at a
+fixed producer pressure, which anchors the elliptic system.
 
 Units are internally consistent and dimensionless: permeability is a
 mobility multiplier, the injection rate is expressed in pore volumes per
@@ -275,8 +275,8 @@ class Multigrid:
 def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     """Solve the SPD pressure system ``a x = b`` on the grid ``b.shape``.
 
-    ``b`` is ``[nx, nz]`` (a 1-D ``b`` is an ``(n, 1)`` line) and the result
-    has ``b``'s shape; ``x0`` is an optional warm start of the same size.
+    ``b`` is ``[nx, nz]`` (else ``ValueError``) and the result has ``b``'s
+    shape; ``x0`` is an optional warm start of the same size.
     Conjugate gradients are preconditioned by one symmetric multigrid
     V-cycle: cell-centred linear interpolation between levels, Galerkin
     coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
@@ -291,9 +291,11 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     from its own ``a``.  The check follows every solve, the first included,
     so a negative ``_REBUILD_AFTER`` rebuilds the hierarchy for every solve.
     """
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2:
+        raise ValueError(f"b must be [nx, nz], got shape {b.shape}")
     mg = Multigrid() if mg is None else mg
     mg.solves += 1
-    b = np.asarray(b, dtype=np.float64)
     shape = b.shape
     b = b.ravel()
     bnorm = np.linalg.norm(b)
@@ -306,8 +308,7 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
         return x.reshape(shape)
     fresh = mg.hierarchy is None
     if fresh:
-        nx, nz = shape if len(shape) == 2 else (b.size, 1)
-        mg.hierarchy = _hierarchy(a, nx, nz)
+        mg.hierarchy = _hierarchy(a, *shape)
         mg.rebuilds += 1
     levels, coarse_inv = mg.hierarchy
     d = _vcycle(levels, coarse_inv, r)
@@ -369,20 +370,19 @@ def stable_dt(fx, fz, cfg: ReservoirConfig, remaining: float) -> float:
     return min(dt, remaining)
 
 
-def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, dt: float,
-                      cfg: ReservoirConfig):
-    """Explicit upwind fractional-flow transport over one sub-step.
+def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, cfg: ReservoirConfig,
+                      remaining: float):
+    """Explicit upwind fractional-flow transport over one CFL-limited sub-step.
 
     ``fw`` is the water fractional flow ``lam_w / lam_t`` at ``sw``.
-    Returns (new sw, water volume produced during the step).  The injector
-    source is pure water; each producer cell discharges its net volumetric
-    inflow at its own fractional flow.
+    Returns (new sw, water volume produced, ``dt``), where the step is
+    ``dt = stable_dt(fx, fz, cfg, remaining)``.  The injector source is pure
+    water; each producer cell discharges its net volumetric inflow at its
+    own fractional flow.
     """
     nx, nz = cfg.nx, cfg.nz
     pv_cell = cfg.porosity * cfg.cell_volume
-    denom = _cell_outflow(fx, fz, cfg)
-    hard = np.where(denom > 0.0, pv_cell / np.where(denom > 0.0, denom, 1.0), np.inf)
-    assert dt <= hard.min() * (1.0 + 1e-9), "CFL violation: dt exceeds the stability bound"
+    dt = stable_dt(fx, fz, cfg, remaining)
 
     dv = np.zeros((nx, nz))  # net water volume gained per cell
 
@@ -407,35 +407,39 @@ def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, dt: float,
         raise AssertionError(
             f"saturation bounds violated: [{sw_new.min():.6g}, {sw_new.max():.6g}]")
     np.clip(sw_new, lo, hi, out=sw_new)
-    return sw_new, float(produced.sum())
+    return sw_new, float(produced.sum()), dt
 
 
 def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     """IMPES time series: daily (p, sw) snapshots for days 0..total_days.
 
-    Pressure is re-solved before every saturation sub-step by multigrid-
-    preconditioned CG.  Each solve starts from the linear extrapolation
-    ``2 p_n - p_{n-1}`` of the two previous pressures (from ``p_n`` on the
-    first sub-step), which is exactly ``p_prod`` on the producer column.
-    The solves share one hierarchy, rebuilt from the current matrix only
-    after a solve that needed more than ``_REBUILD_AFTER`` CG iterations
-    beyond the first solve on that hierarchy.  Sub-steps are
-    CFL-limited and land exactly on day boundaries.  Snapshot 0 is the
-    initial saturation with its consistent pressure field; the producer
-    column holds exactly ``p_prod`` in every snapshot.  ``extra`` holds
-    the run's integer counts: ``substeps``, ``pressure_solves``,
+    Each pressure solve, the initial one and one after every saturation
+    sub-step, assembles the system at the current saturation, runs
+    multigrid-preconditioned CG and sets the producer column to exactly
+    ``p_prod``.  A sub-step's solve starts from ``2 p_n - p_{n-1}`` (from
+    ``p_n`` on the run's first sub-step).  The solves share one hierarchy,
+    rebuilt from the current matrix only after a solve that needed more
+    than ``_REBUILD_AFTER`` CG iterations beyond the first solve on it.
+    :func:`update_saturation` picks each sub-step's CFL-limited length,
+    capped at what is left of the day.  Snapshot 0 is the initial
+    saturation with its consistent pressure field.  ``extra`` holds the
+    run's integer counts: ``substeps``, ``pressure_solves``,
     ``cg_iterations`` and ``hierarchy_rebuilds``.
     """
     nx, nz = cfg.nx, cfg.nz
     tx, tz = face_transmissibility(k, cfg)
-    sw = np.full((nx, nz), cfg.sw_init, dtype=np.float64)
-
-    lam_w, lam_t = total_mobility(sw, cfg)
-    txm, tzm = _mobility_faces(tx, tz, lam_t)
-    a, b = _assemble_from_faces(txm, tzm, cfg)
     mg = Multigrid()
-    p = solve_pressure(a, b, mg=mg)
-    p[-1, :] = cfg.p_prod   # the Dirichlet column exactly, not to CG round-off
+
+    def pressure(sw, x0=None):
+        """(p, fw, fx, fz) at ``sw``: the pinned pressure, fractional flow and face fluxes."""
+        lam_w, lam_t = total_mobility(sw, cfg)
+        txm, tzm = _mobility_faces(tx, tz, lam_t)
+        p = solve_pressure(*_assemble_from_faces(txm, tzm, cfg), x0=x0, mg=mg)
+        p[-1, :] = cfg.p_prod   # the Dirichlet column exactly, not to CG round-off
+        return (p, lam_w / lam_t, *darcy_fluxes(p, txm, tzm))
+
+    sw = np.full((nx, nz), cfg.sw_init, dtype=np.float64)
+    p, fw, fx, fz = pressure(sw)
     p_prev = p
 
     days = cfg.total_days
@@ -450,20 +454,14 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     for day in range(1, days + 1):
         t = 0.0
         while t < 1.0 - 1e-12:
-            fx, fz = darcy_fluxes(p, txm, tzm)
-            dt = stable_dt(fx, fz, cfg, remaining=1.0 - t)
-            sw, prod = update_saturation(sw, lam_w / lam_t, fx, fz, dt, cfg)
+            sw, prod, dt = update_saturation(sw, fw, fx, fz, cfg, 1.0 - t)
             injected += rate * dt
             produced += prod
             t += dt
             substeps += 1
-            lam_w, lam_t = total_mobility(sw, cfg)
-            txm, tzm = _mobility_faces(tx, tz, lam_t)
-            a, b = _assemble_from_faces(txm, tzm, cfg)
             # p_prev is p on the first sub-step, and 2 c - c == c exactly: that guess
             # is p itself, and every guess holds p_prod on the producer column
-            p, p_prev = solve_pressure(a, b, x0=2.0 * p - p_prev, mg=mg), p
-            p[-1, :] = cfg.p_prod
+            (p, fw, fx, fz), p_prev = pressure(sw, 2.0 * p - p_prev), p
         p_series[day], sw_series[day] = p, sw
 
     return TimeSeriesSample(
