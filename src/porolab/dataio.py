@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +86,6 @@ class NormStats:
     def denormalize_target(self, x: np.ndarray) -> np.ndarray:
         return x * self.target_std + self.target_mean
 
-    def to_dict(self) -> dict:
-        return {"k_mean": self.k_mean, "k_std": self.k_std,
-                "target_mean": self.target_mean, "target_std": self.target_std,
-                "target_name": self.target_name}
-
 
 # ---------------------------------------------------------------------------
 # dataset bundle
@@ -112,10 +107,6 @@ class DatasetBundle:
     @property
     def n_days(self) -> int:
         return self.p.shape[1] - 1
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.k.shape[1], self.k.shape[2]
 
     def n_train(self) -> int:
         return int(np.ceil(self.n_samples * float(self.manifest.get("train_fraction", 0.8))))
@@ -210,13 +201,19 @@ def _write_manifest(path, entries: dict) -> None:
 
 
 def _read_manifest(path) -> dict:
+    """Each ``key: value`` line of a manifest, the value as the Python literal it
+    spells where ``ast.literal_eval`` accepts it and as text otherwise."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             key, _, value = line.partition(":")
-            out[key.strip()] = value.strip()
+            value = value.strip()
+            try:
+                out[key.strip()] = ast.literal_eval(value)
+            except (ValueError, SyntaxError):
+                out[key.strip()] = value
     return out
 
 
@@ -233,13 +230,7 @@ def load_dataset(in_dir) -> DatasetBundle:
     src = Path(in_dir)
     if not (src / "manifest.txt").exists():
         raise FileNotFoundError(f"no dataset manifest found in {src}")
-    manifest_raw = _read_manifest(src / "manifest.txt")
-    manifest = {}
-    for key, val in manifest_raw.items():
-        try:
-            manifest[key] = ast.literal_eval(val)
-        except (ValueError, SyntaxError):
-            manifest[key] = val
+    manifest = _read_manifest(src / "manifest.txt")
     if manifest.get("layout") != "canonical":
         raise ValueError(f"{src}: unsupported dataset layout {manifest.get('layout')!r}")
     k, p, sw = (_load_npy(src / name) for name in ("K.npy", "P.npy", "Sw.npy"))
@@ -278,12 +269,9 @@ def save_checkpoint(model, out_dir) -> None:
         "seed": model.seed,
         "precision": "f8" if model.dtype == np.float64 else "f4",
     }
-    cfg = model.cfg
-    for key, val in vars(cfg).items():
-        entries[f"cfg.{key}"] = val
+    entries.update({f"cfg.{key}": val for key, val in asdict(model.cfg).items()})
     if model.stats is not None:
-        for key, val in model.stats.to_dict().items():
-            entries[f"stats.{key}"] = val
+        entries.update({f"stats.{key}": val for key, val in asdict(model.stats).items()})
     names = []
     for param in model.parameters():
         fname = param.name.replace(".", "__") + ".npy"

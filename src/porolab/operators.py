@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .tensor import (Parameter, Tensor, _spatial, _tape, add, conv2d,
+from .tensor import (Parameter, Tensor, _record, _spatial, add, conv2d,
                      conv2d_transpose, gelu, pointwise_linear)
 
 
@@ -99,20 +99,17 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     out_block = np.matmul(wc, block_t)                                      # [m1,m2,Co,B]
     out = Tensor(spectral.irfft2(out_block.transpose(3, 2, 0, 1), rows, (h, w)))
 
-    t = _tape()
-    if t is not None:
-        def bwd(g):
-            ablock_t = np.ascontiguousarray(
-                spectral.irfft2_adjoint(g, rows, m2).transpose(2, 3, 1, 0))  # [m1,m2,Co,B]
-            dw = np.matmul(ablock_t, block_t.conj().transpose(0, 1, 3, 2))    # g C^H
-            dblock = np.matmul(wc.conj().transpose(0, 1, 3, 2), ablock_t)     # W^H g
-            dv = spectral.rfft2_adjoint(dblock.transpose(3, 2, 0, 1), rows, (h, w))
-            return (dv.astype(vd.dtype, copy=False),
-                    np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
-                    np.ascontiguousarray(dw.imag, dtype=w_im.data.dtype))
+    def bwd(g):
+        ablock_t = np.ascontiguousarray(
+            spectral.irfft2_adjoint(g, rows, m2).transpose(2, 3, 1, 0))    # [m1,m2,Co,B]
+        dw = np.matmul(ablock_t, block_t.conj().transpose(0, 1, 3, 2))      # g C^H
+        dblock = np.matmul(wc.conj().transpose(0, 1, 3, 2), ablock_t)       # W^H g
+        dv = spectral.rfft2_adjoint(dblock.transpose(3, 2, 0, 1), rows, (h, w))
+        return (dv.astype(vd.dtype, copy=False),
+                np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
+                np.ascontiguousarray(dw.imag, dtype=w_im.data.dtype))
 
-        t.record(out, (v, w_re, w_im), bwd)
-    return out
+    return _record(out, (v, w_re, w_im), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +181,8 @@ class _Operator:
         self.cfg = cfg
         self.stats = stats
         self.t_max = float(t_max)
+        if not 0.0 < self.t_max < np.inf:
+            raise ValueError(f"t_max must be positive and finite, got {t_max}")
         self.dtype = np.dtype(dtype).type
         self.seed = seed
         self._params: list[Parameter] = []

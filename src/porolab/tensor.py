@@ -1,11 +1,12 @@
 """Dense real tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a numpy array (float32 or float64).  Operations on
-tensors are pure functions; while a :class:`Tape` is active they append a
-record (output, inputs, backward rule) in execution order, which is already
-a valid topological order.  ``tape.backward(loss)`` replays the records in
-reverse and accumulates gradients into every reachable tensor, so a
-parameter used several times receives the sum of its per-use gradients.
+tensors are pure functions, and each returns its output through ``_record``,
+the one place where an op meets the tape: while a :class:`Tape` is active it
+appends a record (output, inputs, backward rule) in execution order, which is
+already a valid topological order.  ``tape.backward(loss)`` replays the
+records in reverse and accumulates gradients into every reachable tensor, so
+a parameter used several times receives the sum of its per-use gradients.
 A :class:`Parameter` is a Tensor with a name and enters every op as itself.
 
 Convolutions share one tap geometry.  The zero-padded image is split once into
@@ -171,8 +172,12 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def _record(out: Tensor, inputs, backward_fn) -> Tensor:
+    """Record ``out = op(*inputs)`` with its backward rule on the active tape, if
+    any, and return ``out``.  Every differentiable op returns through here."""
+    if _TAPE_STACK:
+        _TAPE_STACK[-1].record(out, inputs, backward_fn)
+    return out
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -186,80 +191,53 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor | float) -> Tensor:
     if np.isscalar(b):
-        out = Tensor(a.data + a.data.dtype.type(b))
-        t = _tape()
-        if t is not None:
-            t.record(out, (a,), lambda g: (g,))
-        return out
+        return _record(Tensor(a.data + a.data.dtype.type(b)), (a,), lambda g: (g,))
     _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    t = _tape()
-    if t is not None:
-        t.record(out, (a, b), lambda g: (g, g))
-    return out
+    return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor | float) -> Tensor:
     if np.isscalar(b):
         return add(a, -b)
     _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    t = _tape()
-    if t is not None:
-        t.record(out, (a, b), lambda g: (g, -g))
-    return out
+    return _record(Tensor(a.data - b.data), (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor | float) -> Tensor:
     if np.isscalar(b):
         return scale(a, b)
     _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    t = _tape()
-    if t is not None:
-        ad, bd = a.data, b.data
-        t.record(out, (a, b), lambda g: (g * bd, g * ad))
-    return out
+    ad, bd = a.data, b.data
+    return _record(Tensor(ad * bd), (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = a.data.dtype.type(s)
-    out = Tensor(a.data * s)
-    t = _tape()
-    if t is not None:
-        t.record(out, (a,), lambda g: (g * s,))
-    return out
+    return _record(Tensor(a.data * s), (a,), lambda g: (g * s,))
 
 
 def tensor_sum(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     """Sum over the tuple ``axes`` (all axes when None, yielding a scalar tensor)."""
-    out = Tensor(a.data.sum(axis=axes))
-    t = _tape()
-    if t is not None:
-        in_shape = a.data.shape
+    in_shape = a.data.shape
 
-        def bwd(g):
-            if axes is not None:
-                shape = list(in_shape)
-                for d in axes:
-                    shape[d] = 1
-                g = g.reshape(shape)
-            return (np.broadcast_to(g, in_shape).copy(),)
+    def bwd(g):
+        if axes is not None:
+            shape = list(in_shape)
+            for d in axes:
+                shape[d] = 1
+            g = g.reshape(shape)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
-        t.record(out, (a,), bwd)
-    return out
+    return _record(Tensor(a.data.sum(axis=axes)), (a,), bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-    out = Tensor(out_data)
-    t = _tape()
-    if t is not None:
-        # d sqrt(a)/da = 0.5 / sqrt(a), taken as 0 where sqrt(a) is 0 (an exact fit)
-        # so that one zero does not make every gradient inf or NaN
-        t.record(out, (a,), lambda g: (g * np.divide(0.5, out_data, where=out_data > 0,
-                                                     out=np.zeros_like(out_data)),))
-    return out
+    # d sqrt(a)/da = 0.5 / sqrt(a), taken as 0 where sqrt(a) is 0 (an exact fit)
+    # so that one zero does not make every gradient inf or NaN
+    return _record(Tensor(out_data), (a,),
+                   lambda g: (g * np.divide(0.5, out_data, where=out_data > 0,
+                                            out=np.zeros_like(out_data)),))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -269,21 +247,18 @@ def gelu(x: Tensor) -> Tensor:
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
-    out = Tensor(xd * phi_cdf)
-    t = _tape()
-    if t is not None:
-        def bwd(g):
-            pdf = xd * xd
-            pdf *= -0.5
-            np.exp(pdf, out=pdf)
-            pdf *= xd.dtype.type(_INV_SQRT_2PI)
-            pdf *= xd
-            pdf += phi_cdf
-            pdf *= g
-            return (pdf,)
 
-        t.record(out, (x,), bwd)
-    return out
+    def bwd(g):
+        pdf = xd * xd
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= xd.dtype.type(_INV_SQRT_2PI)
+        pdf *= xd
+        pdf += phi_cdf
+        pdf *= g
+        return (pdf,)
+
+    return _record(Tensor(xd * phi_cdf), (x,), bwd)
 
 
 def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
@@ -303,17 +278,14 @@ def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
     lo[axis] = slice(0, n - 1)
     hi[axis] = slice(1, n)
     inv_h = ad.dtype.type(inv_h)
-    out = Tensor((ad[tuple(hi)] - ad[tuple(lo)]) * inv_h)
-    t = _tape()
-    if t is not None:
-        def bwd(g):
-            gx = np.zeros_like(ad)
-            gx[tuple(hi)] += g * inv_h
-            gx[tuple(lo)] -= g * inv_h
-            return (gx,)
 
-        t.record(out, (a,), bwd)
-    return out
+    def bwd(g):
+        gx = np.zeros_like(ad)
+        gx[tuple(hi)] += g * inv_h
+        gx[tuple(lo)] -= g * inv_h
+        return (gx,)
+
+    return _record(Tensor((ad[tuple(hi)] - ad[tuple(lo)]) * inv_h), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +316,17 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
         if bias.data.shape != (co,):
             raise ValueError(f"pointwise_linear: bias {bias.data.shape} != ({co},)")
         out_data = out_data + bias.data[:, None, None]
-    out = Tensor(out_data)
-    t = _tape()
-    if t is not None:
-        inputs = (x, w) if bias is None else (x, w, bias)
 
-        def bwd(g):
-            gm = g.reshape(b, co, h * wd_)
-            dx = np.matmul(wd.T, gm).reshape(b, c, h, wd_)
-            dw = np.matmul(gm, xd.reshape(b, c, h * wd_).transpose(0, 2, 1)).sum(axis=0)
-            dw = dw.astype(wd.dtype, copy=False)
-            if bias is None:
-                return (dx, dw)
-            return (dx, dw, g.sum(axis=(0, 2, 3)))
+    def bwd(g):
+        gm = g.reshape(b, co, h * wd_)
+        dx = np.matmul(wd.T, gm).reshape(b, c, h, wd_)
+        dw = np.matmul(gm, xd.reshape(b, c, h * wd_).transpose(0, 2, 1)).sum(axis=0)
+        dw = dw.astype(wd.dtype, copy=False)
+        if bias is None:
+            return (dx, dw)
+        return (dx, dw, g.sum(axis=(0, 2, 3)))
 
-        t.record(out, inputs, bwd)
-    return out
+    return _record(Tensor(out_data), (x, w) if bias is None else (x, w, bias), bwd)
 
 
 def _conv_out_extent(n: int, k: int, stride: int, pad: int, op: str) -> int:
@@ -515,15 +482,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     wo = _conv_out_extent(w, kd.shape[3], stride, pad, "conv2d")
     hq, wq = _phase_grid(h, stride, pad), _phase_grid(w, stride, pad)
     xph = _phases(xd, stride, pad, hq, wq)
-    out = Tensor(_conv_fwd(xph, kd, stride, ho, wo))
-    t = _tape()
-    if t is not None:
-        def bwd(g):
-            gq = _phases(g, 1, 0, hq, wq)[0]
-            return (_conv_adj(gq, kd, stride, pad, h, w), _conv_kgrad(xph, gq, kd, stride))
 
-        t.record(out, (x, k), bwd)
-    return out
+    def bwd(g):
+        gq = _phases(g, 1, 0, hq, wq)[0]
+        return (_conv_adj(gq, kd, stride, pad, h, w), _conv_kgrad(xph, gq, kd, stride))
+
+    return _record(Tensor(_conv_fwd(xph, kd, stride, ho, wo)), (x, k), bwd)
 
 
 def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
@@ -550,13 +514,11 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
                 f"under (k={kk}, stride={stride}, pad={pad})")
     oh, ow = out_hw
     hq, wq = _phase_grid(oh, stride, pad), _phase_grid(ow, stride, pad)
-    out = Tensor(_conv_adj(_phases(yd, 1, 0, hq, wq)[0], kd, stride, pad, oh, ow))
-    t = _tape()
-    if t is not None:
-        def bwd(g):
-            gph = _phases(g, stride, pad, hq, wq)
-            dy = _conv_fwd(gph, kd, stride, yd.shape[2], yd.shape[3])
-            return (dy, _conv_kgrad(gph, _phases(yd, 1, 0, hq, wq)[0], kd, stride))
 
-        t.record(out, (y, k), bwd)
-    return out
+    def bwd(g):
+        gph = _phases(g, stride, pad, hq, wq)
+        dy = _conv_fwd(gph, kd, stride, yd.shape[2], yd.shape[3])
+        return (dy, _conv_kgrad(gph, _phases(yd, 1, 0, hq, wq)[0], kd, stride))
+
+    return _record(Tensor(_conv_adj(_phases(yd, 1, 0, hq, wq)[0], kd, stride, pad, oh, ow)),
+                   (y, k), bwd)

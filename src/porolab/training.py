@@ -116,19 +116,14 @@ class MetricsRecord:
     val_rel_l2: float
 
 
-def _check_indices(indices, op: str):
-    """A per-series average needs at least one series."""
-    if len(indices) == 0:
-        raise ValueError(f"{op}: indices is empty; give at least one sample index")
-
-
 def evaluate(model, bundle: DatasetBundle, indices):
     """Mean physical-space relative L2 over (sample, day) pairs, plus timing.
 
     Returns (mean error, per-day error vector over days 0..n_days, seconds
     per full time series).
     """
-    _check_indices(indices, "evaluate")
+    if len(indices) == 0:
+        raise ValueError("indices is empty; give at least one sample index")
     days = np.arange(bundle.n_days + 1)
     truth = bundle.target(model.stats.target_name)
     errors = np.empty((len(indices), len(days)))
@@ -143,15 +138,11 @@ def evaluate(model, bundle: DatasetBundle, indices):
 
 
 def throughput_report(model, bundle: DatasetBundle, cfg, indices):
-    """Wall-clock seconds per full time series: surrogate vs simulator."""
+    """Wall-clock seconds per full time series: surrogate, as :func:`evaluate`
+    times it, vs simulator."""
     from .simulator import run_simulation
 
-    _check_indices(indices, "throughput_report")
-    days = np.arange(bundle.n_days + 1)
-    t0 = time.perf_counter()
-    for i in indices:
-        model.predict_fields(bundle.k[i].astype(np.float64), days)
-    model_s = (time.perf_counter() - t0) / len(indices)
+    model_s = evaluate(model, bundle, indices)[2]
     t0 = time.perf_counter()
     for i in indices:
         run_simulation(bundle.k[i].astype(np.float64), cfg)

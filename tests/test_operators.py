@@ -353,6 +353,16 @@ class TestMgno:
             MgnoConfig(depth=-1)
 
 
+@pytest.mark.parametrize("t_max", [0.0, -24.0, np.nan, np.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("cls,cfg", [(Fno, FnoConfig(width=4, modes1=2, modes2=2, depth=1)),
+                                     (Mgno, MgnoConfig(depth=1, channels=3, levels=2))],
+                         ids=["fno", "mgno"])
+def test_t_max_must_be_positive_and_finite(cls, cfg, t_max):
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        cls(cfg, stats=STATS, t_max=t_max)
+
+
 def _reachable_parameters(model):
     """Every Parameter held in the model's attributes, its registry aside."""
     found, stack = [], [v for name, v in vars(model).items() if name != "_params"]

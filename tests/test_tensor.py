@@ -1,5 +1,6 @@
 """Autodiff core: elementwise ops, convolutions, pointwise maps, GELU, tape."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import gradient_check
 from porolab import tensor as T
+from porolab.operators import spectral_conv
 from porolab.tensor import Parameter, Tape, Tensor
 
 rng = np.random.default_rng(42)
@@ -440,3 +442,68 @@ class TestGradientSuite:
                 loss = T.tensor_sum(T.mul(out, out))
             tape.backward(loss)
             assert out.dtype == x.grad.dtype == k.grad.dtype == np.float32, block
+
+
+def _arr(r, dtype, *shape):
+    return Tensor(r.standard_normal(shape).astype(dtype))
+
+
+# Every differentiable op, as (id, op, inputs built from a generator and a dtype).
+# The scalar forms of add, sub and mul go through one op each: add, add and scale.
+RECORDED_OPS = [
+    ("add", T.add, lambda r, d: (_arr(r, d, 3, 4), _arr(r, d, 3, 4))),
+    ("add_scalar", T.add, lambda r, d: (_arr(r, d, 3, 4), 1.5)),
+    ("sub", T.sub, lambda r, d: (_arr(r, d, 3, 4), _arr(r, d, 3, 4))),
+    ("sub_scalar", T.sub, lambda r, d: (_arr(r, d, 3, 4), 1.5)),
+    ("mul", T.mul, lambda r, d: (_arr(r, d, 3, 4), _arr(r, d, 3, 4))),
+    ("mul_scalar", T.mul, lambda r, d: (_arr(r, d, 3, 4), 1.5)),
+    ("scale", T.scale, lambda r, d: (_arr(r, d, 3, 4), -0.7)),
+    ("tensor_sum", T.tensor_sum, lambda r, d: (_arr(r, d, 3, 4),)),
+    ("tensor_sum_axes", T.tensor_sum, lambda r, d: (_arr(r, d, 2, 3, 4), (0, 2))),
+    ("sqrt", T.sqrt, lambda r, d: (Tensor(np.abs(_arr(r, d, 3, 4).data)),)),
+    ("gelu", T.gelu, lambda r, d: (_arr(r, d, 3, 4),)),
+    ("forward_diff", T.forward_diff, lambda r, d: (_arr(r, d, 3, 5), 1, 4.0)),
+    ("pointwise_linear", T.pointwise_linear,
+     lambda r, d: (_arr(r, d, 2, 3, 5, 4), _arr(r, d, 4, 3))),
+    ("pointwise_linear_bias", T.pointwise_linear,
+     lambda r, d: (_arr(r, d, 2, 3, 5, 4), _arr(r, d, 4, 3), _arr(r, d, 4))),
+    ("conv2d", T.conv2d, lambda r, d: (_arr(r, d, 2, 3, 7, 6), _arr(r, d, 4, 3, 3, 3), 1, 1)),
+    ("conv2d_stride2", T.conv2d,
+     lambda r, d: (_arr(r, d, 2, 3, 7, 6), _arr(r, d, 4, 3, 3, 3), 2, 1)),
+    ("conv2d_transpose", T.conv2d_transpose,
+     lambda r, d: (_arr(r, d, 2, 4, 4, 3), _arr(r, d, 4, 3, 3, 3), 2, 1, (8, 6))),
+    ("spectral_conv", spectral_conv,
+     lambda r, d: (_arr(r, d, 2, 3, 8, 8), _arr(r, d, 4, 3, 3, 3), _arr(r, d, 4, 3, 3, 3))),
+]
+
+
+class TestRecording:
+    """Each op call records one tape node, the one the benchmark's ``tensor.tape.nodes``
+    counts through ``Tape.record``, and computes the same bits with no tape active."""
+
+    def test_every_op_is_listed(self):
+        ops = {name for name, fn in vars(T).items()
+               if inspect.isfunction(fn) and fn.__module__ == T.__name__
+               and not name.startswith("_")}
+        assert {op.__name__ for _, op, _ in RECORDED_OPS} == ops | {"spectral_conv"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("op,build", [case[1:] for case in RECORDED_OPS],
+                             ids=[case[0] for case in RECORDED_OPS])
+    def test_one_node_per_call(self, op, build, dtype, monkeypatch):
+        args = build(np.random.default_rng(5), dtype)
+        seen = []
+        record = Tape.record
+
+        def counting(tape, out, inputs, backward_fn):
+            seen.append(out)
+            record(tape, out, inputs, backward_fn)
+
+        monkeypatch.setattr(Tape, "record", counting)
+        with Tape() as tape:
+            out = op(*args)
+        assert len(seen) == 1 and seen[0] is out
+        assert len(tape._nodes) == 1 and tape._nodes[0][0] is out
+        bare = op(*args)
+        assert len(seen) == 1
+        assert bare.dtype == out.dtype == dtype and np.array_equal(bare.data, out.data)

@@ -47,6 +47,16 @@ def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind):
     assert after.dtype == np.float32 and np.array_equal(before, after)
 
 
+def test_checkpoint_with_bad_t_max_rejected(tiny_bundle, tmp_path):
+    model = _model(tiny_bundle[0], "mgno")
+    save_checkpoint(model, tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace(f"t_max: {model.t_max}", "t_max: nan"), encoding="utf-8")
+    with pytest.raises(ValueError, match="t_max must be positive and finite, got nan"):
+        load_checkpoint(tmp_path)
+
+
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
 def test_training_is_bit_deterministic(tiny_bundle, kind):
     bundle, _ = tiny_bundle
