@@ -200,6 +200,13 @@ def _write_manifest(path, entries: dict) -> None:
             fh.write(f"{key}: {entries[key]}\n")
 
 
+def _entry(manifest: dict, key: str, where):
+    """``manifest[key]``; a missing key raises ``ValueError`` naming ``where`` and the key."""
+    if key not in manifest:
+        raise ValueError(f"{where}: manifest has no {key!r} line")
+    return manifest[key]
+
+
 def _read_manifest(path) -> dict:
     """Each ``key: value`` line of a manifest, the value as the Python literal it
     spells where ``ast.literal_eval`` accepts it and as text otherwise."""
@@ -248,10 +255,9 @@ def reservoir_config_from_manifest(manifest: dict) -> ReservoirConfig:
     """
     recorded = {f.name: type(f.default)(manifest[f.name]) for f in fields(ReservoirConfig)
                 if f.name in manifest and f.name not in _RENAMED_FIELDS}
-    return ReservoirConfig(
-        nx=int(manifest["grid"]), nz=int(manifest["grid"]),
-        total_days=int(manifest["days"]),
-        **recorded)
+    grid = int(_entry(manifest, "grid", "dataset"))
+    return ReservoirConfig(nx=grid, nz=grid, total_days=int(_entry(manifest, "days", "dataset")),
+                           **recorded)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +276,7 @@ def save_checkpoint(model, out_dir) -> None:
         "precision": "f8" if model.dtype == np.float64 else "f4",
     }
     entries.update({f"cfg.{key}": val for key, val in asdict(model.cfg).items()})
-    if model.stats is not None:
-        entries.update({f"stats.{key}": val for key, val in asdict(model.stats).items()})
+    entries.update({f"stats.{key}": val for key, val in asdict(model.stats).items()})
     names = []
     for param in model.parameters():
         fname = param.name.replace(".", "__") + ".npy"
@@ -289,28 +294,23 @@ def load_checkpoint(in_dir):
     raw = _read_manifest(src / "manifest.txt")
     if raw.get("format") != "porolab-checkpoint-1":
         raise ValueError(f"{src}: unrecognized checkpoint format {raw.get('format')!r}")
-    kind = raw["kind"]
-    stats = None
-    if "stats.k_mean" in raw:
-        stats = NormStats(
-            k_mean=float(raw["stats.k_mean"]), k_std=float(raw["stats.k_std"]),
-            target_mean=float(raw["stats.target_mean"]),
-            target_std=float(raw["stats.target_std"]),
-            target_name=raw.get("stats.target_name", "p"),
-        )
+    kind = _entry(raw, "kind", src)
+    stats = NormStats(target_name=raw.get("stats.target_name", "p"),
+                      **{f.name: float(_entry(raw, f"stats.{f.name}", src))
+                         for f in fields(NormStats) if f.name != "target_name"})
     precision = raw.get("precision", "f8")   # older checkpoints have no precision line
     if precision not in ("f4", "f8"):
         raise ValueError(f"{src}: unknown precision {precision!r} (expected 'f4' or 'f8')")
     dtype = np.float64 if precision == "f8" else np.float32
-    common = dict(stats=stats, t_max=float(raw["t_max"]), dtype=dtype,
-                  seed=int(raw["seed"]))
+    common = dict(stats=stats, t_max=float(_entry(raw, "t_max", src)), dtype=dtype,
+                  seed=int(_entry(raw, "seed", src)))
     classes = {"fno": (Fno, FnoConfig), "mgno": (Mgno, MgnoConfig)}
     if kind not in classes:
         raise ValueError(f"{src}: unknown model kind {kind!r}")
     model_cls, cfg_cls = classes[kind]
     # only the config's own fields are read: the cfg.in_channels and
     # cfg.out_channels lines of older checkpoints are ignored
-    cfg = cfg_cls(**{f.name: int(raw[f"cfg.{f.name}"]) for f in fields(cfg_cls)})
+    cfg = cfg_cls(**{f.name: int(_entry(raw, f"cfg.{f.name}", src)) for f in fields(cfg_cls)})
     model = model_cls(cfg, **common)
     expected = raw.get("parameters", "").split(",")
     actual = [p.name for p in model.parameters()]

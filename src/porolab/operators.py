@@ -35,29 +35,20 @@ from .tensor import (Parameter, Tensor, _record, _spatial, add, conv2d,
 _IN_CHANNELS = 2   # normalized K, t/t_max
 
 
-def _stack_inputs(k_norm: np.ndarray, t_frac) -> np.ndarray:
+def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
     """Model inputs [B,C,H,W] in ``k_norm``'s dtype from normalized fields [B,H,W].
 
     Channels: [normalized K, t/t_max]; ``t_frac`` holds one t/t_max per field.
+    It may exceed 1 (rollout past the training horizon) but not go below 0.
     """
+    t_frac = np.asarray(t_frac)
+    if np.any(t_frac < 0):
+        raise ValueError(f"time must be non-negative, got t/t_max = {t_frac.min()}")
     b, nx, nz = k_norm.shape
     x = np.empty((b, _IN_CHANNELS, nx, nz), dtype=k_norm.dtype)
     x[:, 0] = k_norm
-    x[:, 1] = np.asarray(t_frac)[:, None, None]
+    x[:, 1] = t_frac[:, None, None]
     return x
-
-
-def make_input(k: np.ndarray, t: float, t_max: float, stats) -> np.ndarray:
-    """Input channels [C,H,W] for one permeability at time ``t``.
-
-    ``t`` may exceed ``t_max`` (rollout past the training horizon).
-    """
-    if stats is None:
-        raise ValueError("make_input requires normalization stats")
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    kn = stats.normalize_k(np.asarray(k))
-    return _stack_inputs(kn[None], [t / t_max])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +169,8 @@ class _Operator:
     :meth:`forward`."""
 
     def __init__(self, cfg, stats, t_max: float, dtype, seed: int):
+        if stats is None:
+            raise ValueError("a model needs the normalization stats of its training split")
         self.cfg = cfg
         self.stats = stats
         self.t_max = float(t_max)
@@ -202,8 +195,13 @@ class _Operator:
         return out.data[:, 0]
 
     def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
-        """Denormalized field predictions for one permeability at many days."""
-        x = np.stack([make_input(k, float(t), self.t_max, self.stats) for t in days])
+        """Denormalized field predictions for one permeability at many days.
+
+        K is normalized once, in float64 whatever its dtype, as in training.
+        """
+        days = np.asarray(days, dtype=np.float64)
+        kn = self.stats.normalize_k(np.asarray(k, dtype=np.float64))
+        x = make_input(np.broadcast_to(kn, (len(days), *kn.shape)), days / self.t_max)
         return self.stats.denormalize_target(self.predict(x))
 
 
@@ -212,7 +210,7 @@ class Fno(_Operator):
 
     kind = "fno"
 
-    def __init__(self, cfg: FnoConfig, stats=None, t_max: float = 24.0,
+    def __init__(self, cfg: FnoConfig, stats, t_max: float = 24.0,
                  dtype=np.float64, seed: int = 0):
         super().__init__(cfg, stats, t_max, dtype, seed)
         rng = np.random.default_rng(seed)
@@ -247,7 +245,7 @@ class Mgno(_Operator):
 
     kind = "mgno"
 
-    def __init__(self, cfg: MgnoConfig, stats=None, t_max: float = 24.0,
+    def __init__(self, cfg: MgnoConfig, stats, t_max: float = 24.0,
                  dtype=np.float64, seed: int = 0):
         super().__init__(cfg, stats, t_max, dtype, seed)
         rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ from numpy.random import Generator, Philox
 
 from . import tensor as T
 from .dataio import DatasetBundle, NormStats
-from .operators import _stack_inputs
+from .operators import make_input
 from .tensor import Parameter, Tape, Tensor
 
 
@@ -187,8 +187,6 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     partial batch.  The loss is the batch mean of per-pair relative L2 errors
     (:func:`batched_relative_loss`).
     """
-    if model.stats is None:
-        raise ValueError("model needs normalization stats before training")
     n_train = int(np.ceil(bundle.n_samples * cfg.train_fraction))
     if n_train < 1 or n_train > bundle.n_samples:
         raise ValueError(f"empty or invalid split: {n_train} of {bundle.n_samples}")
@@ -216,7 +214,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
         losses = []
         for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
             si, day = pairs[order[start:start + cfg.batch_size]].T
-            x = _stack_inputs(k_norm[si], day / model.t_max)
+            x = make_input(k_norm[si], day / model.t_max)
             y = tgt_norm[si, day][:, None]
             denoms = denom_table[si, day]
             with Tape() as tape:

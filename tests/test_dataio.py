@@ -165,6 +165,13 @@ class TestManifestConfig:
         assert reservoir_config_from_manifest(built.manifest) == cfg
         assert reservoir_config_from_manifest(load_dataset(tmp_path).manifest) == cfg
 
+    @pytest.mark.parametrize("key", ["grid", "days"])
+    def test_missing_grid_or_days_rejected(self, key):
+        manifest = dataio._config_entries(ReservoirConfig(nx=8, nz=8, total_days=2))
+        del manifest[key]
+        with pytest.raises(ValueError, match=f"manifest has no '{key}' line"):
+            reservoir_config_from_manifest(manifest)
+
     def test_negative_injection_raises_at_once(self):
         # a negative injection rate once made every draw fail its saturation
         # bounds, and build_dataset resampled without end

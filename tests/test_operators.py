@@ -12,6 +12,9 @@ from porolab.tensor import Parameter, Tensor
 
 rng = np.random.default_rng(17)
 STATS = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+SMALL_MODELS = pytest.mark.parametrize(
+    "cls,cfg", [(Fno, FnoConfig(width=4, modes1=2, modes2=2, depth=1)),
+                (Mgno, MgnoConfig(depth=1, channels=3, levels=2))], ids=["fno", "mgno"])
 
 
 def band_limit(x, m1, m2):
@@ -24,19 +27,28 @@ def band_limit(x, m1, m2):
 
 
 class TestMakeInput:
+    # each test draws one 8x8 field from the module's generator, which the
+    # gradient checks further down also draw from
     def test_time_channel_levels(self):
         k = rng.random((8, 8))
-        assert not make_input(k, 0.0, 24.0, STATS)[1].any()
-        assert np.allclose(make_input(k, 24.0, 24.0, STATS)[1], 1.0)
-        assert np.allclose(make_input(k, 12.0, 24.0, STATS)[1], 0.5)
+        kn = np.stack([k, 2 * k, 3 * k])
+        x = make_input(kn, [0.0, 1.0, 0.5])
+        assert x.shape == (3, 2, 8, 8) and x.dtype == kn.dtype
+        assert np.array_equal(x[:, 0], kn)
+        assert not x[0, 1].any()
+        assert np.all(x[1, 1] == 1.0) and np.all(x[2, 1] == 0.5)
 
     def test_rollout_time_past_horizon(self):
-        k = rng.random((8, 8))
-        assert np.allclose(make_input(k, 48.0, 24.0, STATS)[1], 2.0)
+        assert np.all(make_input(rng.random((8, 8))[None], [2.0])[0, 1] == 2.0)
 
-    def test_missing_stats_raises(self):
-        with pytest.raises(ValueError):
-            make_input(rng.random((8, 8)), 0.0, 24.0, None)
+    def test_negative_time_raises(self):
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            make_input(np.stack([rng.random((8, 8))] * 2), [0.5, -0.25])
+
+    @SMALL_MODELS
+    def test_predict_fields_rejects_negative_days(self, cls, cfg):
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            cls(cfg, stats=STATS).predict_fields(np.ones((8, 8)), [-1, 0])
 
 
 class TestSpectralConv:
@@ -355,12 +367,30 @@ class TestMgno:
 
 @pytest.mark.parametrize("t_max", [0.0, -24.0, np.nan, np.inf],
                          ids=["zero", "negative", "nan", "inf"])
-@pytest.mark.parametrize("cls,cfg", [(Fno, FnoConfig(width=4, modes1=2, modes2=2, depth=1)),
-                                     (Mgno, MgnoConfig(depth=1, channels=3, levels=2))],
-                         ids=["fno", "mgno"])
+@SMALL_MODELS
 def test_t_max_must_be_positive_and_finite(cls, cfg, t_max):
     with pytest.raises(ValueError, match="t_max must be positive and finite"):
         cls(cfg, stats=STATS, t_max=t_max)
+
+
+@SMALL_MODELS
+def test_model_needs_stats(cls, cfg):
+    with pytest.raises(TypeError):
+        cls(cfg)
+    with pytest.raises(ValueError, match="normalization stats"):
+        cls(cfg, stats=None)
+
+
+@SMALL_MODELS
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_predict_fields_normalizes_k_in_float64(cls, cfg, dtype):
+    # a float32 permeability predicts the same bits as its float64 copy
+    stats = NormStats(k_mean=1.3, k_std=0.7, target_mean=0.2, target_std=3.0)
+    model = cls(cfg, stats=stats, dtype=dtype, seed=5)
+    k32 = (10.0 * np.abs(np.random.default_rng(3).standard_normal((8, 8)))).astype(np.float32)
+    days = np.arange(5)
+    assert np.array_equal(model.predict_fields(k32, days),
+                          model.predict_fields(k32.astype(np.float64), days))
 
 
 def _reachable_parameters(model):

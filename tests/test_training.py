@@ -1,9 +1,11 @@
 """Training loop, losses, checkpoints and evaluation on the 16x16 fixture."""
 
+import re
+
 import numpy as np
 import pytest
 
-from porolab import training
+from porolab import operators, training
 from porolab.dataio import DatasetBundle, load_checkpoint, save_checkpoint
 from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig, make_input
 from porolab.tensor import Tensor
@@ -71,6 +73,18 @@ def test_training_is_bit_deterministic(tiny_bundle, kind):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("key", ["kind", "t_max", "seed", "cfg.width", "stats.k_mean",
+                                 "stats.target_std"])
+def test_checkpoint_missing_entry_rejected(tiny_bundle, tmp_path, key):
+    save_checkpoint(_model(tiny_bundle[0], "fno"), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith(f"{key}:")),
+                        encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: manifest has no {key!r} line")):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_parameter_list_must_match_the_architecture(tiny_bundle, tmp_path):
     bundle, _ = tiny_bundle
     model = _model(bundle, "mgno")
@@ -131,7 +145,7 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle):
     stats = model.stats
     days = np.array([0, 3, 11, 24])
     k = bundle.k[0].astype(np.float64)
-    x = np.stack([make_input(k, float(d), model.t_max, stats) for d in days])
+    x = make_input(np.stack([stats.normalize_k(k)] * len(days)), days / model.t_max)
     pred = model.predict(x)
     truth = bundle.p[0, days].astype(np.float64)
     denoms = training._pair_denominators(bundle, stats)[0, days]
@@ -159,9 +173,8 @@ def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
     (batch,) = seen
     assert batch.dtype == np.float32 and batch.shape == (25, 2, 16, 16)
     batch = batch[np.argsort(batch[:, 1, 0, 0])]
-    k = bundle.k[0].astype(np.float64)
-    expected = np.stack([make_input(k, float(d), model.t_max, model.stats)
-                         for d in range(bundle.n_days + 1)]).astype(np.float32)
+    kn = model.stats.normalize_k(bundle.k[0].astype(np.float64)).astype(np.float32)
+    expected = make_input(np.stack([kn] * 25), np.arange(25) / model.t_max)
     assert np.array_equal(batch, expected)
 
 
@@ -214,3 +227,27 @@ def test_empty_indices_are_rejected(tiny_bundle, call):
     args = (model, bundle, []) if call == "evaluate" else (model, bundle, cfg, [])
     with pytest.raises(ValueError, match="indices"):
         getattr(training, call)(*args)
+
+
+def test_one_make_input_per_series_and_per_batch(tiny_bundle, monkeypatch):
+    # prediction builds a whole series, and training a whole batch, with one call
+    bundle, _ = tiny_bundle
+    calls = {"operators": 0, "training": 0}
+
+    def counted(module):
+        fn = module.make_input
+
+        def wrapper(*args, **kwargs):
+            calls[module.__name__.rpartition(".")[2]] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (operators, training):
+        monkeypatch.setattr(module, "make_input", counted(module))
+    model = _model(bundle, "mgno")
+    training.train(model, bundle, training.TrainConfig(epochs=2, batch_size=5, lr=1e-3,
+                                                       train_fraction=1.0, seed=1))
+    assert calls == {"operators": 0, "training": 10}   # 2 epochs of 25 pairs in batches of 5
+    model.predict_fields(bundle.k[0], np.arange(bundle.n_days + 1))
+    training.evaluate(model, bundle, [0])
+    assert calls == {"operators": 2, "training": 10}
