@@ -295,10 +295,10 @@ def load_checkpoint(in_dir):
     if raw.get("format") != "porolab-checkpoint-1":
         raise ValueError(f"{src}: unrecognized checkpoint format {raw.get('format')!r}")
     kind = _entry(raw, "kind", src)
-    stats = NormStats(target_name=raw.get("stats.target_name", "p"),
+    stats = NormStats(target_name=_entry(raw, "stats.target_name", src),
                       **{f.name: float(_entry(raw, f"stats.{f.name}", src))
                          for f in fields(NormStats) if f.name != "target_name"})
-    precision = raw.get("precision", "f8")   # older checkpoints have no precision line
+    precision = _entry(raw, "precision", src)
     if precision not in ("f4", "f8"):
         raise ValueError(f"{src}: unknown precision {precision!r} (expected 'f4' or 'f8')")
     dtype = np.float64 if precision == "f8" else np.float32
@@ -308,11 +308,9 @@ def load_checkpoint(in_dir):
     if kind not in classes:
         raise ValueError(f"{src}: unknown model kind {kind!r}")
     model_cls, cfg_cls = classes[kind]
-    # only the config's own fields are read: the cfg.in_channels and
-    # cfg.out_channels lines of older checkpoints are ignored
     cfg = cfg_cls(**{f.name: int(_entry(raw, f"cfg.{f.name}", src)) for f in fields(cfg_cls)})
     model = model_cls(cfg, **common)
-    expected = raw.get("parameters", "").split(",")
+    expected = _entry(raw, "parameters", src).split(",")
     actual = [p.name for p in model.parameters()]
     if expected != actual:
         extra = [n for n in expected if n not in actual]

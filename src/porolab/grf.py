@@ -1,9 +1,12 @@
 """Gaussian-random-field permeability sampling via a DCT Karhunen-Loeve expansion.
 
-The covariance operator is (-Laplacian + shift*I)^(-exponent) on the unit
+The covariance operator is (-Laplacian + _SHIFT*I)^(-_EXPONENT) on the unit
 square with zero-Neumann boundary conditions, whose eigenfunctions are the
 cosine modes phi_jk(x, y) = c_j c_k cos(pi j x) cos(pi k y) with eigenvalues
-mu_jk = (pi^2 (j^2 + k^2) + shift)^(-exponent).  A field sample is
+mu_jk = (pi^2 (j^2 + k^2) + _SHIFT)^(-_EXPONENT).  The constants are fixed at
+the Darcy prior (-Laplacian + 9I)^-2 of the FNO benchmarks (Li et al.,
+"Fourier neural operator for parametric partial differential equations",
+ICLR 2021, arXiv 2010.08895).  A field sample is
 
     g = sum_jk sqrt(mu_jk) xi_jk phi_jk,   xi_jk ~ N(0, 1) i.i.d.,
 
@@ -27,28 +30,27 @@ from numpy.random import Generator, Philox
 
 from .spectral import idct2
 
+_SHIFT = 9.0
+_EXPONENT = 2
+
 
 @dataclass(frozen=True)
 class GrfSpec:
     """Sampling parameters for the permeability random field."""
 
     n: int
-    shift: float = 9.0
-    exponent: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid extent must be >= 2, got {self.n}")
-        if self.shift <= 0:
-            raise ValueError(f"shift must be positive, got {self.shift}")
 
 
 def kl_eigenvalues(spec: GrfSpec) -> np.ndarray:
-    """Eigenvalues mu_jk = (pi^2 (j^2 + k^2) + shift)^(-exponent), j,k = 0..n-1."""
+    """Eigenvalues mu_jk = (pi^2 (j^2 + k^2) + _SHIFT)^(-_EXPONENT), j,k = 0..n-1."""
     j = np.arange(spec.n, dtype=np.float64)
-    lam = np.pi ** 2 * (j[:, None] ** 2 + j[None, :] ** 2) + spec.shift
-    return lam ** (-float(spec.exponent))
+    lam = np.pi ** 2 * (j[:, None] ** 2 + j[None, :] ** 2) + _SHIFT
+    return lam ** (-float(_EXPONENT))
 
 
 @lru_cache(maxsize=8)

@@ -39,11 +39,14 @@ def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
     """Model inputs [B,C,H,W] in ``k_norm``'s dtype from normalized fields [B,H,W].
 
     Channels: [normalized K, t/t_max]; ``t_frac`` holds one t/t_max per field.
-    It may exceed 1 (rollout past the training horizon) but not go below 0.
+    It may exceed 1 (rollout past the training horizon) but must be finite and
+    not go below 0.
     """
     t_frac = np.asarray(t_frac)
-    if np.any(t_frac < 0):
-        raise ValueError(f"time must be non-negative, got t/t_max = {t_frac.min()}")
+    bad = ~(np.isfinite(t_frac) & (t_frac >= 0))
+    if np.any(bad):
+        raise ValueError(f"time must be non-negative and finite, got t/t_max = "
+                         f"{t_frac[bad][0]}")
     b, nx, nz = k_norm.shape
     x = np.empty((b, _IN_CHANNELS, nx, nz), dtype=k_norm.dtype)
     x[:, 0] = k_norm
@@ -177,6 +180,8 @@ class _Operator:
         if not 0.0 < self.t_max < np.inf:
             raise ValueError(f"t_max must be positive and finite, got {t_max}")
         self.dtype = np.dtype(dtype).type
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"model dtype must be float32 or float64, got {self.dtype.__name__}")
         self.seed = seed
         self._params: list[Parameter] = []
 

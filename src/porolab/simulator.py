@@ -23,7 +23,7 @@ day, and the cell thickness in the collapsed direction is one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,9 +84,9 @@ class TimeSeriesSample:
     k: np.ndarray
     p_series: np.ndarray
     sw_series: np.ndarray
-    water_injected: float = 0.0
-    water_produced: float = 0.0
-    extra: dict = field(default_factory=dict)
+    water_injected: float
+    water_produced: float
+    extra: dict
 
 
 def relperm(sw, cfg: ReservoirConfig):
@@ -361,13 +361,11 @@ def _cell_outflow(fx, fz, cfg: ReservoirConfig):
 
 def stable_dt(fx, fz, cfg: ReservoirConfig, remaining: float) -> float:
     """CFL sub-step: substep_cfl * min phi V / (outflux + |source|), capped at ``remaining``."""
-    denom = _cell_outflow(fx, fz, cfg)
     pv_cell = cfg.porosity * cfg.cell_volume
-    positive = denom > 0.0
-    if not np.any(positive):
+    peak = _cell_outflow(fx, fz, cfg).max()
+    if peak == 0.0:
         return remaining
-    dt = cfg.substep_cfl * pv_cell / denom[positive].max()
-    return min(dt, remaining)
+    return min(cfg.substep_cfl * pv_cell / peak, remaining)
 
 
 def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, cfg: ReservoirConfig,

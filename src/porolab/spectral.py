@@ -39,7 +39,7 @@ def irfft2(X: np.ndarray, rows: np.ndarray, s: tuple[int, int]) -> np.ndarray:
     return np.matmul(np.matmul(row.conj().T, X).view(real), col.T)
 
 
-def _column_weights(m2: int, w: int, dtype=np.float64) -> np.ndarray:
+def _column_weights(m2: int, w: int, dtype) -> np.ndarray:
     """Multiplicity of each of the first ``m2`` rfft2 columns in the full spectrum:
     1 for column 0 and for the Nyquist column (even ``w`` only), 2 for the others."""
     weights = np.full(m2, 2.0, dtype=dtype)

@@ -86,22 +86,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # arithmetic sugar; scalars allowed, shapes must otherwise match exactly
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class Parameter(Tensor):
@@ -189,29 +178,30 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 # elementwise and reduction primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor | float) -> Tensor:
-    if np.isscalar(b):
-        return _record(Tensor(a.data + a.data.dtype.type(b)), (a,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor | float) -> Tensor:
-    if np.isscalar(b):
-        return add(a, -b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     return _record(Tensor(a.data - b.data), (a, b), lambda g: (g, -g))
 
 
-def mul(a: Tensor, b: Tensor | float) -> Tensor:
-    if np.isscalar(b):
-        return scale(a, b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return _record(Tensor(ad * bd), (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
+    """``s * a`` for a Python scalar ``s``, taken in ``a``'s dtype.
+
+    No porolab code calls it.  It stays because the benchmark's per-layer
+    metrics list ``tensor.scale`` as a span and
+    ``tests/test_benchmark_tracing.py`` fails on a listed span that is
+    missing; it goes with the next benchmark change.
+    """
     s = a.data.dtype.type(s)
     return _record(Tensor(a.data * s), (a,), lambda g: (g * s,))
 
@@ -490,12 +480,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _record(Tensor(_conv_fwd(xph, kd, stride, ho, wo)), (x, k), bwd)
 
 
-def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
-                     out_hw: tuple[int, int] | None = None) -> Tensor:
-    """Adjoint of :func:`conv2d` with the same (k, stride, pad).
+def conv2d_transpose(y: Tensor, k: Tensor, stride: int, pad: int,
+                     out_hw: tuple[int, int]) -> Tensor:
+    """Adjoint of :func:`conv2d` with the same (k, stride, pad), onto an ``out_hw`` grid.
 
-    ``out_hw`` disambiguates the fine-grid extent when stride > 1; the
-    default is stride*(n-1) - 2*pad + k.
+    ``out_hw`` is the fine-grid extent, which a stride of 2 does not fix: it
+    must be one that :func:`conv2d` maps onto ``y``'s extent.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv2d_transpose: stride must be 1 or 2, got {stride}")
@@ -503,10 +493,7 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int = 1, pad: int = 0,
     kd = k.data
     if kd.ndim != 4 or kd.shape[0] != yd.shape[1]:
         raise ValueError(f"conv2d_transpose: kernel {kd.shape} incompatible with input {yd.shape}")
-    co, ci, kh, kw = kd.shape
-    if out_hw is None:
-        out_hw = (stride * (yd.shape[2] - 1) - 2 * pad + kh,
-                  stride * (yd.shape[3] - 1) - 2 * pad + kw)
+    kh, kw = kd.shape[2:]
     for n_out, n_in, kk in ((out_hw[0], yd.shape[2], kh), (out_hw[1], yd.shape[3], kw)):
         if _conv_out_extent(n_out, kk, stride, pad, "conv2d_transpose") != n_in:
             raise ValueError(

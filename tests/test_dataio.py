@@ -1,6 +1,7 @@
 """Dataset and checkpoint files: NPY format, round trips, manifests."""
 
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from porolab import dataio
 from porolab.dataio import (DatasetBundle, NormStats, build_dataset, load_dataset,
                             reservoir_config_from_manifest, save_dataset)
+from porolab.grf import GrfSpec, sample_grf, to_permeability
 from porolab.simulator import ReservoirConfig
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool64"
@@ -177,6 +179,18 @@ class TestManifestConfig:
         # bounds, and build_dataset resampled without end
         with pytest.raises(ValueError, match="q_inj must be non-negative"):
             build_dataset(1, ReservoirConfig(nx=8, nz=8, q_inj=-0.1), seed=0)
+
+    def test_committed_pool_reproduces_its_permeability(self):
+        # sample i is the i-th draw that the manifest's resampled line does not list
+        pool = load_dataset(POOL)
+        manifest = pool.manifest
+        skipped = {int(d) for d in re.findall(r"draw (\d+):", manifest["resampled"])}
+        draws = [d for d in range(pool.n_samples + len(skipped)) if d not in skipped]
+        assert draws == [0, 1, 2, 4]
+        spec = GrfSpec(n=manifest["grid"], seed=manifest["seed"])
+        for i, draw in enumerate(draws):
+            k = to_permeability(sample_grf(spec, draw), manifest["amplitude"])
+            assert np.array_equal(pool.k[i], k.astype(np.float32)), draw
 
     def test_committed_pool_manifest_loads_with_default_physics(self):
         # the pool predates recording the Corey exponents: they take their defaults

@@ -48,11 +48,6 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             GrfSpec(n=1)
 
-    @pytest.mark.parametrize("shift", [0.0, -9.0])
-    def test_shift_must_be_positive(self, shift):
-        with pytest.raises(ValueError, match=f"shift must be positive, got {shift}"):
-            GrfSpec(n=8, shift=shift)
-
 
 class TestSampling:
     def test_deterministic_per_draw(self):

@@ -73,8 +73,8 @@ def test_training_is_bit_deterministic(tiny_bundle, kind):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("key", ["kind", "t_max", "seed", "cfg.width", "stats.k_mean",
-                                 "stats.target_std"])
+@pytest.mark.parametrize("key", ["kind", "t_max", "seed", "precision", "parameters", "cfg.width",
+                                 "stats.k_mean", "stats.target_std", "stats.target_name"])
 def test_checkpoint_missing_entry_rejected(tiny_bundle, tmp_path, key):
     save_checkpoint(_model(tiny_bundle[0], "fno"), tmp_path)
     manifest = tmp_path / "manifest.txt"
@@ -118,10 +118,6 @@ def test_checkpoint_precision_must_be_f4_or_f8(tiny_bundle, tmp_path):
     manifest.write_text("".join(lines) + "precision: f16\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown precision 'f16'"):
         load_checkpoint(tmp_path)
-    # a checkpoint written before precision was recorded holds float64 weights
-    manifest.write_text("".join(ln for ln in lines if not ln.startswith("precision:")),
-                        encoding="utf-8")
-    assert load_checkpoint(tmp_path).dtype == np.float64
 
 
 @pytest.mark.parametrize("field, value", [("epochs", 0), ("lr", 0.0), ("batch_size", 0),
