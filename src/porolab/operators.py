@@ -43,6 +43,9 @@ def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
     not go below 0.
     """
     t_frac = np.asarray(t_frac)
+    if t_frac.shape != k_norm.shape[:1]:
+        raise ValueError(f"t_frac needs one time per field: shape {t_frac.shape} for "
+                         f"{len(k_norm)} fields")
     bad = ~(np.isfinite(t_frac) & (t_frac >= 0))
     if np.any(bad):
         raise ValueError(f"time must be non-negative and finite, got t/t_max = "

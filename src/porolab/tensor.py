@@ -2,12 +2,21 @@
 
 A :class:`Tensor` wraps a numpy array (float32 or float64).  Operations on
 tensors are pure functions, and each returns its output through ``_record``,
-the one place where an op meets the tape: while a :class:`Tape` is active it
-appends a record (output, inputs, backward rule) in execution order, which is
-already a valid topological order.  ``tape.backward(loss)`` replays the
-records in reverse and accumulates gradients into every reachable tensor, so
-a parameter used several times receives the sum of its per-use gradients.
-A :class:`Parameter` is a Tensor with a name and enters every op as itself.
+the one place where an op meets the tape: while a :class:`Tape` is active on
+the calling thread it appends a record (output, inputs, backward rule) in
+execution order, which is already a valid topological order.  Each thread has
+its own stack of active tapes, so two threads can each record a forward pass
+at once, and an op on a thread with no open tape records nothing whatever
+other threads have open.  ``tape.backward(loss)`` replays the records in
+reverse and returns the gradient of every leaf the loss reaches, as a dict
+keyed by the leaf tensor; a leaf is a tensor that entered an op on the tape
+but that no op on it produced, and one used several times receives the sum of
+its per-use gradients.  The pass pops each record as its rule runs and drops
+that record's output gradient once the rule has it, so every activation the
+rule closes over and every intermediate gradient is freed during the pass,
+not at its end.  A :class:`Parameter` is a Tensor with a name and enters
+every op as itself; its ``grad``, which the training loop sets from the
+gradients a backward pass returns, is the only gradient a tensor carries.
 
 Convolutions share one tap geometry.  The zero-padded image is split once into
 its stride**2 phases (``_phases``): phase (a, b) is the channel-planar sub-image
@@ -42,6 +51,8 @@ block size; only the kernel gradient's sum over the batch is grouped by block.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy.special import erf
 
@@ -63,14 +74,13 @@ _BLOCK_ROWS = 4096
 class Tensor:
     """N-dimensional real array, immutable by convention once created."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
 
     @property
     def shape(self):
@@ -96,14 +106,16 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor with a name; the name keys it in checkpoints.
 
-    An optimizer step rebinds ``data``; ``grad`` is reset by assigning None.
+    An optimizer step rebinds ``data`` and reads ``grad``, which the training
+    loop sets from the gradients that :meth:`Tape.backward` returns.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "grad")
 
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
+        self.grad = None
 
     @property
     def value(self):
@@ -118,8 +130,9 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Use as a context manager around a forward pass; call
-    ``tape.backward(loss)`` once afterwards.  A tape is freed after its
-    backward pass and cannot be replayed.
+    ``tape.backward(loss)`` once afterwards.  A tape records the ops of the
+    thread that opened it.  It is emptied by its backward pass and cannot be
+    replayed.
     """
 
     __slots__ = ("_nodes", "_consumed")
@@ -129,43 +142,60 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _tapes().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPE_STACK.pop()
+        _tapes().pop()
         return False
 
     def record(self, out: Tensor, inputs, backward_fn):
         self._nodes.append((out, inputs, backward_fn))
 
-    def backward(self, loss: Tensor):
-        """Populate gradients of every tensor reachable from ``loss``."""
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """Gradients of ``loss`` with respect to every leaf it reaches, keyed by leaf.
+
+        Each record is popped before its rule runs and its output gradient
+        leaves the table, so both are freed as the pass goes; what is left in
+        the table at the end belongs to tensors no op on this tape produced.
+        """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
         if loss.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
-        loss.grad = np.ones((), dtype=loss.data.dtype)
-        for out, inputs, backward_fn in reversed(self._nodes):
-            g = out.grad
+        grads = {loss: np.ones((), dtype=loss.data.dtype)}
+        nodes = self._nodes
+        while nodes:
+            out, inputs, backward_fn = nodes.pop()
+            g = grads.pop(out, None)
             if g is None:
                 continue
             for t, dt in zip(inputs, backward_fn(g)):
-                if dt is None:
-                    continue
-                t.grad = dt if t.grad is None else t.grad + dt
-        self._nodes = []
+                if dt is not None:
+                    grads[t] = grads[t] + dt if t in grads else dt
+        return grads
 
 
-_TAPE_STACK: list[Tape] = []
+_LOCAL = threading.local()
+
+
+def _tapes() -> list[Tape]:
+    """The calling thread's stack of active tapes."""
+    try:
+        return _LOCAL.tapes
+    except AttributeError:
+        _LOCAL.tapes = []
+        return _LOCAL.tapes
 
 
 def _record(out: Tensor, inputs, backward_fn) -> Tensor:
-    """Record ``out = op(*inputs)`` with its backward rule on the active tape, if
-    any, and return ``out``.  Every differentiable op returns through here."""
-    if _TAPE_STACK:
-        _TAPE_STACK[-1].record(out, inputs, backward_fn)
+    """Record ``out = op(*inputs)`` with its backward rule on the calling thread's
+    active tape, if any, and return ``out``.  Every differentiable op returns
+    through here."""
+    tapes = _tapes()
+    if tapes:
+        tapes[-1].record(out, inputs, backward_fn)
     return out
 
 
@@ -305,7 +335,7 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
     if bias is not None:
         if bias.data.shape != (co,):
             raise ValueError(f"pointwise_linear: bias {bias.data.shape} != ({co},)")
-        out_data = out_data + bias.data[:, None, None]
+        out_data += bias.data[:, None, None]
 
     def bwd(g):
         gm = g.reshape(b, co, h * wd_)

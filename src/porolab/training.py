@@ -6,11 +6,27 @@ constant time channel.  The one training loss is the relative L2 error,
 computed on z-score-normalized targets but scaled so that it equals the
 relative L2 error of the denormalized (physical) fields, which is also the
 reported metric.
+
+A training step runs on two threads.  Its batch of B pairs is split into two
+fixed shards, the first ceil(B/2) pairs and the rest (``_SHARDS``); each shard
+runs its forward and backward pass under its own tape, the first on the
+calling thread and the second on a worker thread, and the parameter
+gradients and the loss are the shards' sums, taken in shard order.  The
+split does not depend on the machine, so neither does any bit of the result.
+For the duration of :func:`train` numpy's OpenBLAS runs one thread: with two
+BLAS threads each GEMM would split over cores the shards already fill, and
+an idle BLAS worker spins between GEMMs and holds a core, so that the shards
+ran no faster than one thread.  Inference (:func:`evaluate`,
+``predict_fields``) stays on one thread: outside :func:`train` it runs with
+BLAS as the caller left it, and the validation pass at the end of each epoch
+runs with the one BLAS thread of the training run.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +54,11 @@ def rel_l2(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm((pred - target).ravel()) / denom)
 
 
-def batched_relative_loss(pred: Tensor, target: np.ndarray,
-                          denominators: np.ndarray) -> Tensor:
-    """Mean over the batch of per-sample relative L2 errors.
+def batched_relative_loss(pred: Tensor, target: np.ndarray, denominators: np.ndarray,
+                          batch_size: int) -> Tensor:
+    """``pred``'s part of the mean of per-sample relative L2 errors over a batch
+    of ``batch_size`` samples: the sum of its errors divided by ``batch_size``,
+    which is the whole mean when ``pred`` is the whole batch.
 
     ``denominators`` are the per-sample normalizing norms; the training loop
     passes the physical-field norms (divided by the target std, see
@@ -50,7 +68,7 @@ def batched_relative_loss(pred: Tensor, target: np.ndarray,
     tgt = Tensor(np.ascontiguousarray(target, dtype=pred.dtype))
     d = T.sub(pred, tgt)
     num = T.sqrt(T.tensor_sum(T.mul(d, d), axes=(1, 2, 3)))
-    weights = (1.0 / np.asarray(denominators)) / pred.shape[0]
+    weights = (1.0 / np.asarray(denominators)) / batch_size
     return T.tensor_sum(T.mul(num, Tensor(weights.astype(pred.dtype))))
 
 
@@ -174,6 +192,79 @@ def _pair_denominators(bundle: DatasetBundle, stats: NormStats) -> np.ndarray:
     return denom
 
 
+# The batch is split into this many fixed shards, each run on its own thread.
+# A constant, not a setting: the split, and so every bit of a training run, is
+# the same on every machine.
+_SHARDS = 2
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, and restore its
+    thread count after; where numpy exposes no such OpenBLAS, change nothing."""
+    try:
+        import ctypes
+        import numpy._core._multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        yield
+        return
+    get_threads.argtypes = ()
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_size: int):
+    """Forward and backward of one shard on the calling thread: its part of the
+    batch loss and the gradient of each parameter, in parameter order."""
+    with Tape() as tape:
+        pred = model.forward(Tensor(x))
+        loss = batched_relative_loss(pred, y, denominators=denoms, batch_size=batch_size)
+    grads = tape.backward(loss)
+    return loss.data, [grads[p] for p in model.parameters()]
+
+
+def _sharded_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray):
+    """Loss and per-parameter gradients of one batch, as sums over its shards in
+    shard order.  Shard i holds pairs [i*c, (i+1)*c) with c = ceil(B/_SHARDS);
+    the first runs on the calling thread and each other non-empty one on a
+    worker thread that this call starts and joins."""
+    bsz = len(x)
+    c = -(-bsz // _SHARDS)
+    parts = [(x[a:a + c], y[a:a + c], denoms[a:a + c]) for a in range(0, bsz, c)]
+    results = [None] * len(parts)
+
+    def run(i):
+        try:
+            results[i] = _shard_step(model, *parts[i], bsz)
+        except BaseException as exc:     # re-raised on the calling thread
+            results[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
+    for w in workers:
+        w.start()
+    run(0)
+    for w in workers:
+        w.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    (loss, grads), *rest = results
+    for shard_loss, shard_grads in rest:
+        loss = loss + shard_loss
+        grads = [g + h for g, h in zip(grads, shard_grads)]
+    return loss, grads
+
+
 def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     """Train a model in place; returns the list of per-epoch metrics.
 
@@ -185,7 +276,9 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     pure function of (dataset, config, seed).  Each epoch takes as many full
     batches of ``batch_size`` (sample, day) pairs as fit and drops the final
     partial batch.  The loss is the batch mean of per-pair relative L2 errors
-    (:func:`batched_relative_loss`).
+    (:func:`batched_relative_loss`), taken over two shards of the batch on
+    two threads with BLAS on one thread (module docstring).  After each step
+    every parameter's ``grad`` holds its gradient for that step's batch.
     """
     n_train = int(np.ceil(bundle.n_samples * cfg.train_fraction))
     if n_train < 1 or n_train > bundle.n_samples:
@@ -209,29 +302,28 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     state = AdamState(params)
 
     history: list[MetricsRecord] = []
-    for epoch in range(cfg.epochs):
-        order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(len(pairs))
-        losses = []
-        for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
-            si, day = pairs[order[start:start + cfg.batch_size]].T
-            x = make_input(k_norm[si], day / model.t_max)
-            y = tgt_norm[si, day][:, None]
-            denoms = denom_table[si, day]
-            with Tape() as tape:
-                pred = model.forward(Tensor(x))
-                loss = batched_relative_loss(pred, y, denominators=denoms)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise RuntimeError(
-                    f"non-finite loss {value} at epoch {epoch}, step {start // cfg.batch_size}")
-            for p in params:
-                p.grad = None
-            tape.backward(loss)
-            adam_step(params, state, cfg)
-            losses.append(value)
-        val = evaluate(model, bundle, val_idx)[0] if len(val_idx) else np.nan
-        record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)), val_rel_l2=val)
-        history.append(record)
-        if log is not None:
-            log(record)
+    with _one_blas_thread():
+        for epoch in range(cfg.epochs):
+            order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(len(pairs))
+            losses = []
+            for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
+                si, day = pairs[order[start:start + cfg.batch_size]].T
+                x = make_input(k_norm[si], day / model.t_max)
+                loss, grads = _sharded_step(model, x, tgt_norm[si, day][:, None],
+                                            denom_table[si, day])
+                value = float(loss)
+                if not np.isfinite(value):
+                    raise RuntimeError(
+                        f"non-finite loss {value} at epoch {epoch}, "
+                        f"step {start // cfg.batch_size}")
+                for p, g in zip(params, grads):
+                    p.grad = g
+                adam_step(params, state, cfg)
+                losses.append(value)
+            val = evaluate(model, bundle, val_idx)[0] if len(val_idx) else np.nan
+            record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)),
+                                   val_rel_l2=val)
+            history.append(record)
+            if log is not None:
+                log(record)
     return history

@@ -31,12 +31,10 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
     ``build_loss`` must construct the loss Tensor from the given input
     tensors each time it is called; returns the worst relative error.
     """
-    for t in tensors:
-        t.grad = None
     with Tape() as tape:
         loss = build_loss()
-    tape.backward(loss)
-    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    grads = tape.backward(loss)
+    analytic = [grads.get(t, np.zeros_like(t.data)) for t in tensors]
     numeric = numerical_gradients(lambda: build_loss().item(),
                                   [t.data for t in tensors], eps=eps)
     worst = 0.0

@@ -41,6 +41,13 @@ class TestMakeInput:
     def test_rollout_time_past_horizon(self):
         assert np.all(make_input(rng.random((8, 8))[None], [2.0])[0, 1] == 2.0)
 
+    def test_one_time_per_field(self):
+        # zeros, not a draw from the module's generator
+        kn = np.zeros((3, 4, 4))
+        for times in ([0.5], [0.5, 0.25], [[0.1, 0.2, 0.3]]):
+            with pytest.raises(ValueError, match="t_frac needs one time per field"):
+                make_input(kn, times)
+
     def test_negative_time_raises(self):
         kn = np.stack([rng.random((8, 8))] * 2)
         for bad in (-0.25, np.nan, np.inf):
@@ -126,8 +133,9 @@ class TestSpectralConv:
         with T.Tape() as tape:
             out = spectral_conv(v, w_re, w_im)
             loss = T.tensor_sum(T.mul(out, out))
-        tape.backward(loss)
-        assert out.dtype == v.grad.dtype == w_re.grad.dtype == w_im.grad.dtype == np.float32
+        grads = tape.backward(loss)
+        assert out.dtype == grads[v].dtype == grads[w_re].dtype == grads[w_im].dtype \
+            == np.float32
 
     def test_mode_bounds_checked(self):
         v = Tensor(rng.standard_normal((1, 2, 8, 8)))

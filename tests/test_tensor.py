@@ -2,6 +2,9 @@
 
 import inspect
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -48,8 +51,7 @@ class TestElementwise:
         x = Tensor([1.0, -2.0])
         with Tape() as tape:
             loss = T.tensor_sum(T.mul(x, x))
-        tape.backward(loss)
-        assert np.allclose(x.grad, [2.0, -4.0])
+        assert np.allclose(tape.backward(loss)[x], [2.0, -4.0])
 
     def test_determinism(self):
         x = rng.standard_normal((4, 4))
@@ -63,8 +65,7 @@ class TestElementwise:
         a = Tensor([0.0, 4.0])
         with Tape() as tape:
             loss = T.tensor_sum(T.sqrt(a))
-        tape.backward(loss)
-        assert np.array_equal(a.grad, [0.0, 0.25])
+        assert np.array_equal(tape.backward(loss)[a], [0.0, 0.25])
 
 
 class TestConv2d:
@@ -193,8 +194,8 @@ def conv_with_grads(op, x, k, stride, pad, out_hw):
     with Tape() as tape:
         y = op(xt, kt, stride, pad, *extra)
         loss = T.tensor_sum(T.mul(y, y))
-    tape.backward(loss)
-    return y.data, xt.grad, kt.grad
+    grads = tape.backward(loss)
+    return y.data, grads[xt], grads[kt]
 
 
 class TestPixelBlocks:
@@ -283,9 +284,9 @@ class TestConvReference:
                     with Tape() as tape:
                         out = getattr(T, op)(xt, kt, stride, pad, *extra)
                         loss = T.tensor_sum(T.mul(out, Tensor(g_out)))
-                    tape.backward(loss)
+                    grads = tape.backward(loss)
                     for name, got, ref in zip(("output", "input grad", "kernel grad"),
-                                              (out.data, xt.grad, kt.grad), want):
+                                              (out.data, grads[xt], grads[kt]), want):
                         assert got.dtype == dtype and np.array_equal(got, ref), \
                             (name, stride, pad, kk)
 
@@ -328,8 +329,7 @@ class TestGelu:
         x = Tensor([0.0])
         with Tape() as tape:
             loss = T.tensor_sum(T.gelu(x))
-        tape.backward(loss)
-        assert np.allclose(x.grad, [0.5])
+        assert np.allclose(tape.backward(loss)[x], [0.5])
 
 
 class TestBackward:
@@ -337,8 +337,7 @@ class TestBackward:
         p = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
             loss = T.tensor_sum(p)
-        tape.backward(loss)
-        assert np.array_equal(p.grad, np.ones((3, 3)))
+        assert np.array_equal(tape.backward(loss)[p], np.ones((3, 3)))
 
     def test_composite_conv_gelu_sum(self):
         x = Tensor(rng.standard_normal((1, 2, 5, 5)))
@@ -353,8 +352,7 @@ class TestBackward:
         with Tape() as tape:
             loss = T.add(T.tensor_sum(T.mul(p, Tensor(a))),
                          T.tensor_sum(T.mul(p, Tensor(b))))
-        tape.backward(loss)
-        assert np.allclose(p.grad, a + b)
+        assert np.allclose(tape.backward(loss)[p], a + b)
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(rng.standard_normal(3))
@@ -371,16 +369,111 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             tape.backward(loss)
 
-    def test_parameter_grad_zeroing(self):
-        # a parameter enters ops as itself; clearing its grad between steps
-        # keeps a second backward from adding onto the first
+    def test_backward_writes_no_grad(self):
+        # gradients come back in the returned dict; a parameter's grad is the
+        # training loop's to set, and backward leaves it as it was
         p = Parameter(rng.standard_normal((2, 2)), "w")
-        for _ in range(2):
-            p.grad = None
+        with Tape() as tape:
+            loss = T.tensor_sum(T.mul(p, p))
+        grads = tape.backward(loss)
+        assert p.grad is None and not hasattr(loss, "grad")
+        assert np.array_equal(grads[p], 2.0 * p.data)
+
+    def test_backward_returns_exactly_the_leaves(self):
+        # leaves: tensors that entered an op on the tape but that no op on it produced
+        r = np.random.default_rng(3)
+        x, c = Tensor(r.standard_normal((1, 2, 4, 4))), Tensor(r.standard_normal((1, 3, 4, 4)))
+        w = Parameter(r.standard_normal((3, 2)), "w")
+        with Tape() as tape:
+            h = T.gelu(T.pointwise_linear(x, w))
+            loss = T.tensor_sum(T.mul(T.sub(h, c), h))
+        grads = tape.backward(loss)
+        assert grads.keys() == {x, w, c}
+        assert all(grads[t].shape == t.shape for t in (x, w, c))
+
+    def test_backward_frees_what_it_has_used(self):
+        # by the time the first-recorded rule runs, the last-recorded node's
+        # output gradient and the activation its rule closed over are unreferenced
+        refs = {}
+
+        def last_node(y):
+            act = y.data * 3.0
+            refs["act"] = weakref.ref(act)
+
+            def rule(g):
+                refs["g"] = weakref.ref(g)
+                return (g * act,)
+            return T._record(Tensor((y.data * act).sum()), (y,), rule)
+
+        def first_rule(g):
+            refs["dead"] = (refs["g"]() is None, refs["act"]() is None)
+            return (g * 2.0,)
+
+        x = Tensor(np.arange(3.0))
+        with Tape() as tape:
+            loss = last_node(T._record(Tensor(x.data * 2.0), (x,), first_rule))
+        grads = tape.backward(loss)
+        assert refs["dead"] == (True, True)
+        assert np.array_equal(grads[x], 12.0 * x.data)
+
+
+def _conv_pass(x, k):
+    """Forward of a small conv/GELU net under the calling thread's tape."""
+    return T.tensor_sum(T.gelu(T.conv2d(T.gelu(T.conv2d(x, k, 1, 1)), k, 2, 1)))
+
+
+class TestTapePerThread:
+    def test_threads_match_the_same_passes_in_turn(self):
+        # more threads than cores and a short switch interval, so that the
+        # threads' ops interleave while every tape is open
+        r = np.random.default_rng(5)
+        inputs = [(Tensor(r.standard_normal((2, 3, 8, 8))),
+                   Tensor(r.standard_normal((3, 3, 3, 3)) * 0.3)) for _ in range(4)]
+        in_turn = []
+        for x, k in inputs:
             with Tape() as tape:
-                loss = T.tensor_sum(T.mul(p, p))
-            tape.backward(loss)
-            assert np.array_equal(p.grad, 2.0 * p.data)
+                loss = _conv_pass(x, k)
+            in_turn.append((loss.data, tape.backward(loss)))
+        barrier = threading.Barrier(len(inputs), timeout=60)
+        threaded = [None] * len(inputs)
+
+        def run(i):
+            x, k = inputs[i]
+            with Tape() as tape:
+                barrier.wait()
+                loss = _conv_pass(x, k)
+                barrier.wait()
+            threaded[i] = (loss.data, tape.backward(loss))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (x, k), (loss_a, grads_a), (loss_b, grads_b) in zip(inputs, in_turn, threaded):
+            assert loss_a == loss_b and grads_a.keys() == grads_b.keys() == {x, k}
+            assert np.array_equal(grads_a[x], grads_b[x])
+            assert np.array_equal(grads_a[k], grads_b[k])
+
+    def test_op_on_a_thread_without_a_tape_records_nothing(self):
+        a, b = Tensor(np.arange(4.0)), Tensor(np.ones(4))
+        out = []
+        with Tape() as tape:
+            worker = threading.Thread(target=lambda: out.append(T.mul(a, b)))
+            worker.start()
+            worker.join(timeout=60)
+            (c,) = out
+            loss = T.tensor_sum(c)
+        # the worker's product entered the tape as a leaf, not as a recorded op
+        grads = tape.backward(loss)
+        assert grads.keys() == {c}
+        assert np.array_equal(grads[c], np.ones(4))
 
 
 class TestGradientSuite:
@@ -439,12 +532,11 @@ class TestGradientSuite:
         extra = () if op == "conv2d" else ((stride * 6 + 1, stride * 5 + 1),)
         for block in (T._BLOCK_ROWS, 7):
             monkeypatch.setattr(T, "_BLOCK_ROWS", block)
-            x.grad = k.grad = None
             with Tape() as tape:
                 out = getattr(T, op)(x, k, stride, 1, *extra)
                 loss = T.tensor_sum(T.mul(out, out))
-            tape.backward(loss)
-            assert out.dtype == x.grad.dtype == k.grad.dtype == np.float32, block
+            grads = tape.backward(loss)
+            assert out.dtype == grads[x].dtype == grads[k].dtype == np.float32, block
 
 
 def _arr(r, dtype, *shape):

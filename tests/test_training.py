@@ -1,6 +1,8 @@
 """Training loop, losses, checkpoints and evaluation on the 16x16 fixture."""
 
+import ctypes
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from porolab import operators, training
 from porolab.dataio import DatasetBundle, load_checkpoint, save_checkpoint
 from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig, make_input
-from porolab.tensor import Tensor
+from porolab.tensor import Tape, Tensor
 
 TINY = {"fno": (Fno, FnoConfig(width=8, modes1=4, modes2=4, depth=2)),
         "mgno": (Mgno, MgnoConfig(depth=2, channels=4, levels=2))}
@@ -147,31 +149,125 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle):
     denoms = training._pair_denominators(bundle, stats)[0, days]
     loss = training.batched_relative_loss(Tensor(pred[:, None]),
                                           stats.normalize_target(truth)[:, None],
-                                          denominators=denoms)
+                                          denominators=denoms, batch_size=len(days))
     physical = np.mean([training.rel_l2(stats.denormalize_target(pred[j]), truth[j])
                         for j in range(len(days))])
     assert abs(loss.item() - physical) <= 1e-10
 
 
+def _record_shards(monkeypatch):
+    """Patch training._shard_step to keep each call's inputs and result, keyed by
+    whether it ran on the main thread (shard 0) or the worker (shard 1)."""
+    calls = []
+    step = training._shard_step
+
+    def recording(model, x, y, denoms, batch_size):
+        result = step(model, x, y, denoms, batch_size)
+        shard = 0 if threading.current_thread() is threading.main_thread() else 1
+        calls.append((shard, x.copy(), y.copy(), denoms.copy(), result))
+        return result
+
+    monkeypatch.setattr(training, "_shard_step", recording)
+    return calls
+
+
 def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
     bundle, _ = tiny_bundle
     model = _model(bundle, "fno")
-    seen = []
-    forward = model.forward
-
-    def recording(x):
-        seen.append(x.data.copy())
-        return forward(x)
-
-    monkeypatch.setattr(model, "forward", recording)
+    calls = _record_shards(monkeypatch)
     training.train(model, bundle, _train_cfg(epochs=1))
     # one sample x 25 days with batch size 25: the single batch holds every day once
-    (batch,) = seen
+    assert sorted((c[0], len(c[1])) for c in calls) == [(0, 13), (1, 12)]
+    batch = np.concatenate([c[1] for c in sorted(calls, key=lambda c: c[0])])
     assert batch.dtype == np.float32 and batch.shape == (25, 2, 16, 16)
     batch = batch[np.argsort(batch[:, 1, 0, 0])]
     kn = model.stats.normalize_k(bundle.k[0].astype(np.float64)).astype(np.float32)
     expected = make_input(np.stack([kn] * 25), np.arange(25) / model.t_max)
     assert np.array_equal(batch, expected)
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind):
+    bundle, _ = tiny_bundle
+    model = _model(bundle, kind, dtype=np.float64)
+    params = model.parameters()
+    start = [p.data.copy() for p in params]
+    calls = _record_shards(monkeypatch)
+    training.train(model, bundle, _train_cfg(epochs=1))
+    calls.sort(key=lambda c: c[0])
+    assert [c[0] for c in calls] == [0, 1]
+    # train sets each grad to the sum of the shards' gradients, in shard order
+    (_, _, _, _, (loss0, grads0)), (_, _, _, _, (loss1, grads1)) = calls
+    for p, g0, g1 in zip(params, grads0, grads1, strict=True):
+        assert p.grad.dtype == np.float64 and np.array_equal(p.grad, g0 + g1), p.name
+    # and that sum is the gradient of the whole batch's loss on one tape
+    fresh = _model(bundle, kind, dtype=np.float64)
+    for p, data in zip(fresh.parameters(), start):
+        assert np.array_equal(p.data, data)
+    x, y, denoms = (np.concatenate([c[i] for c in calls]) for i in (1, 2, 3))
+    with Tape() as tape:
+        loss = training.batched_relative_loss(fresh.forward(Tensor(x)), y, denoms, len(x))
+    grads = tape.backward(loss)
+    np.testing.assert_allclose(loss0 + loss1, loss.data, rtol=1e-12, atol=0)
+    for p, q in zip(params, fresh.parameters()):
+        np.testing.assert_allclose(p.grad, grads[q], rtol=1e-12, atol=0, err_msg=p.name)
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_batch_of_one_trains_with_one_empty_shard(tiny_bundle, monkeypatch, kind):
+    bundle, _ = tiny_bundle
+    model = _model(bundle, kind)
+    calls = _record_shards(monkeypatch)
+    history = training.train(model, bundle, training.TrainConfig(
+        epochs=1, batch_size=1, lr=1e-3, train_fraction=1.0, seed=1))
+    assert np.isfinite(history[0].train_loss)
+    # 25 steps, each one pair on the calling thread and no worker
+    assert [(c[0], len(c[1])) for c in calls] == [(0, 1)] * 25
+    for p in model.parameters():
+        assert p.grad is not None and p.grad.dtype == np.float32, p.name
+
+
+def _blas_threads():
+    """numpy's OpenBLAS (get, set) thread-count functions, or skip."""
+    try:
+        import numpy._core._multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+        get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                     lib.scipy_openblas_set_num_threads64_)
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy exposes no scipy-openblas thread count")
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_train_restores_blas_threads_and_leaves_no_thread(tiny_bundle, monkeypatch, kind):
+    bundle, _ = tiny_bundle
+    get, set_ = _blas_threads()
+    caller = get()
+    set_(2)
+    want = get()
+    step = training._shard_step
+    during = []
+
+    def recording(*args):
+        during.append(get())
+        return step(*args)
+
+    monkeypatch.setattr(training, "_shard_step", recording)
+    try:
+        threads = threading.active_count()
+        training.train(_model(bundle, kind), bundle, _train_cfg(epochs=1))
+        assert (get(), threading.active_count()) == (want, threads)
+        broken = _model(bundle, kind)
+        broken.parameters()[0].data[...] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite loss"):
+            training.train(broken, bundle, _train_cfg(epochs=1))
+        assert (get(), threading.active_count()) == (want, threads)
+        assert during == [1] * 4
+    finally:
+        set_(caller)
 
 
 def test_evaluate_per_day_errors_are_relative_l2_of_predict_fields(tiny_bundle):
