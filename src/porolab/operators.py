@@ -15,10 +15,18 @@ constant time channel) to a single output field:
 The retained FNO mode rows are split across both corners of the spectrum
 (``m1`` total rows: non-negative row frequencies first, then the mirrored
 negative ones), which keeps the parameterization grid-size independent.
+
+Training steps and predictions run a batch in one way, through
+:func:`_two_shards`: the first ceil(B/2) entries on the calling thread and the
+rest on one worker thread, with numpy's OpenBLAS on one thread for the call.
+With two BLAS threads each GEMM would split over cores the shards already
+fill, and an idle BLAS worker spins between GEMMs and holds a core.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +63,67 @@ def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
     x[:, 0] = k_norm
     x[:, 1] = t_frac[:, None, None]
     return x
+
+
+# ---------------------------------------------------------------------------
+# the two-shard runner of training and inference
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, and restore its
+    thread count after; where numpy exposes no such OpenBLAS, change nothing."""
+    try:
+        import ctypes
+        import numpy._core._multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        yield
+        return
+    get_threads.argtypes = ()
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _two_shards(fn, *arrays) -> list:
+    """``fn`` on the first ceil(B/2) entries of each array, on the calling thread,
+    and on the rest, on one worker thread that this call starts and joins; the
+    results in shard order.  A batch of one has no second shard and starts no
+    thread.  BLAS runs one thread for the duration, and an exception raised in
+    either shard is re-raised here once both have ended."""
+    bsz = len(arrays[0])
+    c = -(-bsz // 2)
+    shards = [[a[:c] for a in arrays]]
+    if c < bsz:
+        shards.append([a[c:] for a in arrays])
+    results = [None] * len(shards)
+
+    def run(i):
+        try:
+            results[i] = fn(*shards[i])
+        except BaseException as exc:     # re-raised on the calling thread
+            results[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(shards))]
+    with _one_blas_thread():
+        for w in workers:
+            w.start()
+        run(0)
+        for w in workers:
+            w.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +267,10 @@ class _Operator:
         return list(self._params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward on [B,C,H,W] inputs; returns [B,H,W]."""
-        out = self.forward(Tensor(np.ascontiguousarray(x, dtype=self.dtype)))
-        return out.data[:, 0]
+        """Tape-free forward on [B,C,H,W] inputs, as two shards on two threads
+        (:func:`_two_shards`); returns [B,H,W]."""
+        x = np.ascontiguousarray(x, dtype=self.dtype)
+        return np.concatenate(_two_shards(lambda xs: self.forward(Tensor(xs)).data[:, 0], x))
 
     def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
         """Denormalized field predictions for one permeability at many days.

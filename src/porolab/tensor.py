@@ -36,17 +36,9 @@ the taps last to first so that each pixel sums its terms in the order of a
 correlation with the flipped kernel, the textbook form of the transpose;
 porolab's float results, training losses and checkpoints are fixed to that
 order.
-
-The three maps walk the batch in blocks of whole planes (``_blocks``), at most
-``_BLOCK_ROWS`` pixels or one plane each, and take every tap on a block before
-the next block.  A tap's GEMM writes into one block-sized buffer, not into a
-full-size temporary, so a block's input, output and products stay in cache
-across the taps instead of the whole image streaming through memory once per
-tap.  The gather and the scatter add that buffer on over whole planes, one
-contiguous sum per tap; the cells past a plane's run take zeros.  Each pixel
-sums its terms in the same tap order and every plane's product has the same
-shape in any block, so outputs and input gradients are the same bits at any
-block size; only the kernel gradient's sum over the batch is grouped by block.
+Each map makes one batched GEMM per tap over the whole batch it is given,
+which in training and inference is one of the two shards of a batch, each on
+its own thread (``operators._two_shards``).
 """
 
 from __future__ import annotations
@@ -60,15 +52,6 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-
-# Pixels per block of the convolution tap loops, taken in whole phase planes:
-# max(1, _BLOCK_ROWS // plane) planes per block, so a padded 64x64 plane of
-# 4356 pixels is a block of its own and a padded 32x32 plane shares one with two
-# more.  A 12-channel float32 plane of input, output or product is about 200 KB
-# at 64x64.  Of the sizes 2048 to 65536 measured on a 2-core AMD EPYC VM, 4096
-# and 8192 tied for the fastest MgNO step; 2048, one 32x32 plane per block, was
-# slower (see CHANGES.md).
-_BLOCK_ROWS = 4096
 
 
 class Tensor:
@@ -395,36 +378,23 @@ def _taps(plane: tuple[int, int], kd: np.ndarray, stride: int):
     return taps, hq * wq - taps[-1][1]
 
 
-def _blocks(bsz: int, plane: int) -> list[tuple[int, int]]:
-    """The [b0, b1) blocks of ``bsz`` batch entries whose planes hold ``plane``
-    pixels: ``max(1, _BLOCK_ROWS // plane)`` entries per block, the last one ragged.
-    A block only groups planes, and each plane's product has the same shape in
-    any block, so no block size turns a product into a matrix-vector one."""
-    step = max(1, _BLOCK_ROWS // plane)
-    return [(b0, min(b0 + step, bsz)) for b0 in range(0, bsz, step)]
-
-
 def _conv_fwd(xph: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
     """Gather: the [B,Co,ho,wo] correlation of a phased image [s*s, B, Ci, hq, wq].
 
-    Block by block, the first tap's product goes straight into the output planes
-    and every later tap's into one block-sized buffer that is then added on, over
-    whole planes.  Both are zero past the run, so those cells, which the crop
-    drops, add zeros.
+    The first tap's product goes straight into the output planes and every later
+    tap's into one buffer that is then added on, over whole planes.  Both are
+    zero past the run, so those cells, which the crop drops, add zeros.
     """
     ns, bsz, ci, hq, wq = xph.shape
     taps, nrun = _taps((hq, wq), kd, stride)
     flat = xph.reshape(ns, bsz, ci, hq * wq)
     out = np.zeros((bsz, kd.shape[0], hq * wq), dtype=xph.dtype)
-    blocks = _blocks(bsz, hq * wq)
-    tmp = np.zeros((blocks[0][1], kd.shape[0], hq * wq), dtype=xph.dtype)
+    tmp = np.zeros_like(out)
     (p0, d0, k0), *rest = taps
-    for b0, b1 in blocks:
-        ob, tb = out[b0:b1], tmp[:b1 - b0]
-        np.matmul(k0, flat[p0, b0:b1, :, d0:d0 + nrun], out=ob[:, :, :nrun])
-        for p, d, k in rest:
-            np.matmul(k, flat[p, b0:b1, :, d:d + nrun], out=tb[:, :, :nrun])
-            ob += tb
+    np.matmul(k0, flat[p0, :, :, d0:d0 + nrun], out=out[:, :, :nrun])
+    for p, d, k in rest:
+        np.matmul(k, flat[p, :, :, d:d + nrun], out=tmp[:, :, :nrun])
+        out += tmp
     return np.ascontiguousarray(out.reshape(bsz, -1, hq, wq)[:, :, :ho, :wo])
 
 
@@ -433,14 +403,13 @@ def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
     """Scatter, the adjoint of the gather: [B,Ci,oh,ow] from an image [B, Co, hq, wq]
     on the phase grid, added into every phase and interleaved back.
 
-    Block by block, each tap's product over whole planes goes into one
-    block-sized buffer that is added, as one contiguous run, onto its phase
-    shifted by the tap's offset.  A plane's last ``offset`` cells thus land in
-    the next plane (or in the plane of slack after the last phase), but they
-    are products of cells past the run, where the image is zero, so they add
-    zeros.  The tap matrices are those of the kernel with its channel axes
-    swapped, [Ci, Co].  Taps run last to first, for the summation order the
-    module docstring gives.
+    Each tap's product over whole planes goes into one buffer that is added, as
+    one contiguous run, onto its phase shifted by the tap's offset.  A plane's
+    last ``offset`` cells thus land in the next plane (or in the plane of slack
+    after the last phase), but they are products of cells past the run, where
+    the image is zero, so they add zeros.  The tap matrices are those of the
+    kernel with its channel axes swapped, [Ci, Co].  Taps run last to first,
+    for the summation order the module docstring gives.
     """
     bsz, co, hq, wq = gq.shape
     ci, plane = kd.shape[1], hq * wq
@@ -448,14 +417,10 @@ def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
     flat = gq.reshape(bsz, co, plane)
     size = bsz * ci * plane
     buf = np.zeros(stride * stride * size + plane, dtype=gq.dtype)
-    blocks = _blocks(bsz, plane)
-    tmp = np.empty((blocks[0][1], ci, plane), dtype=gq.dtype)
-    for b0, b1 in blocks:
-        tb = tmp[:b1 - b0]
-        for p, d, kt in reversed(taps):
-            np.matmul(kt, flat[b0:b1], out=tb)
-            r0 = p * size + b0 * ci * plane + d
-            buf[r0:r0 + tb.size] += tb.ravel()
+    tmp = np.empty((bsz, ci, plane), dtype=gq.dtype)
+    for p, d, kt in reversed(taps):
+        np.matmul(kt, flat, out=tmp)
+        buf[p * size + d:p * size + d + size] += tmp.ravel()
     out = buf[:stride * stride * size].reshape(stride * stride, bsz, ci, hq, wq)
     xe = np.empty((bsz, ci, oh, ow), dtype=gq.dtype)
     for p, (qi, qj), (yi, yj) in _phase_blocks(oh, ow, stride, pad):
@@ -466,23 +431,17 @@ def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
 def _conv_kgrad(xph: np.ndarray, gq: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
     """Kernel gradient [Co,Ci,kh,kw] from the phased image and the phase-grid gradient.
 
-    Each tap's [Co, n] @ [n, Ci] products over one block's planes go into a small
-    buffer, summed over the block and added into that tap's accumulator, so the
-    sum over the batch is grouped by plane and by block.
+    Each tap's [Co, n] @ [n, Ci] products, one per plane, are summed over the batch.
     """
     ns, bsz, ci, hq, wq = xph.shape
     co = gq.shape[1]
     taps, nrun = _taps((hq, wq), kd, stride)
     flat = xph.reshape(ns, bsz, ci, hq * wq)
-    gflat = gq.reshape(bsz, co, hq * wq)
-    dk = np.zeros((len(taps), co, ci), dtype=gq.dtype)
-    blocks = _blocks(bsz, hq * wq)
-    tmp = np.empty((len(taps), blocks[0][1], co, ci), dtype=gq.dtype)
-    for b0, b1 in blocks:
-        gb, tb = gflat[b0:b1, :, :nrun], tmp[:, :b1 - b0]
-        for t, (p, d, _) in zip(tb, taps):
-            np.matmul(gb, flat[p, b0:b1, :, d:d + nrun].transpose(0, 2, 1), out=t)
-        dk += tb.sum(axis=1)
+    g = gq.reshape(bsz, co, hq * wq)[:, :, :nrun]
+    tmp = np.empty((len(taps), bsz, co, ci), dtype=gq.dtype)
+    for t, (p, d, _) in zip(tmp, taps):
+        np.matmul(g, flat[p, :, :, d:d + nrun].transpose(0, 2, 1), out=t)
+    dk = tmp.sum(axis=1)
     return np.ascontiguousarray(dk.reshape(kd.shape[2:] + (co, ci)).transpose(2, 3, 0, 1))
 
 

@@ -7,26 +7,18 @@ computed on z-score-normalized targets but scaled so that it equals the
 relative L2 error of the denormalized (physical) fields, which is also the
 reported metric.
 
-A training step runs on two threads.  Its batch of B pairs is split into two
-fixed shards, the first ceil(B/2) pairs and the rest (``_SHARDS``); each shard
-runs its forward and backward pass under its own tape, the first on the
-calling thread and the second on a worker thread, and the parameter
-gradients and the loss are the shards' sums, taken in shard order.  The
-split does not depend on the machine, so neither does any bit of the result.
-For the duration of :func:`train` numpy's OpenBLAS runs one thread: with two
-BLAS threads each GEMM would split over cores the shards already fill, and
-an idle BLAS worker spins between GEMMs and holds a core, so that the shards
-ran no faster than one thread.  Inference (:func:`evaluate`,
-``predict_fields``) stays on one thread: outside :func:`train` it runs with
-BLAS as the caller left it, and the validation pass at the end of each epoch
-runs with the one BLAS thread of the training run.
+A training step runs its batch through the two-shard runner
+``operators._two_shards``, as inference does: the first ceil(B/2) pairs run
+their forward and backward pass under their own tape on the calling thread and
+the rest on a worker thread, with numpy's OpenBLAS on one thread for the
+duration of the call, and the parameter gradients and the loss are the shards'
+sums, taken in shard order.  The split does not depend on the machine, so
+neither does any bit of the result.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +26,7 @@ from numpy.random import Generator, Philox
 
 from . import tensor as T
 from .dataio import DatasetBundle, NormStats
-from .operators import make_input
+from .operators import _two_shards, make_input
 from .tensor import Parameter, Tape, Tensor
 
 
@@ -192,37 +184,6 @@ def _pair_denominators(bundle: DatasetBundle, stats: NormStats) -> np.ndarray:
     return denom
 
 
-# The batch is split into this many fixed shards, each run on its own thread.
-# A constant, not a setting: the split, and so every bit of a training run, is
-# the same on every machine.
-_SHARDS = 2
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's OpenBLAS on one thread inside the block, and restore its
-    thread count after; where numpy exposes no such OpenBLAS, change nothing."""
-    try:
-        import ctypes
-        import numpy._core._multiarray_umath as umath
-        lib = ctypes.CDLL(umath.__file__)
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        yield
-        return
-    get_threads.argtypes = ()
-    get_threads.restype = ctypes.c_int
-    set_threads.argtypes = (ctypes.c_int,)
-    set_threads.restype = None
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_size: int):
     """Forward and backward of one shard on the calling thread: its part of the
     batch loss and the gradient of each parameter, in parameter order."""
@@ -234,31 +195,11 @@ def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_s
 
 
 def _sharded_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray):
-    """Loss and per-parameter gradients of one batch, as sums over its shards in
-    shard order.  Shard i holds pairs [i*c, (i+1)*c) with c = ceil(B/_SHARDS);
-    the first runs on the calling thread and each other non-empty one on a
-    worker thread that this call starts and joins."""
+    """Loss and per-parameter gradients of one batch, as sums over its two shards
+    (:func:`operators._two_shards`) in shard order."""
     bsz = len(x)
-    c = -(-bsz // _SHARDS)
-    parts = [(x[a:a + c], y[a:a + c], denoms[a:a + c]) for a in range(0, bsz, c)]
-    results = [None] * len(parts)
-
-    def run(i):
-        try:
-            results[i] = _shard_step(model, *parts[i], bsz)
-        except BaseException as exc:     # re-raised on the calling thread
-            results[i] = exc
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
-    for w in workers:
-        w.start()
-    run(0)
-    for w in workers:
-        w.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
-    (loss, grads), *rest = results
+    (loss, grads), *rest = _two_shards(
+        lambda *shard: _shard_step(model, *shard, bsz), x, y, denoms)
     for shard_loss, shard_grads in rest:
         loss = loss + shard_loss
         grads = [g + h for g, h in zip(grads, shard_grads)]
@@ -277,7 +218,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     batches of ``batch_size`` (sample, day) pairs as fit and drops the final
     partial batch.  The loss is the batch mean of per-pair relative L2 errors
     (:func:`batched_relative_loss`), taken over two shards of the batch on
-    two threads with BLAS on one thread (module docstring).  After each step
+    two threads (module docstring).  After each step
     every parameter's ``grad`` holds its gradient for that step's batch.
     """
     n_train = int(np.ceil(bundle.n_samples * cfg.train_fraction))
@@ -302,28 +243,27 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     state = AdamState(params)
 
     history: list[MetricsRecord] = []
-    with _one_blas_thread():
-        for epoch in range(cfg.epochs):
-            order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(len(pairs))
-            losses = []
-            for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
-                si, day = pairs[order[start:start + cfg.batch_size]].T
-                x = make_input(k_norm[si], day / model.t_max)
-                loss, grads = _sharded_step(model, x, tgt_norm[si, day][:, None],
-                                            denom_table[si, day])
-                value = float(loss)
-                if not np.isfinite(value):
-                    raise RuntimeError(
-                        f"non-finite loss {value} at epoch {epoch}, "
-                        f"step {start // cfg.batch_size}")
-                for p, g in zip(params, grads):
-                    p.grad = g
-                adam_step(params, state, cfg)
-                losses.append(value)
-            val = evaluate(model, bundle, val_idx)[0] if len(val_idx) else np.nan
-            record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)),
-                                   val_rel_l2=val)
-            history.append(record)
-            if log is not None:
-                log(record)
+    for epoch in range(cfg.epochs):
+        order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(len(pairs))
+        losses = []
+        for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
+            si, day = pairs[order[start:start + cfg.batch_size]].T
+            x = make_input(k_norm[si], day / model.t_max)
+            loss, grads = _sharded_step(model, x, tgt_norm[si, day][:, None],
+                                        denom_table[si, day])
+            value = float(loss)
+            if not np.isfinite(value):
+                raise RuntimeError(
+                    f"non-finite loss {value} at epoch {epoch}, "
+                    f"step {start // cfg.batch_size}")
+            for p, g in zip(params, grads):
+                p.grad = g
+            adam_step(params, state, cfg)
+            losses.append(value)
+        val = evaluate(model, bundle, val_idx)[0] if len(val_idx) else np.nan
+        record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)),
+                               val_rel_l2=val)
+        history.append(record)
+        if log is not None:
+            log(record)
     return history

@@ -1,4 +1,7 @@
-"""Shared test helpers: finite-difference gradient checking, the forward DCT and tiny datasets."""
+"""Shared test helpers: finite-difference gradient checking, the BLAS thread count, the
+forward DCT and tiny datasets."""
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -42,6 +45,20 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
         worst = max(worst, float(np.max(np.abs(a - n) / (np.abs(n) + 1e-8))))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def blas_threads():
+    """numpy's OpenBLAS (get, set) thread-count functions, or skip."""
+    try:
+        import numpy._core._multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+        get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                     lib.scipy_openblas_set_num_threads64_)
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy exposes no scipy-openblas thread count")
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
 
 
 def dct2(x):

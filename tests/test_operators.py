@@ -1,9 +1,11 @@
 """FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, registry, counts."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import gradient_check
+from conftest import blas_threads, gradient_check
 from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
@@ -415,6 +417,92 @@ def test_predict_fields_normalizes_k_in_float64(cls, cfg, dtype):
     days = np.arange(5)
     assert np.array_equal(model.predict_fields(k32, days),
                           model.predict_fields(k32.astype(np.float64), days))
+
+
+class TestPredictShards:
+    """``predict`` runs the first ceil(B/2) inputs on the calling thread and the rest on
+    one worker thread, with BLAS on one thread (``operators._two_shards``)."""
+
+    @staticmethod
+    def _inputs(model, n_days):
+        # its own generator, so the module generator's draws do not move
+        kn = np.random.default_rng(3).standard_normal((8, 8))
+        return make_input(np.stack([kn] * n_days), np.arange(n_days) / model.t_max)
+
+    @staticmethod
+    def _record_forwards(monkeypatch, model, fail_on_worker=False):
+        """Patch ``model.forward`` to keep (on the main thread?, input) of each call."""
+        calls = []
+        forward = model.forward
+
+        def recording(x):
+            main = threading.current_thread() is threading.main_thread()
+            calls.append((main, x.data.copy()))
+            out = forward(x)
+            if fail_on_worker and not main:
+                raise RuntimeError("worker shard failed")
+            return out
+
+        monkeypatch.setattr(model, "forward", recording)
+        return calls
+
+    @SMALL_MODELS
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_two_shards_joined(self, cls, cfg, dtype, monkeypatch):
+        model = cls(cfg, stats=STATS, dtype=dtype, seed=5)
+        x = self._inputs(model, 25).astype(dtype)
+        calls = self._record_forwards(monkeypatch, model)
+        out = model.predict(x)
+        monkeypatch.undo()
+        assert sorted((not main, len(xs)) for main, xs in calls) == [(False, 13), (True, 12)]
+        shards = [model.forward(Tensor(xs)).data[:, 0] for xs in (x[:13], x[13:])]
+        assert out.dtype == dtype and np.array_equal(out, np.concatenate(shards))
+        if cls is Mgno:
+            assert np.array_equal(out, model.forward(Tensor(x)).data[:, 0])
+
+    @SMALL_MODELS
+    def test_blas_and_threads_restored(self, cls, cfg, monkeypatch):
+        get, set_ = blas_threads()
+        model = cls(cfg, stats=STATS, seed=5)
+        x = self._inputs(model, 25)
+        during = []
+        forward = model.forward
+
+        def counting(xt):
+            during.append(get())
+            return forward(xt)
+
+        monkeypatch.setattr(model, "forward", counting)
+        caller = get()
+        try:
+            set_(2)
+            want, threads = get(), threading.active_count()
+            model.predict(x)
+            assert (get(), threading.active_count()) == (want, threads)
+            self._record_forwards(monkeypatch, model, fail_on_worker=True)
+            with pytest.raises(RuntimeError, match="worker shard failed"):
+                model.predict(x)
+            assert (get(), threading.active_count()) == (want, threads)
+            assert during == [1] * 4
+        finally:
+            set_(caller)
+
+    @SMALL_MODELS
+    def test_one_day_starts_no_thread(self, cls, cfg, monkeypatch):
+        model = cls(cfg, stats=STATS, seed=5)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        calls = self._record_forwards(monkeypatch, model)
+        model.predict(self._inputs(model, 1))
+        assert started == [] and [len(xs) for _, xs in calls] == [1]
+        model.predict(self._inputs(model, 2))
+        assert len(started) == 1
 
 
 def _reachable_parameters(model):

@@ -187,55 +187,6 @@ class TestStridePhases:
                                                          out_hw=hw).data), (pad, kk)
 
 
-def conv_with_grads(op, x, k, stride, pad, out_hw):
-    """Output, input gradient and kernel gradient of sum(op(x, k)**2)."""
-    xt, kt = Tensor(x), Tensor(k)
-    extra = () if op is T.conv2d else (out_hw,)
-    with Tape() as tape:
-        y = op(xt, kt, stride, pad, *extra)
-        loss = T.tensor_sum(T.mul(y, y))
-    grads = tape.backward(loss)
-    return y.data, grads[xt], grads[kt]
-
-
-class TestPixelBlocks:
-    """The tap loops walk the batch in blocks of ``max(1, _BLOCK_ROWS // plane)``
-    whole phase planes.  Blocks 1 and 7 give one plane per block (the smallest
-    plane here is 16 px); two of the case's own planes split the batch of three
-    2+1 at every shape, stride and pad; block 64 gives one plane per block, a
-    2+1 split or the whole batch, depending on the plane.  The gather and the scatter keep every pixel's sum,
-    bit for bit, whatever the block; the kernel gradient's sum over the batch
-    is only regrouped."""
-
-    @pytest.mark.parametrize("block", [lambda plane: 1, lambda plane: 7,
-                                       lambda plane: 2 * plane, lambda plane: 64],
-                             ids=["1", "7", "2planes", "64"])
-    @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
-                             ids=["f32", "f64"])
-    @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
-    @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
-                             ids=["conv2d", "conv2d_transpose"])
-    def test_blocks_match_one_block(self, op, hw, dtype, ktol, block, monkeypatch):
-        k = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
-        for stride in (1, 2):
-            for pad in (0, 1):
-                if op is T.conv2d:
-                    x = rng.standard_normal((3, 3) + hw).astype(dtype)
-                else:
-                    x = rng.standard_normal((3, 4) + tuple(
-                        (n + 2 * pad - 3) // stride + 1 for n in hw)).astype(dtype)
-                monkeypatch.setattr(T, "_BLOCK_ROWS", 1 << 30)
-                whole = conv_with_grads(op, x, k, stride, pad, hw)
-                plane = T._phase_grid(hw[0], stride, pad) * T._phase_grid(hw[1], stride, pad)
-                monkeypatch.setattr(T, "_BLOCK_ROWS", block(plane))
-                y, dx, dk = conv_with_grads(op, x, k, stride, pad, hw)
-                assert np.array_equal(y, whole[0]), (stride, pad)
-                assert np.array_equal(dx, whole[1]), (stride, pad)
-                assert dk.dtype == dtype
-                assert np.max(np.abs(dk - whole[2])) <= ktol * np.max(np.abs(whole[2])), \
-                    (stride, pad)
-
-
 def loop_conv(x, k, stride, pad, g):
     """Explicit tap and pixel loops: the output of conv2d(x, k) and the input and
     kernel gradients of sum(conv2d(x, k) * g)."""
@@ -500,14 +451,11 @@ class TestGradientSuite:
         (1, 1, (6, 6), (3, 3)), (2, 1, (6, 6), (3, 3)), (2, 0, (6, 6), (3, 3)),
         (2, 1, (5, 7), (2, 3)),
     ], ids=["1-1", "2-1", "2-0", "2-1-5x7-2x3"])
-    def test_conv_gradients(self, stride, pad, hw, kk, monkeypatch):
+    def test_conv_gradients(self, stride, pad, hw, kk):
         x = Tensor(rng.standard_normal((2, 3) + hw))
         k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
-        for block in (T._BLOCK_ROWS, 7):
-            monkeypatch.setattr(T, "_BLOCK_ROWS", block)
-            gradient_check(
-                lambda: T.tensor_sum(T.mul(c := T.conv2d(x, k, stride, pad), c)),
-                [x, k], tol=1e-4)
+        gradient_check(
+            lambda: T.tensor_sum(T.mul(c := T.conv2d(x, k, stride, pad), c)), [x, k], tol=1e-4)
 
     # out_hw (6, 6) is MgNO's even-grid prolongation, one row and column past
     # the smallest extent 5 that a stride-2 conv2d maps onto 3
@@ -515,28 +463,24 @@ class TestGradientSuite:
         (1, 1, (3, 3), (3, 3), (3, 3)), (2, 1, (3, 3), (3, 3), (5, 5)),
         (2, 1, (3, 5), (3, 2), (5, 8)), (2, 1, (3, 3), (3, 3), (6, 6)),
     ], ids=["1-1", "2-1", "2-1-3x5-3x2", "2-1-3x3-to-6x6"])
-    def test_conv_transpose_gradients(self, stride, pad, hw, kk, out_hw, monkeypatch):
+    def test_conv_transpose_gradients(self, stride, pad, hw, kk, out_hw):
         y = Tensor(rng.standard_normal((2, 4) + hw))
         k = Tensor(rng.standard_normal((4, 3) + kk) * 0.4)
-        for block in (T._BLOCK_ROWS, 7):
-            monkeypatch.setattr(T, "_BLOCK_ROWS", block)
-            gradient_check(
-                lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad, out_hw), c)),
-                [y, k], tol=1e-4)
+        gradient_check(
+            lambda: T.tensor_sum(T.mul(c := T.conv2d_transpose(y, k, stride, pad, out_hw), c)),
+            [y, k], tol=1e-4)
 
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv_float32_stays_float32(self, op, stride, monkeypatch):
+    def test_conv_float32_stays_float32(self, op, stride):
         x = Tensor(rng.standard_normal((2, 3, 7, 6)).astype(np.float32))
         k = Tensor(rng.standard_normal((3, 3, 3, 3)).astype(np.float32))
         extra = () if op == "conv2d" else ((stride * 6 + 1, stride * 5 + 1),)
-        for block in (T._BLOCK_ROWS, 7):
-            monkeypatch.setattr(T, "_BLOCK_ROWS", block)
-            with Tape() as tape:
-                out = getattr(T, op)(x, k, stride, 1, *extra)
-                loss = T.tensor_sum(T.mul(out, out))
-            grads = tape.backward(loss)
-            assert out.dtype == grads[x].dtype == grads[k].dtype == np.float32, block
+        with Tape() as tape:
+            out = getattr(T, op)(x, k, stride, 1, *extra)
+            loss = T.tensor_sum(T.mul(out, out))
+        grads = tape.backward(loss)
+        assert out.dtype == grads[x].dtype == grads[k].dtype == np.float32
 
 
 def _arr(r, dtype, *shape):

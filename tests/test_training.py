@@ -1,12 +1,12 @@
 """Training loop, losses, checkpoints and evaluation on the 16x16 fixture."""
 
-import ctypes
 import re
 import threading
 
 import numpy as np
 import pytest
 
+from conftest import blas_threads
 from porolab import operators, training
 from porolab.dataio import DatasetBundle, load_checkpoint, save_checkpoint
 from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig, make_input
@@ -227,24 +227,10 @@ def test_batch_of_one_trains_with_one_empty_shard(tiny_bundle, monkeypatch, kind
         assert p.grad is not None and p.grad.dtype == np.float32, p.name
 
 
-def _blas_threads():
-    """numpy's OpenBLAS (get, set) thread-count functions, or skip."""
-    try:
-        import numpy._core._multiarray_umath as umath
-        lib = ctypes.CDLL(umath.__file__)
-        get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                     lib.scipy_openblas_set_num_threads64_)
-    except (ImportError, OSError, AttributeError):
-        pytest.skip("numpy exposes no scipy-openblas thread count")
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
-
-
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
 def test_train_restores_blas_threads_and_leaves_no_thread(tiny_bundle, monkeypatch, kind):
     bundle, _ = tiny_bundle
-    get, set_ = _blas_threads()
+    get, set_ = blas_threads()
     caller = get()
     set_(2)
     want = get()
