@@ -109,7 +109,8 @@ class DatasetBundle:
         return self.p.shape[1] - 1
 
     def n_train(self) -> int:
-        return int(np.ceil(self.n_samples * float(self.manifest.get("train_fraction", 0.8))))
+        fraction = float(_entry(self.manifest, "train_fraction", "dataset"))
+        return int(np.ceil(self.n_samples * fraction))
 
     def train_indices(self) -> np.ndarray:
         return np.arange(self.n_train())

@@ -32,7 +32,9 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
     """Compare reverse-mode gradients of ``build_loss()`` against central FD.
 
     ``build_loss`` must construct the loss Tensor from the given input
-    tensors each time it is called; returns the worst relative error.
+    tensors each time it is called; returns the worst error, each tensor's
+    largest entry error divided by its largest numeric gradient entry, so that
+    round-off on an entry near zero does not read as a wrong gradient.
     """
     with Tape() as tape:
         loss = build_loss()
@@ -42,7 +44,7 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
                                   [t.data for t in tensors], eps=eps)
     worst = 0.0
     for a, n in zip(analytic, numeric):
-        worst = max(worst, float(np.max(np.abs(a - n) / (np.abs(n) + 1e-8))))
+        worst = max(worst, float(np.max(np.abs(a - n)) / (np.max(np.abs(n)) + 1e-8)))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
 

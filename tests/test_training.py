@@ -8,7 +8,7 @@ import pytest
 
 from conftest import blas_threads
 from porolab import operators, training
-from porolab.dataio import DatasetBundle, load_checkpoint, save_checkpoint
+from porolab.dataio import DatasetBundle, NormStats, load_checkpoint, save_checkpoint
 from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig, make_input
 from porolab.tensor import Tape, Tensor
 
@@ -289,6 +289,19 @@ def test_split_must_match_the_normalization_split():
     history = training.train(model, bundle, training.TrainConfig(epochs=1, batch_size=3,
                                                                  train_fraction=0.8))
     assert np.isfinite(history[0].val_rel_l2)
+
+
+def test_split_needs_the_manifest_train_fraction():
+    rng = np.random.default_rng(0)
+    bundle = DatasetBundle(k=rng.random((5, 8, 8)), p=rng.random((5, 3, 8, 8)) + 1.0,
+                           sw=rng.random((5, 3, 8, 8)), manifest={"grid": 8, "days": 2})
+    with pytest.raises(ValueError, match="train_fraction"):
+        bundle.fit_stats("p")
+    stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+    model = Fno(FnoConfig(width=4, modes1=2, modes2=2, depth=1), stats=stats, t_max=2.0)
+    with pytest.raises(ValueError, match="train_fraction"):
+        training.train(model, bundle, training.TrainConfig(epochs=1, batch_size=3,
+                                                           train_fraction=0.8))
 
 
 def test_throughput_report_times_both_sides(tiny_bundle):
