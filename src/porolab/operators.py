@@ -1,7 +1,8 @@
 """FNO and MgNO operator architectures on the shared autodiff substrate.
 
-Both models map stacked input channels (normalized permeability plus a
-constant time channel) to a single output field:
+Both models map stacked input channels (normalized permeability, a constant
+time channel and the two cell-centre coordinates, :func:`make_input`) to a
+single output field:
 
 * :class:`Fno` lifts pointwise to a wide representation, applies spectral
   convolutions with truncated Fourier modes interleaved with pointwise
@@ -40,15 +41,17 @@ from .tensor import (Parameter, Tensor, _record, _spatial, add, conv2d,
 # model input
 # ---------------------------------------------------------------------------
 
-_IN_CHANNELS = 2   # normalized K, t/t_max
+_IN_CHANNELS = 4   # normalized K, t/t_max, two cell-centre coordinates
 
 
 def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
     """Model inputs [B,C,H,W] in ``k_norm``'s dtype from normalized fields [B,H,W].
 
-    Channels: [normalized K, t/t_max]; ``t_frac`` holds one t/t_max per field.
-    It may exceed 1 (rollout past the training horizon) but must be finite and
-    not go below 0.
+    Channels: [normalized K, t/t_max, (i + 0.5)/nx, (j + 0.5)/nz] at cell (i, j).
+    The coordinates, the same points at every resolution, let a model that
+    commutes with grid shifts locate the wells (injector row 0, producer row
+    nx - 1).  ``t_frac`` holds one t/t_max per field.  It may exceed 1 (rollout
+    past the training horizon) but must be finite and not go below 0.
     """
     t_frac = np.asarray(t_frac)
     if t_frac.shape != k_norm.shape[:1]:
@@ -62,6 +65,8 @@ def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
     x = np.empty((b, _IN_CHANNELS, nx, nz), dtype=k_norm.dtype)
     x[:, 0] = k_norm
     x[:, 1] = t_frac[:, None, None]
+    x[:, 2] = ((np.arange(nx) + 0.5) / nx)[:, None]
+    x[:, 3] = (np.arange(nz) + 0.5) / nz
     return x
 
 

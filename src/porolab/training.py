@@ -1,11 +1,11 @@
 """Losses, Adam optimization, the training loop and evaluation protocols.
 
 Training pairs flatten (sample, day): every daily snapshot is an independent
-supervised example whose input is the normalized permeability plus a
-constant time channel.  The one training loss is the relative L2 error,
-computed on z-score-normalized targets but scaled so that it equals the
-relative L2 error of the denormalized (physical) fields, which is also the
-reported metric.
+supervised example whose input is the normalized permeability, a constant
+time channel and the cell-centre coordinates (``operators.make_input``).  The
+one training loss is the relative L2 error, computed on z-score-normalized
+targets but scaled so that it equals the relative L2 error of the
+denormalized (physical) fields, which is also the reported metric.
 
 A training step runs its batch through the two-shard runner
 ``operators._two_shards``, as inference does: the first ceil(B/2) pairs run

@@ -8,7 +8,7 @@ import pytest
 from conftest import blas_threads, gradient_check
 from porolab import tensor as T
 from porolab.dataio import NormStats
-from porolab.operators import (Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
+from porolab.operators import (_IN_CHANNELS, Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
                                make_input, spectral_conv, vcycle_apply)
 from porolab.tensor import Parameter, Tensor
 
@@ -35,10 +35,21 @@ class TestMakeInput:
         k = rng.random((8, 8))
         kn = np.stack([k, 2 * k, 3 * k])
         x = make_input(kn, [0.0, 1.0, 0.5])
-        assert x.shape == (3, 2, 8, 8) and x.dtype == kn.dtype
+        assert x.shape == (3, 4, 8, 8) and x.dtype == kn.dtype
         assert np.array_equal(x[:, 0], kn)
         assert not x[0, 1].any()
         assert np.all(x[1, 1] == 1.0) and np.all(x[2, 1] == 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_coordinate_channels(self, dtype):
+        # zeros, not a draw from the module's generator; 6x5 tells the axes apart
+        x = make_input(np.zeros((2, 6, 5), dtype=dtype), [0.0, 1.0])
+        rows = (np.array([1, 3, 5, 7, 9, 11]) / 12).astype(dtype)
+        cols = (np.array([1, 3, 5, 7, 9]) / 10).astype(dtype)
+        assert x.dtype == dtype
+        for b in (0, 1):
+            assert np.array_equal(x[b, 2], np.broadcast_to(rows[:, None], (6, 5)))
+            assert np.array_equal(x[b, 3], np.broadcast_to(cols, (6, 5)))
 
     def test_rollout_time_past_horizon(self):
         assert np.all(make_input(rng.random((8, 8))[None], [2.0])[0, 1] == 2.0)
@@ -240,27 +251,27 @@ class TestFno:
         model = self.make()
         for p in model.parameters():
             p.data = np.zeros_like(p.data)
-        out = model.predict(rng.standard_normal((2, 2, 8, 8)))
+        out = model.predict(rng.standard_normal((2, _IN_CHANNELS, 8, 8)))
         assert np.max(np.abs(out)) < 1e-14
 
     def test_lift_identity(self):
-        model = self.make(width=2)
-        model.lift_w.data = np.eye(2)
-        model.lift_b.data = np.zeros(2)
-        x = Tensor(rng.standard_normal((1, 2, 8, 8)))
+        model = self.make(width=_IN_CHANNELS)
+        model.lift_w.data = np.eye(_IN_CHANNELS)
+        model.lift_b.data = np.zeros(_IN_CHANNELS)
+        x = Tensor(rng.standard_normal((1, _IN_CHANNELS, 8, 8)))
         v = T.pointwise_linear(x, model.lift_w, model.lift_b)
         assert np.allclose(v.data, x.data)
 
     def test_forward_shape_and_determinism(self):
         model = self.make()
-        x = rng.standard_normal((3, 2, 8, 8))
+        x = rng.standard_normal((3, _IN_CHANNELS, 8, 8))
         a = model.predict(x)
         assert a.shape == (3, 8, 8)
         assert np.array_equal(a, model.predict(x))
 
     def test_batch_order_invariance(self):
         model = self.make()
-        x = rng.standard_normal((4, 2, 8, 8))
+        x = rng.standard_normal((4, _IN_CHANNELS, 8, 8))
         out = model.predict(x)
         perm = np.array([2, 0, 3, 1])
         out_perm = model.predict(x[perm])
@@ -268,7 +279,7 @@ class TestFno:
 
     def test_end_to_end_gradients(self):
         model = self.make()
-        x = Tensor(rng.standard_normal((2, 2, 8, 8)))
+        x = Tensor(rng.standard_normal((2, _IN_CHANNELS, 8, 8)))
         tensors = model.parameters() + [x]
         gradient_check(
             lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
@@ -278,10 +289,10 @@ class TestFno:
         # at 32x32 and 64x64 on the shared grid points
         cfg = FnoConfig(width=4, modes1=6, modes2=4, depth=1)
         model = Fno(cfg, stats=STATS, seed=8)
-        coarse = rng.standard_normal((1, 2, 32, 32))
+        coarse = rng.standard_normal((1, _IN_CHANNELS, 32, 32))
         coarse = band_limit(coarse, 5, 4)   # symmetric row set: rows 0..2, -2..-1
         spec_c = np.fft.rfft2(coarse)
-        spec_f = np.zeros((1, 2, 64, 33), dtype=spec_c.dtype)
+        spec_f = np.zeros((1, _IN_CHANNELS, 64, 33), dtype=spec_c.dtype)
         rows_c = _mode_rows(32, 5)
         rows_f = _mode_rows(64, 5)
         spec_f[:, :, rows_f[:, None], np.arange(4)[None, :]] = \
@@ -291,6 +302,13 @@ class TestFno:
         out_f = model.predict(fine)
         assert np.max(np.abs(fine[0, :, ::2, ::2] - coarse[0])) < 1e-10
         assert np.max(np.abs(out_f[:, ::2, ::2] - out_c)) < 1e-8
+
+    def test_prediction_on_uniform_k_depends_on_position(self):
+        # every layer commutes with a circular shift of the grid, so only the
+        # coordinate channels can make the output vary along the well axis
+        model = self.make()
+        out = model.predict_fields(np.full((8, 8), 3.0), [5])[0]
+        assert np.min(np.ptp(out, axis=0)) > 1e-3 * np.max(np.abs(out))
 
     @pytest.mark.parametrize("name", ["width", "modes1", "modes2"])
     def test_sizes_must_be_positive(self, name):
@@ -308,7 +326,7 @@ class TestFno:
     def test_grid_smaller_than_modes_raises(self, hw, match):
         model = self.make()   # modes1=4, modes2=3
         with pytest.raises(ValueError, match=match):
-            model.forward(Tensor(rng.standard_normal((1, 2) + hw)))
+            model.forward(Tensor(rng.standard_normal((1, _IN_CHANNELS) + hw)))
 
 
 class TestMgno:
@@ -324,7 +342,7 @@ class TestMgno:
             p.data = np.zeros_like(p.data)
         model.layers[0][3].data = np.array([0.3, -1.0, 2.0])   # layer bias
         model.out_w.data = np.array([[1.0, 1.0, 1.0]])
-        out = model.predict(rng.standard_normal((1, 2, 8, 8)))
+        out = model.predict(rng.standard_normal((1, _IN_CHANNELS, 8, 8)))
         expected = float(np.sum(gelu(Tensor(np.array([0.3, -1.0, 2.0]))).data))
         assert np.allclose(out, expected, atol=1e-6)
 
@@ -334,28 +352,29 @@ class TestMgno:
         model = self.make(depth=1, channels=2)
         for p in model.parameters():
             p.data = np.zeros_like(p.data)
-        model.layers[0][2].data = np.eye(2)                    # pointwise B
+        model.layers[0][2].data = np.eye(2, _IN_CHANNELS)      # pointwise B onto channels 0, 1
         model.out_w.data = np.array([[1.0, 0.0]])
-        x = rng.standard_normal((1, 2, 8, 8))
+        x = rng.standard_normal((1, _IN_CHANNELS, 8, 8))
         out = model.predict(x)
         assert np.allclose(out, gelu(Tensor(x[:, 0])).data, atol=1e-12)
 
     def test_depth_zero_is_pointwise_linear(self):
         model = self.make(depth=0)
         assert [p.name for p in model.parameters()] == ["out.w"]
-        model.out_w.data = np.array([[2.0, -1.0]])
-        x = rng.standard_normal((1, 2, 8, 8))
+        model.out_w.data = np.zeros((1, _IN_CHANNELS))
+        model.out_w.data[0, :2] = [2.0, -1.0]
+        x = rng.standard_normal((1, _IN_CHANNELS, 8, 8))
         out = model.predict(x)
         assert np.allclose(out, 2.0 * x[:, 0] - x[:, 1], atol=1e-12)
 
     def test_output_shape_independent_of_depth(self):
         for depth in (1, 2, 3):
             model = self.make(depth=depth)
-            assert model.predict(rng.standard_normal((1, 2, 16, 16))).shape == (1, 16, 16)
+            assert model.predict(rng.standard_normal((1, _IN_CHANNELS, 16, 16))).shape == (1, 16, 16)
 
     def test_end_to_end_gradients(self):
         model = self.make()
-        x = Tensor(rng.standard_normal((1, 2, 16, 16)))
+        x = Tensor(rng.standard_normal((1, _IN_CHANNELS, 16, 16)))
         tensors = model.parameters() + [x]
         gradient_check(
             lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
@@ -363,9 +382,9 @@ class TestMgno:
     def test_end_to_end_gradients_on_odd_grid(self):
         # every level halves by ceil, as the simulator's hierarchy does: 9x7 -> 5x4 -> 3x2 -> 2x1.
         # The input has its own generator, so earlier tests' draws cannot move it; the
-        # worst relative error reads 1.354e-06
+        # worst error reads 1.122e-07
         model = self.make(depth=1, levels=4)
-        x = Tensor(np.random.default_rng(17).standard_normal((1, 2, 9, 7)))
+        x = Tensor(np.random.default_rng(17).standard_normal((1, _IN_CHANNELS, 9, 7)))
         tensors = model.parameters() + [x]
         gradient_check(
             lambda: T.tensor_sum(T.mul(o := model.forward(x), o)), tensors, tol=1e-4)
@@ -547,7 +566,7 @@ class TestParameterCount:
     def test_fno_matches_enumeration(self):
         d, m1, m2, depth = 32, 12, 12, 4
         model = Fno(FnoConfig(width=d, modes1=m1, modes2=m2, depth=depth), stats=STATS)
-        lift = 2 * d + d                              # 2 input channels -> d, plus bias
+        lift = 4 * d + d                              # 4 input channels -> d, plus bias
         per_layer = 2 * m1 * m2 * d * d + d * d + d   # spectral re/im, pointwise w and b
         proj = d + 1                                  # d -> 1 output channel, plus bias
         assert sum(p.data.size for p in model.parameters()) == lift + depth * per_layer + proj
@@ -555,7 +574,7 @@ class TestParameterCount:
     def test_mgno_matches_enumeration(self):
         depth, c, levels = 3, 10, 4
         model = Mgno(MgnoConfig(depth=depth, channels=c, levels=levels), stats=STATS)
-        total, ci = 0, 2
+        total, ci = 0, 4
         for _ in range(depth):
             total += (2 * levels - 1) * 9 * ci * c               # A and S, no coarsest A
             total += (levels - 1) * 9 * (ci * ci + c * c)       # R and P per transition
@@ -566,7 +585,7 @@ class TestParameterCount:
 
     def test_zero_depth_mgno(self):
         model = Mgno(MgnoConfig(depth=0, channels=8, levels=3), stats=STATS)
-        assert sum(p.data.size for p in model.parameters()) == 2   # just the final 1x1 map
+        assert sum(p.data.size for p in model.parameters()) == 4   # just the final 1x1 map
         # full-scale reference totals reported alongside the paper's table are
         # 11,989,761 (FNO) and 18,500,124 (MgNO); exact architectures are not
         # published, so these are context, not assertions.

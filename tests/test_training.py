@@ -179,7 +179,7 @@ def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
     # one sample x 25 days with batch size 25: the single batch holds every day once
     assert sorted((c[0], len(c[1])) for c in calls) == [(0, 13), (1, 12)]
     batch = np.concatenate([c[1] for c in sorted(calls, key=lambda c: c[0])])
-    assert batch.dtype == np.float32 and batch.shape == (25, 2, 16, 16)
+    assert batch.dtype == np.float32 and batch.shape == (25, 4, 16, 16)
     batch = batch[np.argsort(batch[:, 1, 0, 0])]
     kn = model.stats.normalize_k(bundle.k[0].astype(np.float64)).astype(np.float32)
     expected = make_input(np.stack([kn] * 25), np.arange(25) / model.t_max)
