@@ -370,7 +370,8 @@ class TestMgno:
     def test_output_shape_independent_of_depth(self):
         for depth in (1, 2, 3):
             model = self.make(depth=depth)
-            assert model.predict(rng.standard_normal((1, _IN_CHANNELS, 16, 16))).shape == (1, 16, 16)
+            out = model.predict(rng.standard_normal((1, _IN_CHANNELS, 16, 16)))
+            assert out.shape == (1, 16, 16)
 
     def test_end_to_end_gradients(self):
         model = self.make()
