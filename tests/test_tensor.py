@@ -187,6 +187,59 @@ class TestStridePhases:
                                                          out_hw=hw).data), (pad, kk)
 
 
+def conv_with_grads(op, x, k, stride, pad, out_hw):
+    """Output, input gradient and kernel gradient of sum(op(x, k)**2)."""
+    xt, kt = Tensor(x), Tensor(k)
+    extra = () if op is T.conv2d else (out_hw,)
+    with Tape() as tape:
+        y = op(xt, kt, stride, pad, *extra)
+        loss = T.tensor_sum(T.mul(y, y))
+    grads = tape.backward(loss)
+    return y.data, grads[xt], grads[kt]
+
+
+class TestPixelBlocks:
+    """The maps take whatever batch they are given, and the two-shard runner
+    hands them a batch split in two; so a batch split into blocks must give the
+    same bits as the whole.  A block of ``n`` pixels holds ``max(1, n // plane)``
+    whole phase planes, one per batch entry.  Blocks 1 and 7 give one plane per
+    block (the smallest plane here is 16 px); two of the case's own planes split
+    the batch of three 2+1 at every shape, stride and pad; block 64 gives one
+    plane per block, a 2+1 split or the whole batch, depending on the plane.
+    Outputs and input gradients are the same bits in any split; the kernel
+    gradient's sum over the batch is only regrouped."""
+
+    @pytest.mark.parametrize("block", [lambda plane: 1, lambda plane: 7,
+                                       lambda plane: 2 * plane, lambda plane: 64],
+                             ids=["1", "7", "2planes", "64"])
+    @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
+    @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
+                             ids=["conv2d", "conv2d_transpose"])
+    def test_blocks_match_one_block(self, op, hw, dtype, ktol, block):
+        k = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        for stride in (1, 2):
+            for pad in (0, 1):
+                if op is T.conv2d:
+                    x = rng.standard_normal((3, 3) + hw).astype(dtype)
+                else:
+                    x = rng.standard_normal((3, 4) + tuple(
+                        (n + 2 * pad - 3) // stride + 1 for n in hw)).astype(dtype)
+                whole = conv_with_grads(op, x, k, stride, pad, hw)
+                plane = T._phase_grid(hw[0], stride, pad) * T._phase_grid(hw[1], stride, pad)
+                step = max(1, block(plane) // plane)
+                parts = [conv_with_grads(op, x[b0:b0 + step], k, stride, pad, hw)
+                         for b0 in range(0, len(x), step)]
+                y, dx = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+                dk = sum(p[2] for p in parts)
+                assert np.array_equal(y, whole[0]), (stride, pad)
+                assert np.array_equal(dx, whole[1]), (stride, pad)
+                assert dk.dtype == dtype
+                assert np.max(np.abs(dk - whole[2])) <= ktol * np.max(np.abs(whole[2])), \
+                    (stride, pad)
+
+
 def loop_conv(x, k, stride, pad, g):
     """Explicit tap and pixel loops: the output of conv2d(x, k) and the input and
     kernel gradients of sum(conv2d(x, k) * g)."""
