@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -74,10 +75,10 @@ def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
 # the two-shard runner of training and inference
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's OpenBLAS on one thread inside the block, and restore its
-    thread count after; where numpy exposes no such OpenBLAS, change nothing."""
+@cache
+def _blas_threads():
+    """numpy's OpenBLAS thread-count functions (get, set), looked up once per
+    process, or None where numpy exposes no such OpenBLAS."""
     try:
         import ctypes
         import numpy._core._multiarray_umath as umath
@@ -85,12 +86,23 @@ def _one_blas_thread():
         get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
-        yield
-        return
+        return None
     get_threads.argtypes = ()
     get_threads.restype = ctypes.c_int
     set_threads.argtypes = (ctypes.c_int,)
     set_threads.restype = None
+    return get_threads, set_threads
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, and restore its
+    thread count after; where numpy exposes no such OpenBLAS, change nothing."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
     before = get_threads()
     set_threads(1)
     try:

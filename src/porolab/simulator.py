@@ -73,8 +73,12 @@ class ReservoirConfig:
         return self.dx * self.dz
 
     @property
+    def cell_pore_volume(self) -> float:
+        return self.porosity * self.cell_volume
+
+    @property
     def pore_volume(self) -> float:
-        return self.porosity * self.cell_volume * self.nx * self.nz
+        return self.cell_pore_volume * self.nx * self.nz
 
 
 @dataclass
@@ -361,11 +365,10 @@ def _cell_outflow(fx, fz, cfg: ReservoirConfig):
 
 def stable_dt(fx, fz, cfg: ReservoirConfig, remaining: float) -> float:
     """CFL sub-step: substep_cfl * min phi V / (outflux + |source|), capped at ``remaining``."""
-    pv_cell = cfg.porosity * cfg.cell_volume
     peak = _cell_outflow(fx, fz, cfg).max()
     if peak == 0.0:
         return remaining
-    return min(cfg.substep_cfl * pv_cell / peak, remaining)
+    return min(cfg.substep_cfl * cfg.cell_pore_volume / peak, remaining)
 
 
 def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, cfg: ReservoirConfig,
@@ -379,7 +382,6 @@ def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, cfg: ReservoirConf
     own fractional flow.
     """
     nx, nz = cfg.nx, cfg.nz
-    pv_cell = cfg.porosity * cfg.cell_volume
     dt = stable_dt(fx, fz, cfg, remaining)
 
     dv = np.zeros((nx, nz))  # net water volume gained per cell
@@ -399,7 +401,7 @@ def update_saturation(sw: np.ndarray, fw: np.ndarray, fx, fz, cfg: ReservoirConf
     produced = fw[-1, :] * sink * dt
     dv[-1, :] -= produced
 
-    sw_new = sw + dv / pv_cell
+    sw_new = sw + dv / cfg.cell_pore_volume
     lo, hi = cfg.swc, 1.0 - cfg.sor
     if sw_new.min() < lo - 1e-8 or sw_new.max() > hi + 1e-8:
         raise AssertionError(
@@ -475,7 +477,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
 
 def water_budget_error(sample: TimeSeriesSample, cfg: ReservoirConfig) -> float:
     """Relative closure error of the water mass budget over the whole run."""
-    pv_cell = cfg.porosity * cfg.cell_volume
+    pv_cell = cfg.cell_pore_volume
     stored = pv_cell * float(np.sum(sample.sw_series[-1] - sample.sw_series[0]))
     net = sample.water_injected - sample.water_produced
     scale = max(abs(sample.water_injected), abs(sample.water_produced), pv_cell)

@@ -1,12 +1,11 @@
 """Shared test helpers: finite-difference gradient checking, the BLAS thread count, the
 forward DCT and tiny datasets."""
 
-import ctypes
-
 import numpy as np
 import pytest
 import scipy.fft
 
+from porolab.operators import _blas_threads
 from porolab.tensor import Tape
 
 
@@ -51,16 +50,10 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
 
 def blas_threads():
     """numpy's OpenBLAS (get, set) thread-count functions, or skip."""
-    try:
-        import numpy._core._multiarray_umath as umath
-        lib = ctypes.CDLL(umath.__file__)
-        get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                     lib.scipy_openblas_set_num_threads64_)
-    except (ImportError, OSError, AttributeError):
+    blas = _blas_threads()
+    if blas is None:
         pytest.skip("numpy exposes no scipy-openblas thread count")
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
+    return blas
 
 
 def dct2(x):

@@ -1,6 +1,7 @@
 """FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, registry, counts."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import blas_threads, gradient_check
 from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (_IN_CHANNELS, Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
-                               make_input, spectral_conv, vcycle_apply)
+                               _two_shards, make_input, spectral_conv, vcycle_apply)
 from porolab.tensor import Parameter, Tensor
 
 rng = np.random.default_rng(17)
@@ -439,77 +440,61 @@ def test_predict_fields_normalizes_k_in_float64(cls, cfg, dtype):
                           model.predict_fields(k32.astype(np.float64), days))
 
 
-class TestPredictShards:
-    """``predict`` runs the first ceil(B/2) inputs on the calling thread and the rest on
-    one worker thread, with BLAS on one thread (``operators._two_shards``)."""
+class TestTwoShards:
+    """``operators._two_shards``, the one runner of training steps and predictions."""
 
-    @staticmethod
-    def _inputs(model, n_days):
-        # its own generator, so the module generator's draws do not move
-        kn = np.random.default_rng(3).standard_normal((8, 8))
-        return make_input(np.stack([kn] * n_days), np.arange(n_days) / model.t_max)
+    @pytest.mark.parametrize("bsz", [1, 2, 5, 6])
+    def test_shards_in_order(self, bsz):
+        # the first ceil(B/2) entries of each array on the calling thread, the rest on another
+        a, b = np.arange(3.0 * bsz).reshape(bsz, 3), np.arange(bsz)
+        caller = threading.get_ident()
+        out = _two_shards(lambda *xs: (threading.get_ident(), xs), a, b)
+        c = -(-bsz // 2)
+        want = [(a[:c], b[:c]), (a[c:], b[c:])] if c < bsz else [(a, b)]
+        assert len(out) == len(want) and out[0][0] == caller
+        assert all(ident != caller for ident, _ in out[1:])
+        for (_, got), ref in zip(out, want):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
 
-    @staticmethod
-    def _record_forwards(monkeypatch, model, fail_on_worker=False):
-        """Patch ``model.forward`` to keep (on the main thread?, input) of each call."""
-        calls = []
-        forward = model.forward
-
-        def recording(x):
-            main = threading.current_thread() is threading.main_thread()
-            calls.append((main, x.data.copy()))
-            out = forward(x)
-            if fail_on_worker and not main:
-                raise RuntimeError("worker shard failed")
-            return out
-
-        monkeypatch.setattr(model, "forward", recording)
-        return calls
-
-    @SMALL_MODELS
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    def test_two_shards_joined(self, cls, cfg, dtype, monkeypatch):
-        model = cls(cfg, stats=STATS, dtype=dtype, seed=5)
-        x = self._inputs(model, 25).astype(dtype)
-        calls = self._record_forwards(monkeypatch, model)
-        out = model.predict(x)
-        monkeypatch.undo()
-        assert sorted((not main, len(xs)) for main, xs in calls) == [(False, 13), (True, 12)]
-        shards = [model.forward(Tensor(xs)).data[:, 0] for xs in (x[:13], x[13:])]
-        assert out.dtype == dtype and np.array_equal(out, np.concatenate(shards))
-        if cls is Mgno:
-            assert np.array_equal(out, model.forward(Tensor(x)).data[:, 0])
-
-    @SMALL_MODELS
-    def test_blas_and_threads_restored(self, cls, cfg, monkeypatch):
+    def test_blas_on_one_thread_and_restored(self):
         get, set_ = blas_threads()
-        model = cls(cfg, stats=STATS, seed=5)
-        x = self._inputs(model, 25)
-        during = []
-        forward = model.forward
-
-        def counting(xt):
-            during.append(get())
-            return forward(xt)
-
-        monkeypatch.setattr(model, "forward", counting)
         caller = get()
         try:
             set_(2)
             want, threads = get(), threading.active_count()
-            model.predict(x)
+            assert _two_shards(lambda x: get(), np.zeros(3)) == [1, 1]
             assert (get(), threading.active_count()) == (want, threads)
-            self._record_forwards(monkeypatch, model, fail_on_worker=True)
-            with pytest.raises(RuntimeError, match="worker shard failed"):
-                model.predict(x)
-            assert (get(), threading.active_count()) == (want, threads)
-            assert during == [1] * 4
         finally:
             set_(caller)
 
-    @SMALL_MODELS
-    def test_one_day_starts_no_thread(self, cls, cfg, monkeypatch):
-        model = cls(cfg, stats=STATS, seed=5)
+    @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)], ids=["first", "second", "both"])
+    def test_raise_after_both_shards_end(self, failing):
+        # the shard that does not fail ends late, so a runner that did not wait for it
+        # would raise before it ends; with both failing, the first shard's error is raised
+        get, set_ = blas_threads()
+        caller = get()
+        errors = [RuntimeError(f"shard {i} failed") for i in range(2)]
+        ended = []
+
+        def fn(x):
+            i = int(x[0])
+            if i not in failing:
+                time.sleep(0.05)
+            ended.append(i)
+            if i in failing:
+                raise errors[i]
+
+        try:
+            set_(2)
+            want, threads = get(), threading.active_count()
+            with pytest.raises(RuntimeError) as info:
+                _two_shards(fn, np.array([0, 0, 1]))
+            assert info.value is errors[failing[0]] and sorted(ended) == [0, 1]
+            assert (get(), threading.active_count()) == (want, threads)
+        finally:
+            set_(caller)
+
+    def test_one_entry_starts_no_thread(self, monkeypatch):
         started = []
         start = threading.Thread.start
 
@@ -518,11 +503,35 @@ class TestPredictShards:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording)
-        calls = self._record_forwards(monkeypatch, model)
-        model.predict(self._inputs(model, 1))
-        assert started == [] and [len(xs) for _, xs in calls] == [1]
-        model.predict(self._inputs(model, 2))
-        assert len(started) == 1
+        assert _two_shards(len, np.zeros(1)) == [1] and started == []
+        assert _two_shards(len, np.zeros(2)) == [1, 1] and len(started) == 1
+
+
+class TestPredictShards:
+    """``predict`` joins the forwards of the runner's two shards in order (the
+    runner's own contract is ``TestTwoShards``')."""
+
+    @SMALL_MODELS
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_two_shards_joined(self, cls, cfg, dtype, monkeypatch):
+        model = cls(cfg, stats=STATS, dtype=dtype, seed=5)
+        kn = np.random.default_rng(3).standard_normal((8, 8))
+        x = make_input(np.stack([kn] * 25), np.arange(25) / model.t_max).astype(dtype)
+        calls = []
+        forward = model.forward
+
+        def recording(xt):
+            calls.append((threading.current_thread() is threading.main_thread(), len(xt.data)))
+            return forward(xt)
+
+        monkeypatch.setattr(model, "forward", recording)
+        out = model.predict(x)
+        monkeypatch.undo()
+        assert sorted(calls) == [(False, 12), (True, 13)]
+        shards = [model.forward(Tensor(xs)).data[:, 0] for xs in (x[:13], x[13:])]
+        assert out.dtype == dtype and np.array_equal(out, np.concatenate(shards))
+        if cls is Mgno:
+            assert np.array_equal(out, model.forward(Tensor(x)).data[:, 0])
 
 
 def _reachable_parameters(model):

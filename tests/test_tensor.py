@@ -17,23 +17,6 @@ from porolab.tensor import Parameter, Tape, Tensor
 rng = np.random.default_rng(42)
 
 
-def naive_conv2d(x, k, stride, pad):
-    """Direct-arithmetic convolution oracle (independent of the GEMM path)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    b, c, h, w = xp.shape
-    co, _, kh, kw = k.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    out = np.zeros((b, co, ho, wo))
-    for bi in range(b):
-        for o in range(co):
-            for i in range(ho):
-                for j in range(wo):
-                    patch = xp[bi, :, stride * i:stride * i + kh, stride * j:stride * j + kw]
-                    out[bi, o, i, j] = np.sum(k[o] * patch)
-    return out
-
-
 class TestElementwise:
     def test_add(self):
         assert np.array_equal(T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data, [4.0, 6.0])
@@ -88,20 +71,6 @@ class TestConv2d:
         out = T.conv2d(x, k, stride=1, pad=0)
         assert out.data.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 5.0
-
-    # the rectangular and odd grids and kernels catch flat-offset windows that
-    # wrap across a row or into the next batch entry
-    @pytest.mark.parametrize("stride,pad,kh,kw,hw", [
-        (1, 0, 3, 3, (8, 8)), (1, 1, 3, 3, (8, 8)), (2, 1, 3, 3, (8, 8)),
-        (2, 0, 2, 2, (8, 8)), (2, 1, 4, 4, (8, 8)), (1, 2, 5, 5, (8, 8)),
-        (1, 1, 2, 3, (7, 11)), (2, 0, 3, 2, (9, 6)), (2, 1, 1, 3, (16, 5)),
-    ], ids=["1-0-3", "1-1-3", "2-1-3", "2-0-2", "2-1-4", "1-2-5",
-            "1-1-2x3-7x11", "2-0-3x2-9x6", "2-1-1x3-16x5"])
-    def test_matches_naive_oracle(self, stride, pad, kh, kw, hw):
-        x = rng.standard_normal((2, 3) + hw)
-        k = rng.standard_normal((4, 3, kh, kw))
-        out = T.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad)
-        assert np.allclose(out.data, naive_conv2d(x, k, stride, pad), atol=1e-12)
 
     def test_kernel_larger_than_input_raises(self):
         with pytest.raises(ValueError, match="larger than padded extent"):
@@ -198,39 +167,32 @@ def conv_with_grads(op, x, k, stride, pad, out_hw):
     return y.data, grads[xt], grads[kt]
 
 
-class TestPixelBlocks:
-    """The maps take whatever batch they are given, and the two-shard runner
-    hands them a batch split in two; so a batch split into blocks must give the
-    same bits as the whole.  A block of ``n`` pixels holds ``max(1, n // plane)``
-    whole phase planes, one per batch entry.  Blocks 1 and 7 give one plane per
-    block (the smallest plane here is 16 px); two of the case's own planes split
-    the batch of three 2+1 at every shape, stride and pad; block 64 gives one
-    plane per block, a 2+1 split or the whole batch, depending on the plane.
-    Outputs and input gradients are the same bits in any split; the kernel
-    gradient's sum over the batch is only regrouped."""
+class TestBatchSplit:
+    """The maps take whatever batch they are given, and the two-shard runner hands
+    them a batch split in two; so a batch split in parts must give the same bits as
+    the whole: the runner's 2+1 split of a batch of three, and 1+1+1.  Outputs and
+    input gradients are the same bits in any split; the kernel gradient's sum over
+    the batch is only regrouped."""
 
-    @pytest.mark.parametrize("block", [lambda plane: 1, lambda plane: 7,
-                                       lambda plane: 2 * plane, lambda plane: 64],
-                             ids=["1", "7", "2planes", "64"])
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1)], ids=["1+1+1", "2+1"])
     @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
     @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
                              ids=["conv2d", "conv2d_transpose"])
-    def test_blocks_match_one_block(self, op, hw, dtype, ktol, block):
-        k = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    def test_split_matches_whole(self, op, hw, dtype, ktol, sizes):
+        r = np.random.default_rng(11)
+        k = r.standard_normal((4, 3, 3, 3)).astype(dtype)
+        cuts = np.cumsum(sizes)[:-1]
         for stride in (1, 2):
             for pad in (0, 1):
                 if op is T.conv2d:
-                    x = rng.standard_normal((3, 3) + hw).astype(dtype)
+                    x = r.standard_normal((3, 3) + hw).astype(dtype)
                 else:
-                    x = rng.standard_normal((3, 4) + tuple(
+                    x = r.standard_normal((3, 4) + tuple(
                         (n + 2 * pad - 3) // stride + 1 for n in hw)).astype(dtype)
                 whole = conv_with_grads(op, x, k, stride, pad, hw)
-                plane = T._phase_grid(hw[0], stride, pad) * T._phase_grid(hw[1], stride, pad)
-                step = max(1, block(plane) // plane)
-                parts = [conv_with_grads(op, x[b0:b0 + step], k, stride, pad, hw)
-                         for b0 in range(0, len(x), step)]
+                parts = [conv_with_grads(op, xs, k, stride, pad, hw) for xs in np.split(x, cuts)]
                 y, dx = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
                 dk = sum(p[2] for p in parts)
                 assert np.array_equal(y, whole[0]), (stride, pad)
@@ -266,6 +228,25 @@ class TestConvReference:
     float64, so no summation order can hide a wrong tap, phase or offset; one
     channel on either side covers numpy's matrix-vector products."""
 
+    @staticmethod
+    def _check(op, dtype, ints, stride, pad, kk, hw, ci, co):
+        k = ints.integers(-3, 4, (co, ci) + kk).astype(dtype)
+        coarse_hw = tuple((n + 2 * pad - q) // stride + 1 for n, q in zip(hw, kk))
+        fine = ints.integers(-3, 4, (2, ci) + hw).astype(dtype)
+        coarse = ints.integers(-3, 4, (2, co) + coarse_hw).astype(dtype)
+        y, dx, dk = loop_conv(fine, k, stride, pad, coarse)
+        x_in, g_out, want = ((fine, coarse, (y, dx, dk)) if op == "conv2d"
+                             else (coarse, fine, (dx, y, dk)))
+        xt, kt = Tensor(x_in), Tensor(k)
+        extra = () if op == "conv2d" else (hw,)
+        with Tape() as tape:
+            out = getattr(T, op)(xt, kt, stride, pad, *extra)
+            loss = T.tensor_sum(T.mul(out, Tensor(g_out)))
+        grads = tape.backward(loss)
+        for name, got, ref in zip(("output", "input grad", "kernel grad"),
+                                  (out.data, grads[xt], grads[kt]), want):
+            assert got.dtype == dtype and np.array_equal(got, ref), (name, stride, pad, kk)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("ci,co", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 4)],
                              ids=["1to1", "1to4", "3to1", "2to3", "4to4"])
@@ -276,23 +257,20 @@ class TestConvReference:
         for stride in (1, 2):
             for pad in (0, 1):
                 for kk in ((3, 3), (2, 2), (1, 3)):
-                    k = ints.integers(-3, 4, (co, ci) + kk).astype(dtype)
-                    coarse_hw = tuple((n + 2 * pad - q) // stride + 1 for n, q in zip(hw, kk))
-                    fine = ints.integers(-3, 4, (2, ci) + hw).astype(dtype)
-                    coarse = ints.integers(-3, 4, (2, co) + coarse_hw).astype(dtype)
-                    y, dx, dk = loop_conv(fine, k, stride, pad, coarse)
-                    x_in, g_out, want = ((fine, coarse, (y, dx, dk)) if op == "conv2d"
-                                         else (coarse, fine, (dx, y, dk)))
-                    xt, kt = Tensor(x_in), Tensor(k)
-                    extra = () if op == "conv2d" else (hw,)
-                    with Tape() as tape:
-                        out = getattr(T, op)(xt, kt, stride, pad, *extra)
-                        loss = T.tensor_sum(T.mul(out, Tensor(g_out)))
-                    grads = tape.backward(loss)
-                    for name, got, ref in zip(("output", "input grad", "kernel grad"),
-                                              (out.data, grads[xt], grads[kt]), want):
-                        assert got.dtype == dtype and np.array_equal(got, ref), \
-                            (name, stride, pad, kk)
+                    self._check(op, dtype, ints, stride, pad, kk, hw, ci, co)
+
+    # kernels up to 5x5, pad 2 and rectangular or odd grids, which catch flat-offset
+    # windows that wrap across a row or into the next batch entry
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("stride,pad,kk,hw", [
+        (1, 0, (3, 3), (8, 8)), (1, 1, (3, 3), (8, 8)), (2, 1, (3, 3), (8, 8)),
+        (2, 0, (2, 2), (8, 8)), (2, 1, (4, 4), (8, 8)), (1, 2, (5, 5), (8, 8)),
+        (1, 1, (2, 3), (7, 11)), (2, 0, (3, 2), (9, 6)), (2, 1, (1, 3), (16, 5)),
+    ], ids=["1-0-3", "1-1-3", "2-1-3", "2-0-2", "2-1-4", "1-2-5",
+            "1-1-2x3-7x11", "2-0-3x2-9x6", "2-1-1x3-16x5"])
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
+    def test_geometry_matches_loops(self, op, stride, pad, kk, hw, dtype):
+        self._check(op, dtype, np.random.default_rng(8), stride, pad, kk, hw, 3, 4)
 
 
 class TestPointwiseLinear:

@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import blas_threads
 from porolab import operators, training
 from porolab.dataio import DatasetBundle, NormStats, load_checkpoint, save_checkpoint
 from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig, make_input
@@ -225,35 +224,6 @@ def test_batch_of_one_trains_with_one_empty_shard(tiny_bundle, monkeypatch, kind
     assert [(c[0], len(c[1])) for c in calls] == [(0, 1)] * 25
     for p in model.parameters():
         assert p.grad is not None and p.grad.dtype == np.float32, p.name
-
-
-@pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_train_restores_blas_threads_and_leaves_no_thread(tiny_bundle, monkeypatch, kind):
-    bundle, _ = tiny_bundle
-    get, set_ = blas_threads()
-    caller = get()
-    set_(2)
-    want = get()
-    step = training._shard_step
-    during = []
-
-    def recording(*args):
-        during.append(get())
-        return step(*args)
-
-    monkeypatch.setattr(training, "_shard_step", recording)
-    try:
-        threads = threading.active_count()
-        training.train(_model(bundle, kind), bundle, _train_cfg(epochs=1))
-        assert (get(), threading.active_count()) == (want, threads)
-        broken = _model(bundle, kind)
-        broken.parameters()[0].data[...] = np.nan
-        with pytest.raises(RuntimeError, match="non-finite loss"):
-            training.train(broken, bundle, _train_cfg(epochs=1))
-        assert (get(), threading.active_count()) == (want, threads)
-        assert during == [1] * 4
-    finally:
-        set_(caller)
 
 
 def test_evaluate_per_day_errors_are_relative_l2_of_predict_fields(tiny_bundle):
