@@ -167,23 +167,24 @@ def conv_with_grads(op, x, k, stride, pad, out_hw):
     return y.data, grads[xt], grads[kt]
 
 
-class TestBatchSplit:
+class TestPixelBlocks:
     """The maps take whatever batch they are given, and the two-shard runner hands
-    them a batch split in two; so a batch split in parts must give the same bits as
-    the whole: the runner's 2+1 split of a batch of three, and 1+1+1.  Outputs and
-    input gradients are the same bits in any split; the kernel gradient's sum over
-    the batch is only regrouped."""
+    them a batch split in two; so a batch cut into blocks of whole phase planes, one
+    plane per batch entry, must give the same bits as the whole.  Blocks of one
+    plane split the batch of three 1+1+1, blocks of two planes make the runner's
+    2+1 split.  Outputs and input gradients are the same bits in any split; the
+    kernel gradient's sum over the batch is only regrouped."""
 
-    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1)], ids=["1+1+1", "2+1"])
+    @pytest.mark.parametrize("planes", [1, 2], ids=["1", "2planes"])
     @pytest.mark.parametrize("dtype,ktol", [(np.float32, 2e-6), (np.float64, 1e-14)],
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (16, 5)], ids=["8x8", "9x7", "16x5"])
     @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
                              ids=["conv2d", "conv2d_transpose"])
-    def test_split_matches_whole(self, op, hw, dtype, ktol, sizes):
+    def test_blocks_match_one_block(self, op, hw, dtype, ktol, planes):
         r = np.random.default_rng(11)
         k = r.standard_normal((4, 3, 3, 3)).astype(dtype)
-        cuts = np.cumsum(sizes)[:-1]
+        cuts = list(range(planes, 3, planes))
         for stride in (1, 2):
             for pad in (0, 1):
                 if op is T.conv2d:
