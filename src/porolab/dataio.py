@@ -78,7 +78,8 @@ class NormStats:
         )
 
     def normalize_k(self, k: np.ndarray) -> np.ndarray:
-        return (np.log1p(k) - self.k_mean) / self.k_std
+        """z-scored log(1+K), computed in float64 whatever K's dtype."""
+        return (np.log1p(np.asarray(k, dtype=np.float64)) - self.k_mean) / self.k_std
 
     def normalize_target(self, x: np.ndarray) -> np.ndarray:
         return (x - self.target_mean) / self.target_std

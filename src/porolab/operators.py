@@ -35,7 +35,7 @@ import numpy as np
 
 from . import spectral
 from .tensor import (Parameter, Tensor, _record, _spatial, add, conv2d,
-                     conv2d_transpose, gelu, pointwise_linear)
+                     conv2d_transpose, gelu, pointwise_linear, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +250,9 @@ def vcycle_apply(f: Tensor, levels: list[tuple[Tensor, Tensor, Tensor, Tensor]],
         return conv2d(f, coarse_s, 1, 1)
     a, s, r, p = levels[0]
     u = conv2d(f, s, 1, 1)
-    ec = vcycle_apply(conv2d(f - conv2d(u, a, 1, 1), r, 2, 1), levels[1:], coarse_s)
-    u = u + conv2d_transpose(ec, p, 2, 1, out_hw=f.data.shape[-2:])
-    return u + conv2d(f - conv2d(u, a, 1, 1), s, 1, 1)
+    ec = vcycle_apply(conv2d(sub(f, conv2d(u, a, 1, 1)), r, 2, 1), levels[1:], coarse_s)
+    u = add(u, conv2d_transpose(ec, p, 2, 1, out_hw=f.data.shape[-2:]))
+    return add(u, conv2d(sub(f, conv2d(u, a, 1, 1)), s, 1, 1))
 
 
 class _Operator:
@@ -289,14 +289,15 @@ class _Operator:
         x = np.ascontiguousarray(x, dtype=self.dtype)
         return np.concatenate(_two_shards(lambda xs: self.forward(Tensor(xs)).data[:, 0], x))
 
-    def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
-        """Denormalized field predictions for one permeability at many days.
+    def inputs(self, k_norm: np.ndarray, days) -> np.ndarray:
+        """:func:`make_input` of normalized fields [B,H,W] at ``days / t_max``, one day each."""
+        return make_input(k_norm, np.asarray(days) / self.t_max)
 
-        K is normalized once, in float64 whatever its dtype, as in training.
-        """
+    def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
+        """Denormalized field predictions for one permeability, normalized once, at many days."""
         days = np.asarray(days, dtype=np.float64)
-        kn = self.stats.normalize_k(np.asarray(k, dtype=np.float64))
-        x = make_input(np.broadcast_to(kn, (len(days), *kn.shape)), days / self.t_max)
+        kn = self.stats.normalize_k(k)
+        x = self.inputs(np.broadcast_to(kn, (len(days), *kn.shape)), days)
         return self.stats.denormalize_target(self.predict(x))
 
 

@@ -83,9 +83,8 @@ class ReservoirConfig:
 
 @dataclass
 class TimeSeriesSample:
-    """Permeability plus daily pressure/saturation snapshots (day 0..T)."""
+    """Daily pressure/saturation snapshots (day 0..T) of one run."""
 
-    k: np.ndarray
     p_series: np.ndarray
     sw_series: np.ndarray
     water_injected: float
@@ -118,6 +117,8 @@ def face_transmissibility(k: np.ndarray, cfg: ReservoirConfig):
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (cfg.nx, cfg.nz):
         raise ValueError(f"permeability shape {k.shape} != grid {(cfg.nx, cfg.nz)}")
+    if not np.all(np.isfinite(k) & (k >= 0)):
+        raise ValueError("permeability must be finite and non-negative")
 
     def _harmonic(a, b):
         s = a + b
@@ -465,7 +466,6 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
         p_series[day], sw_series[day] = p, sw
 
     return TimeSeriesSample(
-        k=np.asarray(k, dtype=np.float64).copy(),
         p_series=p_series,
         sw_series=sw_series,
         water_injected=injected,

@@ -6,7 +6,8 @@ the row frequencies ``rows`` by the first ``m2`` columns, as two dense
 products with bases built per call: O(HW (m1 + m2)), exact on odd extents.
 It equals ``np.fft.rfft2(x)[..., rows, :m2]``; ``irfft2`` equals
 ``np.fft.irfft2`` of the half-spectrum holding the block and zeros elsewhere.
-``_column_weights`` turns each of the two into the other's adjoint.
+``rfft2`` is the analysis (the basis products) and its adjoint the synthesis
+(their conjugate transposes); ``irfft2`` and its adjoint weight those two.
 """
 
 from __future__ import annotations
@@ -25,40 +26,47 @@ def _bases(rows: np.ndarray, h: int, w: int, m2: int, real):
     return row, col.view(real)
 
 
-def rfft2(x: np.ndarray, rows: np.ndarray, m2: int) -> np.ndarray:
-    """Unnormalized forward real DFT, retained block: [..., H, W] -> [..., len(rows), m2]."""
+def _analysis(x: np.ndarray, rows: np.ndarray, m2: int) -> np.ndarray:
+    """Row and column basis products: [..., H, W] -> [..., len(rows), m2], complex."""
     row, col = _bases(rows, *x.shape[-2:], m2, np.result_type(x, np.float32))
     return np.matmul(row, np.matmul(x, col).view(row.dtype))
 
 
-def irfft2(X: np.ndarray, rows: np.ndarray, s: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`rfft2` with zeros outside the block; ``s`` is the field shape (H, W)."""
+def _synthesis(X: np.ndarray, rows: np.ndarray, s: tuple[int, int]) -> np.ndarray:
+    """Conjugate transposes of the basis products: block -> real field of shape ``s``."""
     real = np.finfo(X.dtype).dtype
     row, col = _bases(rows, *s, X.shape[-1], real)
-    X = X * (_column_weights(X.shape[-1], s[1], real) / (s[0] * s[1]))
     return np.matmul(np.matmul(row.conj().T, X).view(real), col.T)
 
 
-def _column_weights(m2: int, w: int, dtype) -> np.ndarray:
-    """Multiplicity of each of the first ``m2`` rfft2 columns in the full spectrum:
-    1 for column 0 and for the Nyquist column (even ``w`` only), 2 for the others."""
+def _weights(m2: int, s: tuple[int, int], dtype) -> np.ndarray:
+    """Multiplicity of each of the first ``m2`` rfft2 columns in the full spectrum
+    over H*W: 1 for column 0 and the Nyquist column (even W only), 2 for others."""
     weights = np.full(m2, 2.0, dtype=dtype)
     weights[0] = 1.0
-    if 2 * (m2 - 1) == w:
+    if 2 * (m2 - 1) == s[1]:
         weights[-1] = 1.0
-    return weights
+    return weights / (s[0] * s[1])
+
+
+def rfft2(x: np.ndarray, rows: np.ndarray, m2: int) -> np.ndarray:
+    """Unnormalized forward real DFT, retained block: [..., H, W] -> [..., len(rows), m2]."""
+    return _analysis(x, rows, m2)
+
+
+def irfft2(X: np.ndarray, rows: np.ndarray, s: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`rfft2` with zeros outside the block; ``s`` is the field shape (H, W)."""
+    return _synthesis(X * _weights(X.shape[-1], s, np.finfo(X.dtype).dtype), rows, s)
 
 
 def rfft2_adjoint(g: np.ndarray, rows: np.ndarray, s: tuple[int, int]) -> np.ndarray:
     """Adjoint of ``rfft2`` under the real inner product: block -> field of shape ``s``."""
-    weights = _column_weights(g.shape[-1], s[1], dtype=g.real.dtype)
-    return irfft2(g * ((s[0] * s[1]) / weights), rows, s)
+    return _synthesis(g, rows, s)
 
 
 def irfft2_adjoint(g: np.ndarray, rows: np.ndarray, m2: int) -> np.ndarray:
     """Adjoint of ``irfft2`` under the real inner product: field -> block."""
-    weights = _column_weights(m2, g.shape[-1], dtype=g.dtype)
-    return (weights / (g.shape[-2] * g.shape[-1])) * rfft2(g, rows, m2)
+    return _weights(m2, g.shape[-2:], g.dtype) * _analysis(g, rows, m2)
 
 
 def idct2(X: np.ndarray) -> np.ndarray:

@@ -79,12 +79,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
 
 class Parameter(Tensor):
     """Trainable tensor with a name; the name keys it in checkpoints.
@@ -332,16 +326,19 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
     return _record(Tensor(out_data), (x, w) if bias is None else (x, w, bias), bwd)
 
 
-def _conv_out_extent(n: int, k: int, stride: int, pad: int, op: str) -> int:
-    m = n + 2 * pad - k
-    if m < 0:
-        raise ValueError(f"{op}: kernel {k} larger than padded extent {n + 2 * pad}")
-    return m // stride + 1
-
-
-def _phase_grid(n: int, stride: int, pad: int) -> int:
-    """Extent of each phase of an extent-n axis padded by ``pad``."""
-    return -(-(n + 2 * pad) // stride)
+def _conv_geometry(op: str, fine_hw, kernel, stride: int, pad: int):
+    """Coarse extents ``(n + 2*pad - k)//stride + 1`` of a ``kernel``-sized convolution
+    of a ``fine_hw`` image, and the [hq, wq] extents of that image's padded phases."""
+    if stride not in (1, 2):
+        raise ValueError(f"{op}: stride must be 1 or 2, got {stride}")
+    coarse, grid = [], []
+    for n, k in zip(fine_hw, kernel):
+        n += 2 * pad
+        if n < k:
+            raise ValueError(f"{op}: kernel {k} larger than padded extent {n}")
+        coarse.append((n - k) // stride + 1)
+        grid.append(-(-n // stride))
+    return tuple(coarse), tuple(grid)
 
 
 def _phase_blocks(h: int, w: int, stride: int, pad: int):
@@ -395,7 +392,7 @@ def _conv_fwd(xph: np.ndarray, kd: np.ndarray, stride: int, ho: int, wo: int) ->
     for p, d, k in rest:
         np.matmul(k, flat[p, :, :, d:d + nrun], out=tmp[:, :, :nrun])
         out += tmp
-    return np.ascontiguousarray(out.reshape(bsz, -1, hq, wq)[:, :, :ho, :wo])
+    return np.ascontiguousarray(out.reshape(bsz, kd.shape[0], hq, wq)[:, :, :ho, :wo])
 
 
 def _conv_adj(gq: np.ndarray, kd: np.ndarray, stride: int, pad: int,
@@ -450,16 +447,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     x: [B,Ci,H,W]; k: [Co,Ci,kh,kw]; output extent (n + 2*pad - k)//stride + 1.
     """
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
     xd = _spatial(x, "conv2d", k)
     kd = k.data
     if kd.ndim != 4 or kd.shape[1] != xd.shape[1]:
         raise ValueError(f"conv2d: kernel {kd.shape} incompatible with input {xd.shape}")
     h, w = xd.shape[2:]
-    ho = _conv_out_extent(h, kd.shape[2], stride, pad, "conv2d")
-    wo = _conv_out_extent(w, kd.shape[3], stride, pad, "conv2d")
-    hq, wq = _phase_grid(h, stride, pad), _phase_grid(w, stride, pad)
+    (ho, wo), (hq, wq) = _conv_geometry("conv2d", (h, w), kd.shape[2:], stride, pad)
     xph = _phases(xd, stride, pad, hq, wq)
 
     def bwd(g):
@@ -476,25 +469,20 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int, pad: int,
     ``out_hw`` is the fine-grid extent, which a stride of 2 does not fix: it
     must be one that :func:`conv2d` maps onto ``y``'s extent.
     """
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d_transpose: stride must be 1 or 2, got {stride}")
     yd = _spatial(y, "conv2d_transpose", k)
     kd = k.data
     if kd.ndim != 4 or kd.shape[0] != yd.shape[1]:
         raise ValueError(f"conv2d_transpose: kernel {kd.shape} incompatible with input {yd.shape}")
-    kh, kw = kd.shape[2:]
-    for n_out, n_in, kk in ((out_hw[0], yd.shape[2], kh), (out_hw[1], yd.shape[3], kw)):
-        if _conv_out_extent(n_out, kk, stride, pad, "conv2d_transpose") != n_in:
-            raise ValueError(
-                f"conv2d_transpose: out_hw {out_hw} inconsistent with input {yd.shape[2:]} "
-                f"under (k={kk}, stride={stride}, pad={pad})")
-    oh, ow = out_hw
-    hq, wq = _phase_grid(oh, stride, pad), _phase_grid(ow, stride, pad)
+    coarse, (hq, wq) = _conv_geometry("conv2d_transpose", out_hw, kd.shape[2:], stride, pad)
+    if coarse != yd.shape[2:]:
+        raise ValueError(
+            f"conv2d_transpose: out_hw {out_hw} inconsistent with input {yd.shape[2:]} "
+            f"under (k={kd.shape[2:]}, stride={stride}, pad={pad})")
 
     def bwd(g):
         gph = _phases(g, stride, pad, hq, wq)
         dy = _conv_fwd(gph, kd, stride, yd.shape[2], yd.shape[3])
         return (dy, _conv_kgrad(gph, _phases(yd, 1, 0, hq, wq)[0], kd, stride))
 
-    return _record(Tensor(_conv_adj(_phases(yd, 1, 0, hq, wq)[0], kd, stride, pad, oh, ow)),
+    return _record(Tensor(_conv_adj(_phases(yd, 1, 0, hq, wq)[0], kd, stride, pad, *out_hw)),
                    (y, k), bwd)

@@ -1,11 +1,11 @@
 """Losses, Adam optimization, the training loop and evaluation protocols.
 
 Training pairs flatten (sample, day): every daily snapshot is an independent
-supervised example whose input is the normalized permeability, a constant
-time channel and the cell-centre coordinates (``operators.make_input``).  The
-one training loss is the relative L2 error, computed on z-score-normalized
-targets but scaled so that it equals the relative L2 error of the
-denormalized (physical) fields, which is also the reported metric.
+supervised example whose input the model builds (``model.inputs``): the
+normalized permeability, a constant time channel and the cell-centre
+coordinates.  The one training loss is the relative L2 error, computed on
+z-score-normalized targets but scaled so that it equals the relative L2 error
+of the denormalized (physical) fields, which is also the reported metric.
 
 A training step runs its batch through the two-shard runner
 ``operators._two_shards``, as inference does: the first ceil(B/2) pairs run
@@ -26,7 +26,7 @@ from numpy.random import Generator, Philox
 
 from . import tensor as T
 from .dataio import DatasetBundle, NormStats
-from .operators import _two_shards, make_input
+from .operators import _two_shards
 from .tensor import Parameter, Tape, Tensor
 
 
@@ -140,7 +140,7 @@ def evaluate(model, bundle: DatasetBundle, indices):
     elapsed = 0.0
     for row, i in enumerate(indices):
         t0 = time.perf_counter()
-        pred = model.predict_fields(bundle.k[i].astype(np.float64), days)
+        pred = model.predict_fields(bundle.k[i], days)
         elapsed += time.perf_counter() - t0
         for day in days:
             errors[row, day] = rel_l2(pred[day], truth[i, day].astype(np.float64))
@@ -165,7 +165,7 @@ def throughput_report(model, bundle: DatasetBundle, cfg, indices):
 # ---------------------------------------------------------------------------
 
 def _normalized_views(bundle: DatasetBundle, stats: NormStats, dtype):
-    k_norm = stats.normalize_k(bundle.k.astype(np.float64)).astype(dtype)
+    k_norm = stats.normalize_k(bundle.k).astype(dtype)
     tgt = stats.normalize_target(
         bundle.target(stats.target_name).astype(np.float64)).astype(dtype)
     return k_norm, tgt
@@ -248,7 +248,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
         losses = []
         for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
             si, day = pairs[order[start:start + cfg.batch_size]].T
-            x = make_input(k_norm[si], day / model.t_max)
+            x = model.inputs(k_norm[si], day)
             loss, grads = _sharded_step(model, x, tgt_norm[si, day][:, None],
                                         denom_table[si, day])
             value = float(loss)

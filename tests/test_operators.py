@@ -440,6 +440,13 @@ def test_predict_fields_normalizes_k_in_float64(cls, cfg, dtype):
                           model.predict_fields(k32.astype(np.float64), days))
 
 
+@SMALL_MODELS
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_predict_fields_of_no_days(cls, cfg, dtype):
+    out = cls(cfg, stats=STATS, dtype=dtype).predict_fields(np.ones((10, 10)), [])
+    assert out.shape == (0, 10, 10) and out.dtype == dtype
+
+
 class TestTwoShards:
     """``operators._two_shards``, the one runner of training steps and predictions."""
 

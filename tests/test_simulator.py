@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ class TestTransmissibility:
         k = np.array([[1.0, 1.0], [3.0, 3.0]])
         tx, _ = face_transmissibility(k, cfg)
         assert np.allclose(tx, 1.5 * cfg.dz / cfg.dx)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("entry", ["run_simulation", "assemble_pressure"])
+    def test_bad_permeability_raises(self, bad, entry):
+        # checked before any arithmetic: an inf used to warn in the harmonic mean
+        # and then run CG to its iteration cap
+        cfg = ReservoirConfig(nx=4, nz=4, total_days=1)
+        k = np.ones((4, 4))
+        k[2, 1] = bad
+        args = (k, cfg) if entry == "run_simulation" else (k, np.full((4, 4), cfg.sw_init), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="permeability must be finite and non-negative"):
+                getattr(simulator, entry)(*args)
 
 
 class TestPressureSystem:
