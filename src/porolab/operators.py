@@ -181,6 +181,7 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     wc = (w_re.data + 1j * w_im.data).astype(block_t.dtype)                 # [m1,m2,Co,Ci]
     out_block = np.matmul(wc, block_t)                                      # [m1,m2,Co,B]
     out = Tensor(spectral.irfft2(out_block.transpose(3, 2, 0, 1), rows, (h, w)))
+    dtype = vd.dtype                                   # the weights' too, as _spatial checked
 
     def bwd(g):
         ablock_t = np.ascontiguousarray(
@@ -188,9 +189,9 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
         dw = np.matmul(ablock_t, block_t.conj().transpose(0, 1, 3, 2))      # g C^H
         dblock = np.matmul(wc.conj().transpose(0, 1, 3, 2), ablock_t)       # W^H g
         dv = spectral.rfft2_adjoint(dblock.transpose(3, 2, 0, 1), rows, (h, w))
-        return (dv.astype(vd.dtype, copy=False),
-                np.ascontiguousarray(dw.real, dtype=w_re.data.dtype),
-                np.ascontiguousarray(dw.imag, dtype=w_im.data.dtype))
+        return (dv.astype(dtype, copy=False),
+                np.ascontiguousarray(dw.real, dtype=dtype),
+                np.ascontiguousarray(dw.imag, dtype=dtype))
 
     return _record(out, (v, w_re, w_im), bwd)
 

@@ -1,7 +1,9 @@
 """FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, registry, counts."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -445,6 +447,31 @@ def test_predict_fields_normalizes_k_in_float64(cls, cfg, dtype):
 def test_predict_fields_of_no_days(cls, cfg, dtype):
     out = cls(cfg, stats=STATS, dtype=dtype).predict_fields(np.ones((10, 10)), [])
     assert out.shape == (0, 10, 10) and out.dtype == dtype
+
+
+@pytest.mark.parametrize("cls,cfg,alive,recorded", [
+    (Mgno, MgnoConfig(depth=2, channels=4, levels=3), 9, 50),
+    (Fno, FnoConfig(width=8, modes1=4, modes2=4, depth=2), 5, 10)], ids=["mgno", "fno"])
+def test_tape_keeps_only_what_rules_read(cls, cfg, alive, recorded, monkeypatch):
+    # of the outputs a forward pass records, only those a backward rule reads
+    # (and the loss) outlive the prediction before backward runs
+    outs = []
+    record = T.Tape.record
+
+    def counting(tape, out, inputs, backward_fn):
+        outs.append(weakref.ref(out.data))
+        record(tape, out, inputs, backward_fn)
+
+    monkeypatch.setattr(T.Tape, "record", counting)
+    model = cls(cfg, STATS, dtype=np.float64, seed=1)
+    x = Tensor(np.random.default_rng(2).standard_normal((2, _IN_CHANNELS, 16, 16)))
+    with T.Tape() as tape:
+        pred = model.forward(x)
+        loss = T.tensor_sum(pred)
+    del pred
+    gc.collect()
+    assert (sum(ref() is not None for ref in outs), len(outs)) == (alive, recorded)
+    assert tape.backward(loss).keys() == {x, *model.parameters()}
 
 
 class TestTwoShards:

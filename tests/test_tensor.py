@@ -399,6 +399,40 @@ class TestBackward:
         assert refs["dead"] == (True, True)
         assert np.array_equal(grads[x], 12.0 * x.data)
 
+    def test_miscounted_rule_raises(self):
+        # a rule gives one gradient (or None) per input; one too few is an
+        # error, not a gradient dropped without a word
+        x, y = Tensor(np.arange(3.0)), Tensor(np.ones(3))
+        with Tape() as tape:
+            loss = T.tensor_sum(T._record(Tensor(x.data * y.data), (x, y), lambda g: (g,)))
+        with pytest.raises(ValueError):
+            tape.backward(loss)
+
+    def test_unread_intermediate_is_freed_before_backward(self):
+        # no rule reads sub's output (conv2d's rule keeps its own phased copy of
+        # its input), so once the caller drops it nothing keeps it alive, and
+        # the gradients are those of the same pass with the caller holding it
+        r = np.random.default_rng(11)
+        a, b = Tensor(r.standard_normal((2, 3, 6, 6))), Tensor(r.standard_normal((2, 3, 6, 6)))
+        k = Tensor(r.standard_normal((4, 3, 3, 3)))
+
+        def grads(hold):
+            held = []
+            with Tape() as tape:
+                d = T.sub(a, b)
+                ref = weakref.ref(d.data)
+                if hold:
+                    held.append(d)
+                z = T.conv2d(d, k, 1, 1)
+                del d
+                loss = T.tensor_sum(z)
+            assert (ref() is not None) == hold
+            return tape.backward(loss)
+
+        dropped, held = grads(False), grads(True)
+        assert dropped.keys() == held.keys() == {a, b, k}
+        assert all(np.array_equal(dropped[t], held[t]) for t in (a, b, k))
+
 
 def _conv_pass(x, k):
     """Forward of a small conv/GELU net under the calling thread's tape."""
@@ -570,7 +604,7 @@ class TestRecording:
         with Tape() as tape:
             out = op(*args)
         assert len(seen) == 1 and seen[0] is out
-        assert len(tape._nodes) == 1 and tape._nodes[0][0] is out
+        assert len(tape._nodes) == 1 and tape._nodes[0][0] == out._key
         bare = op(*args)
         assert len(seen) == 1
         assert bare.dtype == out.dtype == dtype and np.array_equal(bare.data, out.data)
