@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .grf import GrfSpec, sample_grf, to_permeability
-from .simulator import ReservoirConfig, run_simulation, water_budget_error
+from .simulator import ReservoirConfig, _check_permeability, run_simulation, water_budget_error
 
 _FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 _AMPLITUDE = 10.0   # dataset permeability K = _AMPLITUDE * |g| of a GRF sample g
@@ -68,6 +68,7 @@ class NormStats:
     @classmethod
     def fit(cls, k_train: np.ndarray, target_train: np.ndarray,
             target_name: str) -> "NormStats":
+        _check_permeability(k_train)
         klog = np.log1p(k_train)
         return cls(
             k_mean=float(klog.mean()),
@@ -79,7 +80,9 @@ class NormStats:
 
     def normalize_k(self, k: np.ndarray) -> np.ndarray:
         """z-scored log(1+K), computed in float64 whatever K's dtype."""
-        return (np.log1p(np.asarray(k, dtype=np.float64)) - self.k_mean) / self.k_std
+        k = np.asarray(k, dtype=np.float64)
+        _check_permeability(k)
+        return (np.log1p(k) - self.k_mean) / self.k_std
 
     def normalize_target(self, x: np.ndarray) -> np.ndarray:
         return (x - self.target_mean) / self.target_std

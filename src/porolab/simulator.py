@@ -96,7 +96,7 @@ def relperm(sw, cfg: ReservoirConfig):
     """Corey relative permeabilities (k_rw, k_ro) of the water saturation."""
     sw = np.asarray(sw, dtype=np.float64)
     lo, hi = cfg.swc, 1.0 - cfg.sor
-    if np.any(sw < lo - 1e-9) or np.any(sw > hi + 1e-9):
+    if not np.all((sw >= lo - 1e-9) & (sw <= hi + 1e-9)):
         raise ValueError(f"saturation outside [{lo}, {hi}]: range [{sw.min()}, {sw.max()}]")
     se = np.clip((sw - lo) / (hi - lo), 0.0, 1.0)
     return se ** cfg.corey_nw, (1.0 - se) ** cfg.corey_no
@@ -108,6 +108,13 @@ def total_mobility(sw, cfg: ReservoirConfig):
     return lam_w, lam_w + kro / cfg.mu_o
 
 
+def _check_permeability(k) -> None:
+    """Raise unless every entry of ``k`` is finite and non-negative; ``k`` is not cast."""
+    k = np.asarray(k)
+    if not np.all(np.isfinite(k) & (k >= 0)):
+        raise ValueError("permeability must be finite and non-negative")
+
+
 def face_transmissibility(k: np.ndarray, cfg: ReservoirConfig):
     """Geometric two-point face coefficients (interior faces only).
 
@@ -117,8 +124,7 @@ def face_transmissibility(k: np.ndarray, cfg: ReservoirConfig):
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (cfg.nx, cfg.nz):
         raise ValueError(f"permeability shape {k.shape} != grid {(cfg.nx, cfg.nz)}")
-    if not np.all(np.isfinite(k) & (k >= 0)):
-        raise ValueError("permeability must be finite and non-negative")
+    _check_permeability(k)
 
     def _harmonic(a, b):
         s = a + b

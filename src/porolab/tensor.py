@@ -5,24 +5,23 @@ tensors are pure functions, and each returns its output through ``_record``,
 the one place where an op meets the tape: while a :class:`Tape` is active on
 the calling thread it appends a record (output key, input keys, backward rule)
 in execution order, which is already a valid topological order.  Each tensor
-carries a key unique in the process, and a record holds keys, not tensors.
-The tape keeps a tensor only in its leaf table: a leaf is a tensor that
-entered an op on the tape but that no op on it produced, such as a parameter
-or a tensor made outside the tape.  An op's output thus lives only as long as
-a Python name or a rule closure holds it, and one that no rule reads is freed
+carries a ``key`` unique in the process, and a record holds keys, not tensors,
+so a tape holds no tensor at all: an op's output lives only as long as a
+Python name or a rule closure holds it, and one that no rule reads is freed
 in the forward pass once the caller drops it.
 Each thread has its own stack of active tapes, so two threads can each record
 a forward pass at once, and an op on a thread with no open tape records
 nothing whatever other threads have open.  ``tape.backward(loss)`` replays
 the records in reverse and returns the gradient of every leaf the loss
-reaches, as a dict keyed by the leaf tensor; a leaf used several times
-receives the sum of its per-use gradients.  The pass pops each record as its
-rule runs and drops that record's output gradient once the rule has it, so
-every activation the rule closes over and every intermediate gradient is
-freed during the pass, not at its end.  A :class:`Parameter` is a Tensor with
-a name and enters every op as itself; its ``grad``, which the training loop
-sets from the gradients a backward pass returns, is the only gradient a
-tensor carries.
+reaches (a tensor that no op on the tape produced, such as a parameter or a
+tensor made outside the tape), keyed by the leaf's ``key``; a leaf used
+several times receives the sum of its per-use gradients.  The pass pops each
+record as its rule runs and drops that record's output gradient once the rule
+has it, so every activation the rule closes over and every intermediate
+gradient is freed during the pass, not at its end.  A :class:`Parameter` is a
+Tensor with a name and enters every op as itself; its ``grad``, which the
+training loop sets from the gradients a backward pass returns, is the only
+gradient a tensor carries.
 
 Convolutions share one tap geometry.  The zero-padded image is split once into
 its stride**2 phases (``_phases``): phase (a, b) is the channel-planar sub-image
@@ -66,17 +65,17 @@ _KEYS = itertools.count()
 class Tensor:
     """N-dimensional real array, immutable by convention once created.
 
-    ``_key`` is unique in the process; a tape names the tensor by it.
+    ``key`` is unique in the process; a tape and its gradients name the tensor by it.
     """
 
-    __slots__ = ("data", "_key")
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self._key = next(_KEYS)
+        self.key = next(_KEYS)
 
     @property
     def shape(self):
@@ -121,19 +120,15 @@ class Tape:
 
     Use as a context manager around a forward pass; call
     ``tape.backward(loss)`` once afterwards.  A tape records the ops of the
-    thread that opened it.  A record is ``(output key, input keys, rule)``;
-    the tape keeps a tensor only in its leaf table, for an input that no
-    earlier record produced.  An op's output thus lives only as long as a
-    Python name or a rule closure holds it.  A tape is emptied by its
-    backward pass and cannot be replayed.
+    thread that opened it.  A record is ``(output key, input keys, rule)``, so
+    the tape holds no tensor.  A tape is emptied by its backward pass and
+    cannot be replayed.
     """
 
-    __slots__ = ("_nodes", "_outs", "_leaves", "_consumed")
+    __slots__ = ("_nodes", "_consumed")
 
     def __init__(self):
         self._nodes = []
-        self._outs = set()
-        self._leaves = {}
         self._consumed = False
 
     def __enter__(self):
@@ -145,26 +140,24 @@ class Tape:
         return False
 
     def record(self, out: Tensor, inputs, backward_fn):
-        for t in inputs:
-            if t._key not in self._outs:
-                self._leaves[t._key] = t
-        self._outs.add(out._key)
-        self._nodes.append((out._key, tuple(t._key for t in inputs), backward_fn))
+        self._nodes.append((out.key, tuple(t.key for t in inputs), backward_fn))
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Gradients of ``loss`` with respect to every leaf it reaches, keyed by leaf.
+    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
+        """Gradients of ``loss`` keyed by :attr:`Tensor.key`, one array per leaf.
 
-        Each record is popped before its rule runs and its output gradient
-        leaves the table, so both are freed as the pass goes; what is left in
-        the table at the end belongs to tensors no op on this tape produced.
-        A rule must return one gradient (or None) per input.
+        The leaves are the tensors that the loss reaches and that no record on
+        this tape produced (the loss itself when no record did).  Each record
+        is popped before its rule runs and its output gradient leaves the
+        table, so both are freed as the pass goes and the table left at the
+        end holds the leaves' gradients.  A rule must return one gradient per
+        input.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
         if loss.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
-        grads = {loss._key: np.ones((), dtype=loss.data.dtype)}
+        grads = {loss.key: np.ones((), dtype=loss.data.dtype)}
         nodes = self._nodes
         while nodes:
             out, inputs, backward_fn = nodes.pop()
@@ -172,11 +165,8 @@ class Tape:
             if g is None:
                 continue
             for k, dt in zip(inputs, backward_fn(g), strict=True):
-                if dt is not None:
-                    grads[k] = grads[k] + dt if k in grads else dt
-        leaves, self._leaves = self._leaves, {}
-        leaves[loss._key] = loss
-        return {leaves[k]: g for k, g in grads.items()}
+                grads[k] = grads[k] + dt if k in grads else dt
+        return grads
 
 
 _LOCAL = threading.local()

@@ -54,7 +54,7 @@ def batched_relative_loss(pred: Tensor, target: np.ndarray, denominators: np.nda
 
     ``denominators`` are the per-sample normalizing norms; the training loop
     passes the physical-field norms (divided by the target std, see
-    :func:`_pair_denominators`) so the normalized-space loss equals the
+    :func:`_training_arrays`) so the normalized-space loss equals the
     physical relative error exactly.
     """
     tgt = Tensor(np.ascontiguousarray(target, dtype=pred.dtype))
@@ -164,24 +164,19 @@ def throughput_report(model, bundle: DatasetBundle, cfg, indices):
 # training loop
 # ---------------------------------------------------------------------------
 
-def _normalized_views(bundle: DatasetBundle, stats: NormStats, dtype):
-    k_norm = stats.normalize_k(bundle.k).astype(dtype)
-    tgt = stats.normalize_target(
-        bundle.target(stats.target_name).astype(np.float64)).astype(dtype)
-    return k_norm, tgt
+def _training_arrays(bundle: DatasetBundle, stats: NormStats, dtype):
+    """Normalized K and targets in ``dtype``, and the physical per-(sample, day)
+    target norms scaled into normalized space, from one float64 copy of the target.
 
-
-def _pair_denominators(bundle: DatasetBundle, stats: NormStats) -> np.ndarray:
-    """Physical per-(sample, day) target norms scaled into normalized space.
-
-    Dividing the normalized-space error norm by these reproduces the
-    physical relative error, which is also the reported validation metric.
+    Dividing the normalized-space error norm by these denominators reproduces
+    the physical relative error, which is also the reported validation metric.
     """
+    k_norm = stats.normalize_k(bundle.k).astype(dtype)
     phys = bundle.target(stats.target_name).astype(np.float64)
     denom = np.sqrt((phys * phys).sum(axis=(2, 3))) / stats.target_std
     if np.any(denom == 0.0):
         raise ValueError("relative loss: zero-norm target snapshot")
-    return denom
+    return k_norm, stats.normalize_target(phys).astype(dtype), denom
 
 
 def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_size: int):
@@ -191,7 +186,7 @@ def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_s
         pred = model.forward(Tensor(x))
         loss = batched_relative_loss(pred, y, denominators=denoms, batch_size=batch_size)
     grads = tape.backward(loss)
-    return loss.data, [grads[p] for p in model.parameters()]
+    return loss.data, [grads[p.key] for p in model.parameters()]
 
 
 def _sharded_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray):
@@ -231,9 +226,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
             f"{bundle.n_train()}")
     val_idx = bundle.val_indices()
     days = bundle.n_days
-    dtype = model.dtype
-    k_norm, tgt_norm = _normalized_views(bundle, model.stats, dtype)
-    denom_table = _pair_denominators(bundle, model.stats)
+    k_norm, tgt_norm, denom_table = _training_arrays(bundle, model.stats, model.dtype)
 
     pairs = np.stack(np.meshgrid(np.arange(n_train), np.arange(days + 1),
                                  indexing="ij"), axis=-1).reshape(-1, 2)

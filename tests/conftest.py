@@ -38,7 +38,7 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
     with Tape() as tape:
         loss = build_loss()
     grads = tape.backward(loss)
-    analytic = [grads.get(t, np.zeros_like(t.data)) for t in tensors]
+    analytic = [grads.get(t.key, np.zeros_like(t.data)) for t in tensors]
     numeric = numerical_gradients(lambda: build_loss().item(),
                                   [t.data for t in tensors], eps=eps)
     worst = 0.0

@@ -150,8 +150,8 @@ class TestSpectralConv:
             out = spectral_conv(v, w_re, w_im)
             loss = T.tensor_sum(T.mul(out, out))
         grads = tape.backward(loss)
-        assert out.dtype == grads[v].dtype == grads[w_re].dtype == grads[w_im].dtype \
-            == np.float32
+        assert out.dtype == grads[v.key].dtype == grads[w_re.key].dtype \
+            == grads[w_im.key].dtype == np.float32
 
     def test_mode_bounds_checked(self):
         v = Tensor(rng.standard_normal((1, 2, 8, 8)))
@@ -471,7 +471,28 @@ def test_tape_keeps_only_what_rules_read(cls, cfg, alive, recorded, monkeypatch)
     del pred
     gc.collect()
     assert (sum(ref() is not None for ref in outs), len(outs)) == (alive, recorded)
-    assert tape.backward(loss).keys() == {x, *model.parameters()}
+    assert tape.backward(loss).keys() == {t.key for t in (x, *model.parameters())}
+
+
+def test_tape_holds_no_tensor():
+    # everything reachable from a tape through its slots, its record list and
+    # the record tuples is a key, a container of keys or a rule; the walk stops
+    # at rules, whose closures may hold a parameter
+    model = Mgno(MgnoConfig(depth=2, channels=4, levels=3), STATS, dtype=np.float64, seed=1)
+    x = Tensor(np.random.default_rng(2).standard_normal((2, _IN_CHANNELS, 16, 16)))
+    with T.Tape() as tape:
+        T.tensor_sum(model.forward(x))
+    found, todo = [], [tape]
+    while todo:
+        obj = todo.pop()
+        found.append(obj)
+        if isinstance(obj, T.Tape):
+            todo.extend(getattr(obj, name) for name in type(obj).__slots__)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            todo.extend(obj)
+    assert len(found) > 50 and not any(isinstance(obj, Tensor) for obj in found)
 
 
 class TestTwoShards:

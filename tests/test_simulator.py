@@ -11,7 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 from porolab import simulator
+from porolab.dataio import NormStats
 from porolab.grf import GrfSpec, sample_grf, to_permeability
+from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig
 from porolab.simulator import (ReservoirConfig, assemble_pressure, darcy_fluxes,
                                face_transmissibility, relperm, run_simulation,
                                solve_pressure, stable_dt, total_mobility,
@@ -102,8 +104,9 @@ class TestRelperm:
 
     def test_out_of_range_raises(self):
         cfg = ReservoirConfig()
-        with pytest.raises(ValueError):
-            relperm(0.05, cfg)
+        for bad in (0.05, np.array([0.3, np.nan])):
+            with pytest.raises(ValueError, match="saturation outside"):
+                relperm(bad, cfg)
 
 
 class TestTransmissibility:
@@ -127,18 +130,30 @@ class TestTransmissibility:
         assert np.allclose(tx, 1.5 * cfg.dz / cfg.dx)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
-    @pytest.mark.parametrize("entry", ["run_simulation", "assemble_pressure"])
+    @pytest.mark.parametrize("entry", ["run_simulation", "assemble_pressure", "fno.predict_fields",
+                                       "mgno.predict_fields", "NormStats.fit"])
     def test_bad_permeability_raises(self, bad, entry):
         # checked before any arithmetic: an inf used to warn in the harmonic mean
-        # and then run CG to its iteration cap
+        # and then run CG to its iteration cap, and a model's normalization
+        # turned NaN or inf into a field and -1 into a warning
         cfg = ReservoirConfig(nx=4, nz=4, total_days=1)
         k = np.ones((4, 4))
         k[2, 1] = bad
-        args = (k, cfg) if entry == "run_simulation" else (k, np.full((4, 4), cfg.sw_init), cfg)
+        stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+        calls = {
+            "run_simulation": lambda: simulator.run_simulation(k, cfg),
+            "assemble_pressure":
+                lambda: simulator.assemble_pressure(k, np.full((4, 4), cfg.sw_init), cfg),
+            "fno.predict_fields": lambda: Fno(FnoConfig(width=2, modes1=2, modes2=2, depth=1),
+                                              stats).predict_fields(k, [0, 1]),
+            "mgno.predict_fields": lambda: Mgno(MgnoConfig(depth=1, channels=2, levels=2),
+                                                stats).predict_fields(k, [0, 1]),
+            "NormStats.fit": lambda: NormStats.fit(k[None], np.ones((1, 2, 4, 4)), "p"),
+        }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="permeability must be finite and non-negative"):
-                getattr(simulator, entry)(*args)
+                calls[entry]()
 
 
 class TestPressureSystem:

@@ -145,7 +145,7 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle):
     x = make_input(np.stack([stats.normalize_k(k)] * len(days)), days / model.t_max)
     pred = model.predict(x)
     truth = bundle.p[0, days].astype(np.float64)
-    denoms = training._pair_denominators(bundle, stats)[0, days]
+    denoms = training._training_arrays(bundle, stats, np.float64)[2][0, days]
     loss = training.batched_relative_loss(Tensor(pred[:, None]),
                                           stats.normalize_target(truth)[:, None],
                                           denominators=denoms, batch_size=len(days))
@@ -209,7 +209,7 @@ def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind
     grads = tape.backward(loss)
     np.testing.assert_allclose(loss0 + loss1, loss.data, rtol=1e-12, atol=0)
     for p, q in zip(params, fresh.parameters()):
-        np.testing.assert_allclose(p.grad, grads[q], rtol=1e-12, atol=0, err_msg=p.name)
+        np.testing.assert_allclose(p.grad, grads[q.key], rtol=1e-12, atol=0, err_msg=p.name)
 
 
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
