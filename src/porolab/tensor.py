@@ -8,7 +8,12 @@ in execution order, which is already a valid topological order.  Each tensor
 carries a ``key`` unique in the process, and a record holds keys, not tensors,
 so a tape holds no tensor at all: an op's output lives only as long as a
 Python name or a rule closure holds it, and one that no rule reads is freed
-in the forward pass once the caller drops it.
+in the forward pass once the caller drops it.  A rule keeps one copy of what it
+reads: ``add``, ``sub`` and ``tensor_sum`` keep no array, ``mul`` its two
+inputs, ``sqrt`` its output and ``gelu`` its derivative, formed in the forward
+pass (not its input); ``pointwise_linear`` keeps its input and weight, and both
+convolutions keep their unpadded input and kernel and phase the input again in
+backward, so a layer input that several rules read is held once.
 Each thread has its own stack of active tapes, so two threads can each record
 a forward pass at once, and an op on a thread with no open tape records
 nothing whatever other threads have open.  ``tape.backward(loss)`` replays
@@ -253,24 +258,26 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact erf form: x * Phi(x)."""
+    """Gaussian-error linear unit, exact erf form: x * Phi(x).
+
+    The derivative ``Phi(x) + x phi(x)`` is formed in the forward pass, tape or
+    no tape, and it is all the rule keeps: one array of the input's shape.  Where
+    ``x * x`` overflows, ``x phi(x)`` comes out 0 and the derivative Phi(x); at an
+    infinite x it is NaN.  Neither raises a floating-point warning.
+    """
     xd = x.data
     phi_cdf = xd * xd.dtype.type(_SQRT1_2)
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
-
-    def bwd(g):
-        pdf = xd * xd
-        pdf *= -0.5
-        np.exp(pdf, out=pdf)
-        pdf *= xd.dtype.type(_INV_SQRT_2PI)
-        pdf *= xd
-        pdf += phi_cdf
-        pdf *= g
-        return (pdf,)
-
-    return _record(Tensor(xd * phi_cdf), (x,), bwd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = xd * xd
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= xd.dtype.type(_INV_SQRT_2PI)
+        d *= xd
+    d += phi_cdf
+    return _record(Tensor(xd * phi_cdf), (x,), lambda g: (d * g,))
 
 
 def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
@@ -461,6 +468,8 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding.
 
     x: [B,Ci,H,W]; k: [Co,Ci,kh,kw]; output extent (n + 2*pad - k)//stride + 1.
+    The rule keeps ``x``'s own array, not its padded phases, and phases it again
+    for the kernel gradient, as :func:`conv2d_transpose` does with its input.
     """
     xd = _spatial(x, "conv2d", k)
     kd = k.data
@@ -468,13 +477,14 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: kernel {kd.shape} incompatible with input {xd.shape}")
     h, w = xd.shape[2:]
     (ho, wo), (hq, wq) = _conv_geometry("conv2d", (h, w), kd.shape[2:], stride, pad)
-    xph = _phases(xd, stride, pad, hq, wq)
 
     def bwd(g):
         gq = _phases(g, 1, 0, hq, wq)[0]
-        return (_conv_adj(gq, kd, stride, pad, h, w), _conv_kgrad(xph, gq, kd, stride))
+        return (_conv_adj(gq, kd, stride, pad, h, w),
+                _conv_kgrad(_phases(xd, stride, pad, hq, wq), gq, kd, stride))
 
-    return _record(Tensor(_conv_fwd(xph, kd, stride, ho, wo)), (x, k), bwd)
+    return _record(Tensor(_conv_fwd(_phases(xd, stride, pad, hq, wq), kd, stride, ho, wo)),
+                   (x, k), bwd)
 
 
 def conv2d_transpose(y: Tensor, k: Tensor, stride: int, pad: int,

@@ -166,17 +166,23 @@ def throughput_report(model, bundle: DatasetBundle, cfg, indices):
 
 def _training_arrays(bundle: DatasetBundle, stats: NormStats, dtype):
     """Normalized K and targets in ``dtype``, and the physical per-(sample, day)
-    target norms scaled into normalized space, from one float64 copy of the target.
+    target norms scaled into normalized space, from a float64 copy of one
+    sample's target at a time.
 
     Dividing the normalized-space error norm by these denominators reproduces
     the physical relative error, which is also the reported validation metric.
     """
     k_norm = stats.normalize_k(bundle.k).astype(dtype)
-    phys = bundle.target(stats.target_name).astype(np.float64)
-    denom = np.sqrt((phys * phys).sum(axis=(2, 3))) / stats.target_std
+    target = bundle.target(stats.target_name)
+    tgt_norm = np.empty(target.shape, dtype=dtype)
+    denom = np.empty(target.shape[:2])
+    for i, sample in enumerate(target):
+        phys = sample.astype(np.float64)
+        denom[i] = np.sqrt((phys * phys).sum(axis=(1, 2))) / stats.target_std
+        tgt_norm[i] = stats.normalize_target(phys)
     if np.any(denom == 0.0):
         raise ValueError("relative loss: zero-norm target snapshot")
-    return k_norm, stats.normalize_target(phys).astype(dtype), denom
+    return k_norm, tgt_norm, denom
 
 
 def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_size: int):

@@ -314,6 +314,17 @@ class TestGelu:
             loss = T.tensor_sum(T.gelu(x))
         assert np.allclose(tape.backward(loss)[x.key], [0.5])
 
+    @pytest.mark.parametrize("dtype,big", [(np.float32, 3e38), (np.float64, 1e300)])
+    def test_silent_at_the_dtype_extremes(self, dtype, big):
+        # x * x overflows in the derivative that the forward pass forms; the
+        # forward stays as silent as x * Phi(x) is, under warnings-as-errors
+        edges = np.array([big, -big, np.inf], dtype=dtype)
+        assert np.array_equal(T.gelu(Tensor(edges)).data, np.maximum(edges, 0))
+        x = Tensor(edges[:2])
+        with Tape() as tape:
+            loss = T.tensor_sum(T.gelu(x))
+        assert np.array_equal(tape.backward(loss)[x.key], [1.0, 0.0])
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -409,9 +420,9 @@ class TestBackward:
             tape.backward(loss)
 
     def test_unread_intermediate_is_freed_before_backward(self):
-        # no rule reads sub's output (conv2d's rule keeps its own phased copy of
-        # its input), so once the caller drops it nothing keeps it alive, and
-        # the gradients are those of the same pass with the caller holding it
+        # no rule reads sub's output (gelu's rule keeps its derivative, not its
+        # input), so once the caller drops it nothing keeps it alive, and the
+        # gradients are those of the same pass with the caller holding it
         r = np.random.default_rng(11)
         a, b = Tensor(r.standard_normal((2, 3, 6, 6))), Tensor(r.standard_normal((2, 3, 6, 6)))
         k = Tensor(r.standard_normal((4, 3, 3, 3)))
@@ -423,7 +434,7 @@ class TestBackward:
                 ref = weakref.ref(d.data)
                 if hold:
                     held.append(d)
-                z = T.conv2d(d, k, 1, 1)
+                z = T.conv2d(T.gelu(d), k, 1, 1)
                 del d
                 loss = T.tensor_sum(z)
             assert (ref() is not None) == hold

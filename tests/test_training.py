@@ -2,6 +2,7 @@
 
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,28 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle):
     physical = np.mean([training.rel_l2(stats.denormalize_target(pred[j]), truth[j])
                         for j in range(len(days))])
     assert abs(loss.item() - physical) <= 1e-10
+
+
+def test_training_arrays_hold_under_one_float64_target_copy():
+    # the target is normalized one sample at a time, into the model's dtype, to
+    # the bits of the whole-array formula
+    rng = np.random.default_rng(6)
+    bundle = DatasetBundle(k=rng.random((20, 16, 16)) + 0.5,
+                           p=(rng.random((20, 25, 16, 16)) + 1.0).astype(np.float32),
+                           sw=np.zeros((20, 25, 16, 16), np.float32),
+                           manifest={"train_fraction": 1.0})
+    stats = bundle.fit_stats("p")
+    tracemalloc.start()
+    try:
+        _, tgt, denom = training._training_arrays(bundle, stats, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    phys = bundle.p.astype(np.float64)
+    assert peak < phys.nbytes
+    assert tgt.dtype == np.float32
+    assert np.array_equal(tgt, stats.normalize_target(phys).astype(np.float32))
+    assert np.array_equal(denom, np.sqrt((phys * phys).sum(axis=(2, 3))) / stats.target_std)
 
 
 def _record_shards(monkeypatch):
