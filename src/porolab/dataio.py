@@ -327,5 +327,8 @@ def load_checkpoint(in_dir):
         if data.shape != param.data.shape:
             raise ValueError(f"{src}: parameter {param.name} shape {data.shape} "
                              f"!= expected {param.data.shape}")
-        param.data = data.astype(model.dtype, copy=False)
+        if data.dtype != model.dtype:
+            raise ValueError(f"{src}: parameter {param.name} dtype {data.dtype} differs "
+                             f"from the manifest's precision {precision!r}")
+        param.data = data
     return model

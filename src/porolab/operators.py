@@ -20,16 +20,25 @@ negative ones), which keeps the parameterization grid-size independent.
 Training steps and predictions run a batch in one way, through
 :func:`_two_shards`: the first ceil(B/2) entries on the calling thread and the
 rest on one worker thread, with numpy's OpenBLAS on one thread for the call.
-With two BLAS threads each GEMM would split over cores the shards already
-fill, and an idle BLAS worker spins between GEMMs and holds a core.
+With two BLAS threads each GEMM would split over cores the halves already
+fill, and an idle BLAS worker spins between GEMMs and holds a core.  Each
+thread walks its half in consecutive pieces of at most ``_PIECE_CELLS``
+entry-cells (13 entries of a 64x64 grid) and finishes one piece before it
+starts the next, so the memory a training step holds is bounded by the piece,
+not the batch (micro-batch gradient accumulation, as in GPipe: Huang et al.,
+NeurIPS 2019, arXiv 1811.06965).  A half that fits in one piece, as every half
+of a B=50 batch at 32x32 or below and of a 25-day series at 64x64 does, runs
+as one call.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,7 +81,7 @@ def make_input(k_norm: np.ndarray, t_frac) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the two-shard runner of training and inference
+# the two-thread, piece-by-piece runner of training and inference
 # ---------------------------------------------------------------------------
 
 @cache
@@ -111,36 +120,59 @@ def _one_blas_thread():
         set_threads(before)
 
 
-def _two_shards(fn, *arrays) -> list:
-    """``fn`` on the first ceil(B/2) entries of each array, on the calling thread,
-    and on the rest, on one worker thread that this call starts and joins; the
-    results in shard order.  A batch of one has no second shard and starts no
-    thread.  BLAS runs one thread for the duration, and an exception raised in
-    either shard is re-raised here once both have ended."""
-    bsz = len(arrays[0])
+_PIECE_CELLS = 13 * 64 * 64   # entry-cells of one piece: 13 entries of a 64x64 grid
+
+
+def _pieces(bsz: int, cells: int) -> list[list[tuple[int, int]]]:
+    """The (start, stop) bounds of each half's pieces in a batch of ``bsz`` entries
+    of ``cells`` grid cells each: the first ceil(B/2) entries, then the rest, each
+    cut into the fewest consecutive, near-equal pieces (larger first) of at most
+    ``max(1, _PIECE_CELLS // cells)`` entries.  A batch of one (or none) has no
+    second half, and an empty batch is one empty piece."""
+    cap = max(1, _PIECE_CELLS // cells)
     c = -(-bsz // 2)
-    shards = [[a[:c] for a in arrays]]
-    if c < bsz:
-        shards.append([a[c:] for a in arrays])
-    results = [None] * len(shards)
+    halves = []
+    for lo, hi in [(0, c), (c, bsz)] if c < bsz else [(0, bsz)]:
+        n = max(1, -(-(hi - lo) // cap))
+        q, r = divmod(hi - lo, n)
+        bounds = list(accumulate([q + 1] * r + [q] * (n - r), initial=lo))
+        halves.append(list(zip(bounds, bounds[1:])))
+    return halves
+
+
+def _two_shards(fn, *arrays) -> list:
+    """``fn`` on the pieces (:func:`_pieces`) of the first ceil(B/2) entries of each
+    array, one after another on the calling thread, and on those of the rest, one
+    after another on one worker thread that this call starts and joins; the
+    results in piece order.  An entry's cells are the product of the first
+    array's axes past the first two ([B, C, H, W] gives H*W).  A thread holds one
+    piece's work at a time, so what ``fn`` leaves behind between pieces is only
+    what it returns.  A batch of one has no second half and starts no thread.
+    BLAS runs one thread for the duration.  A half stops at its first failing
+    piece, and the exception is re-raised here once both halves have ended (the
+    first half's when both fail)."""
+    halves = _pieces(len(arrays[0]), math.prod(arrays[0].shape[2:]))
+    results = [[] for _ in halves]
 
     def run(i):
-        try:
-            results[i] = fn(*shards[i])
-        except BaseException as exc:     # re-raised on the calling thread
-            results[i] = exc
+        for lo, hi in halves[i]:
+            try:
+                results[i].append(fn(*(a[lo:hi] for a in arrays)))
+            except BaseException as exc:     # re-raised on the calling thread
+                results[i].append(exc)
+                return
 
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(shards))]
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(halves))]
     with _one_blas_thread():
         for w in workers:
             w.start()
         run(0)
         for w in workers:
             w.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
-    return results
+    for half in results:
+        if isinstance(half[-1], BaseException):
+            raise half[-1]
+    return [r for half in results for r in half]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +225,7 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
                 np.ascontiguousarray(dw.real, dtype=dtype),
                 np.ascontiguousarray(dw.imag, dtype=dtype))
 
-    return _record(out, (v, w_re, w_im), bwd)
+    return _record(out, (v, w_re, w_im), lambda: bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +317,8 @@ class _Operator:
         return list(self._params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward on [B,C,H,W] inputs, as two shards on two threads
-        (:func:`_two_shards`); returns [B,H,W]."""
+        """Tape-free forward on [B,C,H,W] inputs, as two halves on two threads, each
+        walked piece by piece (:func:`_two_shards`); returns [B,H,W]."""
         x = np.ascontiguousarray(x, dtype=self.dtype)
         return np.concatenate(_two_shards(lambda xs: self.forward(Tensor(xs)).data[:, 0], x))
 

@@ -3,15 +3,16 @@
 A :class:`Tensor` wraps a numpy array (float32 or float64).  Operations on
 tensors are pure functions, and each returns its output through ``_record``,
 the one place where an op meets the tape: while a :class:`Tape` is active on
-the calling thread it appends a record (output key, input keys, backward rule)
-in execution order, which is already a valid topological order.  Each tensor
+the calling thread it builds the op's backward rule and appends a record
+(output key, input keys, rule) in execution order, which is already a valid
+topological order; with no tape open it builds no rule.  Each tensor
 carries a ``key`` unique in the process, and a record holds keys, not tensors,
 so a tape holds no tensor at all: an op's output lives only as long as a
 Python name or a rule closure holds it, and one that no rule reads is freed
 in the forward pass once the caller drops it.  A rule keeps one copy of what it
 reads: ``add``, ``sub`` and ``tensor_sum`` keep no array, ``mul`` its two
-inputs, ``sqrt`` its output and ``gelu`` its derivative, formed in the forward
-pass (not its input); ``pointwise_linear`` keeps its input and weight, and both
+inputs, ``sqrt`` its output and ``gelu`` its derivative, formed as its rule is
+built (not its input); ``pointwise_linear`` keeps its input and weight, and both
 convolutions keep their unpadded input and kernel and phase the input again in
 backward, so a layer input that several rules read is held once.
 Each thread has its own stack of active tapes, so two threads can each record
@@ -47,8 +48,9 @@ correlation with the flipped kernel, the textbook form of the transpose;
 porolab's float results, training losses and checkpoints are fixed to that
 order.
 Each map makes one batched GEMM per tap over the whole batch it is given,
-which in training and inference is one of the two shards of a batch, each on
-its own thread (``operators._two_shards``).
+which in training and inference is one piece of one of the two halves of a
+batch, each half walked piece by piece on its own thread
+(``operators._two_shards``).
 """
 
 from __future__ import annotations
@@ -186,13 +188,14 @@ def _tapes() -> list[Tape]:
         return _LOCAL.tapes
 
 
-def _record(out: Tensor, inputs, backward_fn) -> Tensor:
-    """Record ``out = op(*inputs)`` with its backward rule on the calling thread's
-    active tape, if any, and return ``out``.  Every differentiable op returns
-    through here."""
+def _record(out: Tensor, inputs, make_rule) -> Tensor:
+    """Record ``out = op(*inputs)`` on the calling thread's active tape, if any, with
+    the backward rule that ``make_rule()`` builds, and return ``out``.  Every
+    differentiable op returns through here.  With no tape open ``make_rule`` is
+    not called, so an op forms nothing that only its rule reads."""
     tapes = _tapes()
     if tapes:
-        tapes[-1].record(out, inputs, backward_fn)
+        tapes[-1].record(out, inputs, make_rule())
     return out
 
 
@@ -207,18 +210,18 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
+    return _record(Tensor(a.data + b.data), (a, b), lambda: lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    return _record(Tensor(a.data - b.data), (a, b), lambda g: (g, -g))
+    return _record(Tensor(a.data - b.data), (a, b), lambda: lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _record(Tensor(ad * bd), (a, b), lambda g: (g * bd, g * ad))
+    return _record(Tensor(ad * bd), (a, b), lambda: lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -230,7 +233,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     missing; it goes with the next benchmark change.
     """
     s = a.data.dtype.type(s)
-    return _record(Tensor(a.data * s), (a,), lambda g: (g * s,))
+    return _record(Tensor(a.data * s), (a,), lambda: lambda g: (g * s,))
 
 
 def tensor_sum(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -245,7 +248,7 @@ def tensor_sum(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
             g = g.reshape(shape)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return _record(Tensor(a.data.sum(axis=axes)), (a,), bwd)
+    return _record(Tensor(a.data.sum(axis=axes)), (a,), lambda: bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -253,31 +256,36 @@ def sqrt(a: Tensor) -> Tensor:
     # d sqrt(a)/da = 0.5 / sqrt(a), taken as 0 where sqrt(a) is 0 (an exact fit)
     # so that one zero does not make every gradient inf or NaN
     return _record(Tensor(out_data), (a,),
-                   lambda g: (g * np.divide(0.5, out_data, where=out_data > 0,
-                                            out=np.zeros_like(out_data)),))
+                   lambda: lambda g: (g * np.divide(0.5, out_data, where=out_data > 0,
+                                                    out=np.zeros_like(out_data)),))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact erf form: x * Phi(x).
 
-    The derivative ``Phi(x) + x phi(x)`` is formed in the forward pass, tape or
-    no tape, and it is all the rule keeps: one array of the input's shape.  Where
-    ``x * x`` overflows, ``x phi(x)`` comes out 0 and the derivative Phi(x); at an
-    infinite x it is NaN.  Neither raises a floating-point warning.
+    The derivative ``Phi(x) + x phi(x)`` is formed when the rule is built, so
+    only under an open tape, and it is all the rule keeps: one array of the
+    input's shape.  Where ``x * x`` overflows, ``x phi(x)`` comes out 0 and the
+    derivative Phi(x); at an infinite x it is NaN.  Neither raises a
+    floating-point warning.
     """
     xd = x.data
     phi_cdf = xd * xd.dtype.type(_SQRT1_2)
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = xd * xd
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= xd.dtype.type(_INV_SQRT_2PI)
-        d *= xd
-    d += phi_cdf
-    return _record(Tensor(xd * phi_cdf), (x,), lambda g: (d * g,))
+
+    def rule():
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = xd * xd
+            d *= -0.5
+            np.exp(d, out=d)
+            d *= xd.dtype.type(_INV_SQRT_2PI)
+            d *= xd
+        d += phi_cdf
+        return lambda g: (d * g,)
+
+    return _record(Tensor(xd * phi_cdf), (x,), rule)
 
 
 def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
@@ -304,7 +312,7 @@ def forward_diff(a: Tensor, axis: int, inv_h: float = 1.0) -> Tensor:
         gx[tuple(lo)] -= g * inv_h
         return (gx,)
 
-    return _record(Tensor((ad[tuple(hi)] - ad[tuple(lo)]) * inv_h), (a,), bwd)
+    return _record(Tensor((ad[tuple(hi)] - ad[tuple(lo)]) * inv_h), (a,), lambda: bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,7 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
-    return _record(Tensor(out_data), (x, w) if bias is None else (x, w, bias), bwd)
+    return _record(Tensor(out_data), (x, w) if bias is None else (x, w, bias), lambda: bwd)
 
 
 def _conv_geometry(op: str, fine_hw, kernel, stride: int, pad: int):
@@ -484,7 +492,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                 _conv_kgrad(_phases(xd, stride, pad, hq, wq), gq, kd, stride))
 
     return _record(Tensor(_conv_fwd(_phases(xd, stride, pad, hq, wq), kd, stride, ho, wo)),
-                   (x, k), bwd)
+                   (x, k), lambda: bwd)
 
 
 def conv2d_transpose(y: Tensor, k: Tensor, stride: int, pad: int,
@@ -510,4 +518,4 @@ def conv2d_transpose(y: Tensor, k: Tensor, stride: int, pad: int,
         return (dy, _conv_kgrad(gph, _phases(yd, 1, 0, hq, wq)[0], kd, stride))
 
     return _record(Tensor(_conv_adj(_phases(yd, 1, 0, hq, wq)[0], kd, stride, pad, *out_hw)),
-                   (y, k), bwd)
+                   (y, k), lambda: bwd)

@@ -7,13 +7,15 @@ coordinates.  The one training loss is the relative L2 error, computed on
 z-score-normalized targets but scaled so that it equals the relative L2 error
 of the denormalized (physical) fields, which is also the reported metric.
 
-A training step runs its batch through the two-shard runner
-``operators._two_shards``, as inference does: the first ceil(B/2) pairs run
-their forward and backward pass under their own tape on the calling thread and
-the rest on a worker thread, with numpy's OpenBLAS on one thread for the
-duration of the call, and the parameter gradients and the loss are the shards'
-sums, taken in shard order.  The split does not depend on the machine, so
-neither does any bit of the result.
+A training step runs its batch through the runner ``operators._two_shards``,
+as inference does: the first ceil(B/2) pairs on the calling thread and the rest
+on a worker thread, with numpy's OpenBLAS on one thread for the duration of the
+call.  Each thread walks its half in pieces of at most
+``operators._PIECE_CELLS`` pair-cells, and each piece runs its forward and
+backward pass under its own tape, which is gone before the next piece starts.
+The parameter gradients and the loss are the pieces' sums, taken in piece
+order.  The pieces depend only on the batch size and the grid, not on the
+machine, so neither does any bit of the result.
 """
 
 from __future__ import annotations
@@ -186,8 +188,9 @@ def _training_arrays(bundle: DatasetBundle, stats: NormStats, dtype):
 
 
 def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_size: int):
-    """Forward and backward of one shard on the calling thread: its part of the
-    batch loss and the gradient of each parameter, in parameter order."""
+    """Forward and backward of one piece of a batch on the calling thread: its
+    part of the batch loss and the gradient of each parameter, in parameter
+    order."""
     with Tape() as tape:
         pred = model.forward(Tensor(x))
         loss = batched_relative_loss(pred, y, denominators=denoms, batch_size=batch_size)
@@ -196,14 +199,14 @@ def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_s
 
 
 def _sharded_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray):
-    """Loss and per-parameter gradients of one batch, as sums over its two shards
-    (:func:`operators._two_shards`) in shard order."""
+    """Loss and per-parameter gradients of one batch, as sums over its pieces
+    (:func:`operators._two_shards`) in piece order."""
     bsz = len(x)
     (loss, grads), *rest = _two_shards(
-        lambda *shard: _shard_step(model, *shard, bsz), x, y, denoms)
-    for shard_loss, shard_grads in rest:
-        loss = loss + shard_loss
-        grads = [g + h for g, h in zip(grads, shard_grads)]
+        lambda *piece: _shard_step(model, *piece, bsz), x, y, denoms)
+    for piece_loss, piece_grads in rest:
+        loss = loss + piece_loss
+        grads = [g + h for g, h in zip(grads, piece_grads)]
     return loss, grads
 
 
@@ -218,8 +221,8 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     pure function of (dataset, config, seed).  Each epoch takes as many full
     batches of ``batch_size`` (sample, day) pairs as fit and drops the final
     partial batch.  The loss is the batch mean of per-pair relative L2 errors
-    (:func:`batched_relative_loss`), taken over two shards of the batch on
-    two threads (module docstring).  After each step
+    (:func:`batched_relative_loss`), taken over the pieces of the batch's two
+    halves on two threads (module docstring).  After each step
     every parameter's ``grad`` holds its gradient for that step's batch.
     """
     n_train = int(np.ceil(bundle.n_samples * cfg.train_fraction))

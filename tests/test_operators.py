@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import blas_threads, gradient_check
+from porolab import operators
 from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (_IN_CHANNELS, Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
-                               _two_shards, make_input, spectral_conv, vcycle_apply)
+                               _pieces, _two_shards, make_input, spectral_conv, vcycle_apply)
 from porolab.tensor import Parameter, Tensor
 
 rng = np.random.default_rng(17)
@@ -541,7 +542,78 @@ def test_tape_holds_no_tensor():
 
 
 class TestTwoShards:
-    """``operators._two_shards``, the one runner of training steps and predictions."""
+    """``operators._two_shards``, the one runner of training steps and predictions,
+    and its piece plan ``operators._pieces``."""
+
+    @pytest.mark.parametrize("bsz,cells,want", [
+        (50, 64 * 64, [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
+        (25, 64 * 64, [[(0, 13)], [(13, 25)]]),
+        (50, 32 * 32, [[(0, 25)], [(25, 50)]]),
+        (27, 64 * 64, [[(0, 7), (7, 14)], [(14, 27)]]),
+        (101, 96 * 96, [[(0, 5), (5, 10), (10, 15), (15, 20), (20, 25), (25, 30), (30, 35),
+                         (35, 39), (39, 43), (43, 47), (47, 51)],
+                        [(i, i + 5) for i in range(51, 101, 5)]]),
+        (5, 10 ** 9, [[(0, 1), (1, 2), (2, 3)], [(3, 4), (4, 5)]]),
+        (1, 64 * 64, [[(0, 1)]]),
+        (0, 64 * 64, [[(0, 0)]]),
+    ])
+    def test_piece_bounds(self, bsz, cells, want):
+        # each half, ceil(B/2) entries then the rest, in the fewest consecutive
+        # pieces under the cap, larger first and at most one entry apart
+        halves = _pieces(bsz, cells)
+        assert halves == want
+        cap = max(1, operators._PIECE_CELLS // cells)
+        c = -(-bsz // 2)
+        assert [(h[0][0], h[-1][1]) for h in halves] == [(0, c), (c, bsz)][:1 + (c < bsz)]
+        for half in halves:
+            sizes = [hi - lo for lo, hi in half]
+            assert all(a[1] == b[0] for a, b in zip(half, half[1:]))
+            assert len(sizes) == max(1, -(-sum(sizes) // cap)) and max(sizes) <= cap
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+    def test_pieces_follow_the_grid_of_the_first_array(self):
+        # [B, C, H, W]: a 64x64 grid cuts 50 entries into four pieces, a 32x32 one into two
+        for grid, sizes in [(64, [13, 12, 13, 12]), (32, [25, 25])]:
+            x = np.zeros((50, 1, grid, grid), np.float32)
+            assert _two_shards(lambda xs, i: (len(xs), len(i)), x, np.arange(50)) \
+                == [(n, n) for n in sizes]
+
+    def test_pieces_in_order_each_half_on_its_thread(self, monkeypatch):
+        # halves of 5 and 4 entries in pieces of at most 2: 2+2+1 on the calling
+        # thread, then 2+2 on one worker
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 2)
+        a, b = np.arange(18.0).reshape(9, 2), np.arange(9)
+        caller = threading.get_ident()
+        out = _two_shards(lambda *xs: (threading.get_ident(), xs), a, b)
+        bounds = [(0, 2), (2, 4), (4, 5), (5, 7), (7, 9)]
+        assert len(out) == len(bounds)
+        assert [ident == caller for ident, _ in out] == [True] * 3 + [False] * 2
+        assert out[3][0] == out[4][0]
+        for (_, got), (lo, hi) in zip(out, bounds):
+            assert np.array_equal(got[0], a[lo:hi]) and np.array_equal(got[1], b[lo:hi])
+
+    @pytest.mark.parametrize("failing", [2, 7], ids=["first-half", "second-half"])
+    def test_later_piece_raises_after_both_halves_end(self, failing, monkeypatch):
+        # pieces of one entry: the failing piece is the half's third; its half
+        # stops there, and the other half, whose pieces end late, runs to its end
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 1)
+        error = RuntimeError(f"piece {failing} failed")
+        ended = []
+
+        def fn(x):
+            i = int(x[0])
+            if i // 5 != failing // 5:
+                time.sleep(0.02)
+            ended.append(i)
+            if i == failing:
+                raise error
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _two_shards(fn, np.arange(10))
+        assert info.value is error and threading.active_count() == threads
+        other = range(5, 10) if failing < 5 else range(5)
+        assert sorted(ended) == sorted([*other, *range(failing // 5 * 5, failing + 1)])
 
     @pytest.mark.parametrize("bsz", [1, 2, 5, 6])
     def test_shards_in_order(self, bsz):
@@ -556,13 +628,16 @@ class TestTwoShards:
         for (_, got), ref in zip(out, want):
             assert all(np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
 
-    def test_blas_on_one_thread_and_restored(self):
+    def test_blas_on_one_thread_and_restored(self, monkeypatch):
         get, set_ = blas_threads()
         caller = get()
         try:
             set_(2)
             want, threads = get(), threading.active_count()
             assert _two_shards(lambda x: get(), np.zeros(3)) == [1, 1]
+            assert (get(), threading.active_count()) == (want, threads)
+            monkeypatch.setattr(operators, "_PIECE_CELLS", 2)   # pieces of 2, 2, 1 | 2, 2
+            assert _two_shards(lambda x: get(), np.zeros(9)) == [1] * 5
             assert (get(), threading.active_count()) == (want, threads)
         finally:
             set_(caller)
@@ -605,6 +680,10 @@ class TestTwoShards:
         monkeypatch.setattr(threading.Thread, "start", recording)
         assert _two_shards(len, np.zeros(1)) == [1] and started == []
         assert _two_shards(len, np.zeros(2)) == [1, 1] and len(started) == 1
+        # however small the pieces: one worker for the second half, none for one entry
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 1)
+        assert _two_shards(len, np.zeros(1)) == [1] and len(started) == 1
+        assert _two_shards(len, np.zeros(4)) == [1] * 4 and len(started) == 2
 
 
 class TestPredictShards:

@@ -1,9 +1,11 @@
 """Autodiff core: elementwise ops, convolutions, pointwise maps, GELU, tape."""
 
+import contextlib
 import inspect
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -316,14 +318,33 @@ class TestGelu:
 
     @pytest.mark.parametrize("dtype,big", [(np.float32, 3e38), (np.float64, 1e300)])
     def test_silent_at_the_dtype_extremes(self, dtype, big):
-        # x * x overflows in the derivative that the forward pass forms; the
+        # x * x overflows in the derivative that a taped forward forms; the
         # forward stays as silent as x * Phi(x) is, under warnings-as-errors
         edges = np.array([big, -big, np.inf], dtype=dtype)
         assert np.array_equal(T.gelu(Tensor(edges)).data, np.maximum(edges, 0))
-        x = Tensor(edges[:2])
+        x = Tensor(edges)
         with Tape() as tape:
-            loss = T.tensor_sum(T.gelu(x))
-        assert np.array_equal(tape.backward(loss)[x.key], [1.0, 0.0])
+            out = T.gelu(x)
+            loss = T.tensor_sum(out)
+        assert np.array_equal(out.data, np.maximum(edges, 0))
+        grad = tape.backward(loss)[x.key]
+        assert np.array_equal(grad[:2], [1.0, 0.0]) and np.isnan(grad[2])
+
+    def test_derivative_formed_only_under_a_tape(self):
+        # with no tape open gelu builds no rule, so it allocates Phi(x) and its
+        # output and no third array for the derivative; the output bits agree
+        x = Tensor(np.random.default_rng(3).standard_normal(100_000))
+        peaks, outs = [], []
+        for tape in (contextlib.nullcontext(), Tape()):
+            tracemalloc.start()
+            try:
+                with tape:
+                    outs.append(T.gelu(x).data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2.5 * x.data.nbytes and peaks[1] >= 3 * x.data.nbytes
+        assert np.array_equal(*outs)
 
 
 class TestBackward:
@@ -397,7 +418,7 @@ class TestBackward:
             def rule(g):
                 refs["g"] = weakref.ref(g)
                 return (g * act,)
-            return T._record(Tensor((y.data * act).sum()), (y,), rule)
+            return T._record(Tensor((y.data * act).sum()), (y,), lambda: rule)
 
         def first_rule(g):
             refs["dead"] = (refs["g"]() is None, refs["act"]() is None)
@@ -405,7 +426,7 @@ class TestBackward:
 
         x = Tensor(np.arange(3.0))
         with Tape() as tape:
-            loss = last_node(T._record(Tensor(x.data * 2.0), (x,), first_rule))
+            loss = last_node(T._record(Tensor(x.data * 2.0), (x,), lambda: first_rule))
         grads = tape.backward(loss)
         assert refs["dead"] == (True, True)
         assert np.array_equal(grads[x.key], 12.0 * x.data)
@@ -415,7 +436,7 @@ class TestBackward:
         # error, not a gradient dropped without a word
         x, y = Tensor(np.arange(3.0)), Tensor(np.ones(3))
         with Tape() as tape:
-            loss = T.tensor_sum(T._record(Tensor(x.data * y.data), (x, y), lambda g: (g,)))
+            loss = T.tensor_sum(T._record(Tensor(x.data * y.data), (x, y), lambda: lambda g: (g,)))
         with pytest.raises(ValueError):
             tape.backward(loss)
 

@@ -1,5 +1,6 @@
 """Training loop, losses, checkpoints and evaluation on the 16x16 fixture."""
 
+import functools
 import re
 import threading
 import tracemalloc
@@ -122,6 +123,22 @@ def test_checkpoint_precision_must_be_f4_or_f8(tiny_bundle, tmp_path):
         load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize("saved,stated", [(np.float64, "f4"), (np.float32, "f8")])
+def test_checkpoint_parameter_dtype_must_match_the_precision(tiny_bundle, tmp_path,
+                                                               saved, stated):
+    # a parameter file in the other precision is an error, not a silent cast
+    model = _model(tiny_bundle[0], "mgno", dtype=saved)
+    save_checkpoint(model, tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    with open(manifest, "a", encoding="utf-8") as fh:   # the last line wins
+        fh.write(f"precision: {stated}\n")
+    first = model.parameters()[0].name
+    with pytest.raises(ValueError, match=re.escape(
+            f"parameter {first} dtype {np.dtype(saved)} differs from the manifest's "
+            f"precision '{stated}'")):
+        load_checkpoint(tmp_path)
+
+
 @pytest.mark.parametrize("field, value", [("epochs", 0), ("lr", 0.0), ("batch_size", 0),
                                           ("batch_size", -5)])
 def test_train_config_rejects_non_positive_values(field, value):
@@ -179,7 +196,7 @@ def test_training_arrays_hold_under_one_float64_target_copy():
 
 def _record_shards(monkeypatch):
     """Patch training._shard_step to keep each call's inputs and result, keyed by
-    whether it ran on the main thread (shard 0) or the worker (shard 1)."""
+    whether it ran on the main thread (half 0) or the worker (half 1)."""
     calls = []
     step = training._shard_step
 
@@ -208,20 +225,21 @@ def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
     assert np.array_equal(batch, expected)
 
 
-@pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind):
-    bundle, _ = tiny_bundle
+def _check_step_sums_its_pieces(bundle, monkeypatch, kind, pieces):
+    """One float64 training step on the 25-pair batch: its pieces are ``pieces``
+    ((half, size) in piece order), each grad is the pieces' gradients summed in
+    piece order, bit for bit, and the loss and grads match one full-batch tape."""
     model = _model(bundle, kind, dtype=np.float64)
     params = model.parameters()
     start = [p.data.copy() for p in params]
     calls = _record_shards(monkeypatch)
     training.train(model, bundle, _train_cfg(epochs=1))
-    calls.sort(key=lambda c: c[0])
-    assert [c[0] for c in calls] == [0, 1]
-    # train sets each grad to the sum of the shards' gradients, in shard order
-    (_, _, _, _, (loss0, grads0)), (_, _, _, _, (loss1, grads1)) = calls
-    for p, g0, g1 in zip(params, grads0, grads1, strict=True):
-        assert p.grad.dtype == np.float64 and np.array_equal(p.grad, g0 + g1), p.name
+    calls.sort(key=lambda c: c[0])        # stable: each half's pieces stay in order
+    assert [(c[0], len(c[1])) for c in calls] == pieces
+    results = [c[4] for c in calls]
+    for i, p in enumerate(params):
+        want = functools.reduce(np.add, [grads[i] for _, grads in results])
+        assert p.grad.dtype == np.float64 and np.array_equal(p.grad, want), p.name
     # and that sum is the gradient of the whole batch's loss on one tape
     fresh = _model(bundle, kind, dtype=np.float64)
     for p, data in zip(fresh.parameters(), start):
@@ -230,9 +248,57 @@ def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind
     with Tape() as tape:
         loss = training.batched_relative_loss(fresh.forward(Tensor(x)), y, denoms, len(x))
     grads = tape.backward(loss)
-    np.testing.assert_allclose(loss0 + loss1, loss.data, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(functools.reduce(np.add, [loss for loss, _ in results]),
+                               loss.data, rtol=1e-12, atol=0)
     for p, q in zip(params, fresh.parameters()):
         np.testing.assert_allclose(p.grad, grads[q.key], rtol=1e-12, atol=0, err_msg=p.name)
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind):
+    # at 16x16 each half is one piece
+    _check_step_sums_its_pieces(tiny_bundle[0], monkeypatch, kind, [(0, 13), (1, 12)])
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_pieced_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind):
+    # pieces of at most 7 of the 16x16 pairs cut the halves 7+6 and 6+6
+    monkeypatch.setattr(operators, "_PIECE_CELLS", 7 * 16 * 16)
+    _check_step_sums_its_pieces(tiny_bundle[0], monkeypatch, kind,
+                                [(0, 7), (0, 6), (1, 6), (1, 6)])
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_pieces_bound_what_a_step_holds(monkeypatch, kind):
+    # halves of 4 pairs, whole or in pieces of 2.  The two threads meet at the
+    # loss, where each holds its whole forward tape, so the peak is that of
+    # two tapes at once however the threads are scheduled
+    cls, cfg = TINY[kind]
+    stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+    model = cls(cfg, stats=stats, dtype=np.float32, seed=1)
+    rng = np.random.default_rng(8)
+    x = model.inputs(rng.standard_normal((8, 32, 32)).astype(np.float32), np.arange(8))
+    y = rng.standard_normal((8, 1, 32, 32)).astype(np.float32)
+    denoms = rng.random(8) + 1.0
+    meet = threading.Barrier(2, timeout=60)
+    loss = training.batched_relative_loss
+
+    def met(*args, **kw):
+        meet.wait()
+        return loss(*args, **kw)
+
+    monkeypatch.setattr(training, "batched_relative_loss", met)
+    training._sharded_step(model, x, y, denoms)      # warm-up, untraced
+    peaks = {}
+    for size in (4, 2):
+        monkeypatch.setattr(operators, "_PIECE_CELLS", size * 32 * 32)
+        tracemalloc.start()
+        try:
+            training._sharded_step(model, x, y, denoms)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 0.65 * peaks[4]
 
 
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
