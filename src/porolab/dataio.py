@@ -20,6 +20,7 @@ from .grf import GrfSpec, sample_grf, to_permeability
 from .simulator import ReservoirConfig, _check_permeability, run_simulation, water_budget_error
 
 _FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
+_PRECISIONS = {"f4": np.float32, "f8": np.float64}   # checkpoint precision -> model dtype
 _AMPLITUDE = 10.0   # dataset permeability K = _AMPLITUDE * |g| of a GRF sample g
 
 
@@ -269,6 +270,11 @@ def reservoir_config_from_manifest(manifest: dict) -> ReservoirConfig:
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _param_file(name: str) -> str:
+    """The file of parameter ``name`` in a checkpoint directory, each '.' as '__'."""
+    return name.replace(".", "__") + ".npy"
+
+
 def save_checkpoint(model, out_dir) -> None:
     """One NPY per parameter plus a plain-text manifest."""
     out = Path(out_dir)
@@ -278,16 +284,13 @@ def save_checkpoint(model, out_dir) -> None:
         "kind": model.kind,
         "t_max": model.t_max,
         "seed": model.seed,
-        "precision": "f8" if model.dtype == np.float64 else "f4",
+        "precision": next(p for p, dt in _PRECISIONS.items() if dt == model.dtype),
     }
     entries.update({f"cfg.{key}": val for key, val in asdict(model.cfg).items()})
     entries.update({f"stats.{key}": val for key, val in asdict(model.stats).items()})
-    names = []
     for param in model.parameters():
-        fname = param.name.replace(".", "__") + ".npy"
-        _save_npy(out / fname, param.data)
-        names.append(param.name)
-    entries["parameters"] = ",".join(names)
+        _save_npy(out / _param_file(param.name), param.data)
+    entries["parameters"] = ",".join(p.name for p in model.parameters())
     _write_manifest(out / "manifest.txt", entries)
 
 
@@ -304,10 +307,10 @@ def load_checkpoint(in_dir):
                       **{f.name: float(_entry(raw, f"stats.{f.name}", src))
                          for f in fields(NormStats) if f.name != "target_name"})
     precision = _entry(raw, "precision", src)
-    if precision not in ("f4", "f8"):
+    if precision not in _PRECISIONS:
         raise ValueError(f"{src}: unknown precision {precision!r} (expected 'f4' or 'f8')")
-    dtype = np.float64 if precision == "f8" else np.float32
-    common = dict(stats=stats, t_max=float(_entry(raw, "t_max", src)), dtype=dtype,
+    common = dict(stats=stats, t_max=float(_entry(raw, "t_max", src)),
+                  dtype=_PRECISIONS[precision],
                   seed=int(_entry(raw, "seed", src)))
     classes = {"fno": (Fno, FnoConfig), "mgno": (Mgno, MgnoConfig)}
     if kind not in classes:
@@ -323,7 +326,7 @@ def load_checkpoint(in_dir):
         raise ValueError(f"{src}: parameter list mismatch with architecture config: "
                          f"extra {extra}, missing {missing}")
     for param in model.parameters():
-        data = _load_npy(src / (param.name.replace(".", "__") + ".npy"))
+        data = _load_npy(src / _param_file(param.name))
         if data.shape != param.data.shape:
             raise ValueError(f"{src}: parameter {param.name} shape {data.shape} "
                              f"!= expected {param.data.shape}")

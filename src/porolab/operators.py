@@ -19,26 +19,25 @@ negative ones), which keeps the parameterization grid-size independent.
 
 Training steps and predictions run a batch in one way, through
 :func:`_two_shards`: the first ceil(B/2) entries on the calling thread and the
-rest on one worker thread, with numpy's OpenBLAS on one thread for the call.
-With two BLAS threads each GEMM would split over cores the halves already
-fill, and an idle BLAS worker spins between GEMMs and holds a core.  Each
-thread walks its half in consecutive pieces of at most ``_PIECE_CELLS``
-entry-cells (13 entries of a 64x64 grid) and finishes one piece before it
-starts the next, so the memory a training step holds is bounded by the piece,
-not the batch (micro-batch gradient accumulation, as in GPipe: Huang et al.,
-NeurIPS 2019, arXiv 1811.06965).  A half that fits in one piece, as every half
-of a B=50 batch at 32x32 or below and of a 25-day series at 64x64 does, runs
-as one call.
+rest on the worker of a one-thread executor, with numpy's OpenBLAS on one
+thread for the call.  With two BLAS threads each GEMM would split over cores
+the halves already fill, and an idle BLAS worker spins between GEMMs and holds
+a core.  Each thread walks its half in consecutive pieces of at most
+``_PIECE_CELLS`` entry-cells (13 entries of a 64x64 grid) and finishes one
+piece before it starts the next, so the memory a training step holds is
+bounded by the piece, not the batch (micro-batch gradient accumulation, as in
+GPipe: Huang et al., NeurIPS 2019, arXiv 1811.06965).  A half that fits in one
+piece, as every half of a B=50 batch at 32x32 or below and of a 25-day series
+at 64x64 does, runs as one call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -123,56 +122,31 @@ def _one_blas_thread():
 _PIECE_CELLS = 13 * 64 * 64   # entry-cells of one piece: 13 entries of a 64x64 grid
 
 
-def _pieces(bsz: int, cells: int) -> list[list[tuple[int, int]]]:
-    """The (start, stop) bounds of each half's pieces in a batch of ``bsz`` entries
-    of ``cells`` grid cells each: the first ceil(B/2) entries, then the rest, each
-    cut into the fewest consecutive, near-equal pieces (larger first) of at most
-    ``max(1, _PIECE_CELLS // cells)`` entries.  A batch of one (or none) has no
-    second half, and an empty batch is one empty piece."""
-    cap = max(1, _PIECE_CELLS // cells)
-    c = -(-bsz // 2)
-    halves = []
-    for lo, hi in [(0, c), (c, bsz)] if c < bsz else [(0, bsz)]:
-        n = max(1, -(-(hi - lo) // cap))
-        q, r = divmod(hi - lo, n)
-        bounds = list(accumulate([q + 1] * r + [q] * (n - r), initial=lo))
-        halves.append(list(zip(bounds, bounds[1:])))
-    return halves
-
-
 def _two_shards(fn, *arrays) -> list:
-    """``fn`` on the pieces (:func:`_pieces`) of the first ceil(B/2) entries of each
-    array, one after another on the calling thread, and on those of the rest, one
-    after another on one worker thread that this call starts and joins; the
-    results in piece order.  An entry's cells are the product of the first
-    array's axes past the first two ([B, C, H, W] gives H*W).  A thread holds one
-    piece's work at a time, so what ``fn`` leaves behind between pieces is only
-    what it returns.  A batch of one has no second half and starts no thread.
-    BLAS runs one thread for the duration.  A half stops at its first failing
-    piece, and the exception is re-raised here once both halves have ended (the
-    first half's when both fail)."""
-    halves = _pieces(len(arrays[0]), math.prod(arrays[0].shape[2:]))
-    results = [[] for _ in halves]
+    """``fn`` on the pieces of the first ceil(B/2) entries of each array, in turn on
+    the calling thread, and on those of the rest, in turn on the one worker of an
+    executor opened for the call; the results in piece order.  ``np.array_split``
+    cuts each half into the fewest near-equal pieces (larger first) of at most
+    ``max(1, _PIECE_CELLS // cells)`` entries, an entry's cells being the product
+    of the first array's axes past the first two ([B, C, H, W] gives H*W), so a
+    thread holds one piece's work at a time.  A batch of one starts no thread; an
+    empty batch is one empty piece.  BLAS runs one thread for the duration.  A
+    half stops at its first failing piece, and the error is raised once both
+    halves have ended (the first half's when both fail)."""
+    cap = max(1, _PIECE_CELLS // math.prod(arrays[0].shape[2:]))
+    halves = list(zip(*(np.array_split(a, 2 if len(arrays[0]) > 1 else 1) for a in arrays)))
 
-    def run(i):
-        for lo, hi in halves[i]:
-            try:
-                results[i].append(fn(*(a[lo:hi] for a in arrays)))
-            except BaseException as exc:     # re-raised on the calling thread
-                results[i].append(exc)
-                return
+    def run(half):
+        pieces = max(1, -(-len(half[0]) // cap))
+        return [fn(*piece) for piece in zip(*(np.array_split(a, pieces) for a in half))]
 
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(halves))]
     with _one_blas_thread():
-        for w in workers:
-            w.start()
-        run(0)
-        for w in workers:
-            w.join()
-    for half in results:
-        if isinstance(half[-1], BaseException):
-            raise half[-1]
-    return [r for half in results for r in half]
+        if len(halves) == 1:
+            return run(halves[0])
+        with ThreadPoolExecutor(1) as pool:
+            rest = pool.submit(run, halves[1])
+            done = run(halves[0])
+        return done + rest.result()
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ inputs, ``sqrt`` its output and ``gelu`` its derivative, formed as its rule is
 built (not its input); ``pointwise_linear`` keeps its input and weight, and both
 convolutions keep their unpadded input and kernel and phase the input again in
 backward, so a layer input that several rules read is held once.
-Each thread has its own stack of active tapes, so two threads can each record
-a forward pass at once, and an op on a thread with no open tape records
-nothing whatever other threads have open.  ``tape.backward(loss)`` replays
+Each thread has at most one open tape (a second raises), so two threads can
+each record a forward pass at once, and an op on a thread with no open tape
+records nothing whatever other threads have open.  ``tape.backward(loss)`` replays
 the records in reverse and returns the gradient of every leaf the loss
 reaches (a tensor that no op on the tape produced, such as a parameter or a
 tensor made outside the tape), keyed by the leaf's ``key``; a leaf used
@@ -50,7 +50,7 @@ order.
 Each map makes one batched GEMM per tap over the whole batch it is given,
 which in training and inference is one piece of one of the two halves of a
 batch, each half walked piece by piece on its own thread
-(``operators._two_shards``).
+(``operators._two_shards``, the second on an executor's worker).
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ class Tape:
 
     Use as a context manager around a forward pass; call
     ``tape.backward(loss)`` once afterwards.  A tape records the ops of the
-    thread that opened it.  A record is ``(output key, input keys, rule)``, so
-    the tape holds no tensor.  A tape is emptied by its backward pass and
+    thread that opened it, which may have no other tape open (``__enter__``
+    raises ``RuntimeError``).  A record is ``(output key, input keys, rule)``,
+    so the tape holds no tensor.  A tape is emptied by its backward pass and
     cannot be replayed.
     """
 
@@ -139,11 +140,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _tapes().append(self)
+        if getattr(_THREAD, "tape", None) is not None:
+            raise RuntimeError("this thread already has a tape open")
+        _THREAD.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tapes().pop()
+        _THREAD.tape = None
         return False
 
     def record(self, out: Tensor, inputs, backward_fn):
@@ -176,16 +179,7 @@ class Tape:
         return grads
 
 
-_LOCAL = threading.local()
-
-
-def _tapes() -> list[Tape]:
-    """The calling thread's stack of active tapes."""
-    try:
-        return _LOCAL.tapes
-    except AttributeError:
-        _LOCAL.tapes = []
-        return _LOCAL.tapes
+_THREAD = threading.local()   # .tape: the thread's open tape; unset or None when it has none
 
 
 def _record(out: Tensor, inputs, make_rule) -> Tensor:
@@ -193,9 +187,9 @@ def _record(out: Tensor, inputs, make_rule) -> Tensor:
     the backward rule that ``make_rule()`` builds, and return ``out``.  Every
     differentiable op returns through here.  With no tape open ``make_rule`` is
     not called, so an op forms nothing that only its rule reads."""
-    tapes = _tapes()
-    if tapes:
-        tapes[-1].record(out, inputs, make_rule())
+    tape = getattr(_THREAD, "tape", None)
+    if tape is not None:
+        tape.record(out, inputs, make_rule())
     return out
 
 

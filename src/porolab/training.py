@@ -9,10 +9,11 @@ of the denormalized (physical) fields, which is also the reported metric.
 
 A training step runs its batch through the runner ``operators._two_shards``,
 as inference does: the first ceil(B/2) pairs on the calling thread and the rest
-on a worker thread, with numpy's OpenBLAS on one thread for the duration of the
-call.  Each thread walks its half in pieces of at most
-``operators._PIECE_CELLS`` pair-cells, and each piece runs its forward and
-backward pass under its own tape, which is gone before the next piece starts.
+on the one worker of an executor opened for the step, with numpy's OpenBLAS on
+one thread for the duration of the call.  Each thread walks its half in pieces
+of at most ``operators._PIECE_CELLS`` pair-cells, and each piece runs its
+forward and backward pass under its own tape, the only one open on its thread,
+which is gone before the next piece starts.
 The parameter gradients and the loss are the pieces' sums, taken in piece
 order.  The pieces depend only on the batch size and the grid, not on the
 machine, so neither does any bit of the result.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -202,12 +204,9 @@ def _sharded_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray):
     """Loss and per-parameter gradients of one batch, as sums over its pieces
     (:func:`operators._two_shards`) in piece order."""
     bsz = len(x)
-    (loss, grads), *rest = _two_shards(
-        lambda *piece: _shard_step(model, *piece, bsz), x, y, denoms)
-    for piece_loss, piece_grads in rest:
-        loss = loss + piece_loss
-        grads = [g + h for g, h in zip(grads, piece_grads)]
-    return loss, grads
+    losses, grads = zip(*_two_shards(lambda *piece: _shard_step(model, *piece, bsz),
+                                     x, y, denoms))
+    return reduce(np.add, losses), [reduce(np.add, g) for g in zip(*grads)]
 
 
 def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):

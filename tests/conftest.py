@@ -1,12 +1,24 @@
-"""Shared test helpers: finite-difference gradient checking, the BLAS thread count, the
-forward DCT and tiny datasets."""
+"""Shared test helpers: finite-difference gradient checking, the forward DCT and tiny
+datasets; and a check, around every test, that it leaves no thread running and no tape
+open."""
+
+import threading
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from porolab.operators import _blas_threads
+from porolab import tensor
 from porolab.tensor import Tape
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_or_tape_left():
+    """Fail a test that leaves a thread running or the main thread's tape slot set."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) <= before, "a thread outlived the test"
+    assert getattr(tensor._THREAD, "tape", None) is None, "the test left a tape open"
 
 
 def numerical_gradients(build_loss, arrays, eps=1e-5):
@@ -46,14 +58,6 @@ def gradient_check(build_loss, tensors, tol=1e-4, eps=1e-5):
         worst = max(worst, float(np.max(np.abs(a - n)) / (np.max(np.abs(n)) + 1e-8)))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
-
-
-def blas_threads():
-    """numpy's OpenBLAS (get, set) thread-count functions, or skip."""
-    blas = _blas_threads()
-    if blas is None:
-        pytest.skip("numpy exposes no scipy-openblas thread count")
-    return blas
 
 
 def dct2(x):

@@ -1,6 +1,7 @@
 """FNO / MgNO architectures: model input, spectral conv, V-cycle, forwards, registry, counts."""
 
 import gc
+import math
 import threading
 import time
 import weakref
@@ -8,12 +9,12 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import blas_threads, gradient_check
+from conftest import gradient_check
 from porolab import operators
 from porolab import tensor as T
 from porolab.dataio import NormStats
 from porolab.operators import (_IN_CHANNELS, Fno, FnoConfig, Mgno, MgnoConfig, _mode_rows,
-                               _pieces, _two_shards, make_input, spectral_conv, vcycle_apply)
+                               _two_shards, make_input, spectral_conv, vcycle_apply)
 from porolab.tensor import Parameter, Tensor
 
 rng = np.random.default_rng(17)
@@ -542,8 +543,24 @@ def test_tape_holds_no_tensor():
 
 
 class TestTwoShards:
-    """``operators._two_shards``, the one runner of training steps and predictions,
-    and its piece plan ``operators._pieces``."""
+    """``operators._two_shards``, the one runner of training steps and predictions:
+    its piece bounds, its threads, its errors and its BLAS setting."""
+
+    @pytest.fixture
+    def blas(self):
+        """numpy's BLAS thread-count getter, with the count set to 2 for the test and
+        put back after; a getter of None where numpy exposes no OpenBLAS."""
+        blas = operators._blas_threads()
+        if blas is None:
+            yield lambda: None
+            return
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            yield get
+        finally:
+            set_(before)
 
     @pytest.mark.parametrize("bsz,cells,want", [
         (50, 64 * 64, [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
@@ -556,98 +573,90 @@ class TestTwoShards:
         (5, 10 ** 9, [[(0, 1), (1, 2), (2, 3)], [(3, 4), (4, 5)]]),
         (1, 64 * 64, [[(0, 1)]]),
         (0, 64 * 64, [[(0, 0)]]),
+        # [B, C, H, W]: an entry's cells are H*W, whatever C
+        (50, (3, 64, 64), [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
+        (50, (3, 32, 32), [[(0, 25)], [(25, 50)]]),
     ])
     def test_piece_bounds(self, bsz, cells, want):
         # each half, ceil(B/2) entries then the rest, in the fewest consecutive
-        # pieces under the cap, larger first and at most one entry apart
-        halves = _pieces(bsz, cells)
-        assert halves == want
-        cap = max(1, operators._PIECE_CELLS // cells)
+        # pieces under the cap, larger first and at most one entry apart; the
+        # first half on the calling thread, and every array cut alike.  An int
+        # ``cells`` is one axis of a first array [B, 0, cells], which holds nothing
+        grid = math.prod(cells[1:]) if isinstance(cells, tuple) else cells
+        x = np.empty((bsz, *cells) if isinstance(cells, tuple) else (bsz, 0, cells))
+        caller = threading.get_ident()
+        out = _two_shards(lambda xs, i: (threading.get_ident() == caller, len(xs), i.tolist()),
+                          x, np.arange(bsz))
+        assert out == [(h == 0, hi - lo, list(range(lo, hi)))
+                       for h, half in enumerate(want) for lo, hi in half]
+        cap = max(1, operators._PIECE_CELLS // grid)
         c = -(-bsz // 2)
-        assert [(h[0][0], h[-1][1]) for h in halves] == [(0, c), (c, bsz)][:1 + (c < bsz)]
-        for half in halves:
+        assert [(h[0][0], h[-1][1]) for h in want] == [(0, c), (c, bsz)][:1 + (c < bsz)]
+        for half in want:
             sizes = [hi - lo for lo, hi in half]
             assert all(a[1] == b[0] for a, b in zip(half, half[1:]))
             assert len(sizes) == max(1, -(-sum(sizes) // cap)) and max(sizes) <= cap
             assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
-    def test_pieces_follow_the_grid_of_the_first_array(self):
-        # [B, C, H, W]: a 64x64 grid cuts 50 entries into four pieces, a 32x32 one into two
-        for grid, sizes in [(64, [13, 12, 13, 12]), (32, [25, 25])]:
-            x = np.zeros((50, 1, grid, grid), np.float32)
-            assert _two_shards(lambda xs, i: (len(xs), len(i)), x, np.arange(50)) \
-                == [(n, n) for n in sizes]
-
-    def test_pieces_in_order_each_half_on_its_thread(self, monkeypatch):
-        # halves of 5 and 4 entries in pieces of at most 2: 2+2+1 on the calling
-        # thread, then 2+2 on one worker
-        monkeypatch.setattr(operators, "_PIECE_CELLS", 2)
-        a, b = np.arange(18.0).reshape(9, 2), np.arange(9)
-        caller = threading.get_ident()
-        out = _two_shards(lambda *xs: (threading.get_ident(), xs), a, b)
-        bounds = [(0, 2), (2, 4), (4, 5), (5, 7), (7, 9)]
-        assert len(out) == len(bounds)
-        assert [ident == caller for ident, _ in out] == [True] * 3 + [False] * 2
-        assert out[3][0] == out[4][0]
-        for (_, got), (lo, hi) in zip(out, bounds):
-            assert np.array_equal(got[0], a[lo:hi]) and np.array_equal(got[1], b[lo:hi])
-
-    @pytest.mark.parametrize("failing", [2, 7], ids=["first-half", "second-half"])
-    def test_later_piece_raises_after_both_halves_end(self, failing, monkeypatch):
-        # pieces of one entry: the failing piece is the half's third; its half
-        # stops there, and the other half, whose pieces end late, runs to its end
-        monkeypatch.setattr(operators, "_PIECE_CELLS", 1)
-        error = RuntimeError(f"piece {failing} failed")
-        ended = []
-
-        def fn(x):
-            i = int(x[0])
-            if i // 5 != failing // 5:
-                time.sleep(0.02)
-            ended.append(i)
-            if i == failing:
-                raise error
-
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            _two_shards(fn, np.arange(10))
-        assert info.value is error and threading.active_count() == threads
-        other = range(5, 10) if failing < 5 else range(5)
-        assert sorted(ended) == sorted([*other, *range(failing // 5 * 5, failing + 1)])
-
-    @pytest.mark.parametrize("bsz", [1, 2, 5, 6])
-    def test_shards_in_order(self, bsz):
-        # the first ceil(B/2) entries of each array on the calling thread, the rest on another
+    @pytest.mark.parametrize("bsz,piece_cells,bounds", [
+        # halves of 5 and 4 entries in pieces of at most 2: 2+2+1, then 2+2
+        (9, 2, [(0, 2), (2, 4), (4, 5), (5, 7), (7, 9)]),
+        (1, None, [(0, 1)]),
+        (2, None, [(0, 1), (1, 2)]),
+        (5, None, [(0, 3), (3, 5)]),
+        (6, None, [(0, 3), (3, 6)]),
+    ], ids=["9-in-pieces-of-2", "1", "2", "5", "6"])
+    def test_pieces_in_order_each_half_on_its_thread(self, bsz, piece_cells, bounds,
+                                                     monkeypatch):
+        # the first ceil(B/2) entries of each array on the calling thread, the rest
+        # on one other thread, each half's pieces in order
+        if piece_cells is not None:
+            monkeypatch.setattr(operators, "_PIECE_CELLS", piece_cells)
         a, b = np.arange(3.0 * bsz).reshape(bsz, 3), np.arange(bsz)
         caller = threading.get_ident()
         out = _two_shards(lambda *xs: (threading.get_ident(), xs), a, b)
         c = -(-bsz // 2)
-        want = [(a[:c], b[:c]), (a[c:], b[c:])] if c < bsz else [(a, b)]
-        assert len(out) == len(want) and out[0][0] == caller
-        assert all(ident != caller for ident, _ in out[1:])
-        for (_, got), ref in zip(out, want):
-            assert all(np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
+        assert len(out) == len(bounds)
+        assert [ident == caller for ident, _ in out] == [lo < c for lo, _ in bounds]
+        assert len({ident for ident, _ in out if ident != caller}) == (bsz > 1)
+        for (_, got), (lo, hi) in zip(out, bounds):
+            assert all(np.array_equal(g, r) for g, r in zip(got, (a[lo:hi], b[lo:hi]),
+                                                           strict=True))
 
-    def test_blas_on_one_thread_and_restored(self, monkeypatch):
-        get, set_ = blas_threads()
-        caller = get()
-        try:
-            set_(2)
-            want, threads = get(), threading.active_count()
-            assert _two_shards(lambda x: get(), np.zeros(3)) == [1, 1]
-            assert (get(), threading.active_count()) == (want, threads)
-            monkeypatch.setattr(operators, "_PIECE_CELLS", 2)   # pieces of 2, 2, 1 | 2, 2
-            assert _two_shards(lambda x: get(), np.zeros(9)) == [1] * 5
-            assert (get(), threading.active_count()) == (want, threads)
-        finally:
-            set_(caller)
+    @pytest.mark.parametrize("failing,slow", [({2}, range(5, 10)), ({7}, range(5)),
+                                              ({2, 7}, range(5))],
+                             ids=["first-half", "second-half", "both-halves"])
+    def test_later_piece_raises_after_both_halves_end(self, failing, slow, blas,
+                                                      monkeypatch):
+        # pieces of one entry: a failing piece is its half's third and stops its half,
+        # and the ``slow`` pieces end late, so a runner that did not wait for both
+        # halves would raise before they end.  With both failing, the first half's
+        # error is raised although the second half's comes first.  BLAS is back to
+        # its count after the raise
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 1)
+        errors = {i: RuntimeError(f"piece {i} failed") for i in failing}
+        ended = []
+
+        def fn(x):
+            i = int(x[0])
+            if i in slow:
+                time.sleep(0.02)
+            ended.append(i)
+            if i in failing:
+                raise errors[i]
+
+        want = blas()
+        with pytest.raises(RuntimeError) as info:
+            _two_shards(fn, np.arange(10))
+        assert info.value is errors[min(failing)] and blas() == want
+        stops = [min([i for i in failing if lo <= i < lo + 5], default=lo + 4) for lo in (0, 5)]
+        assert sorted(ended) == [*range(stops[0] + 1), *range(5, stops[1] + 1)]
 
     @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)], ids=["first", "second", "both"])
-    def test_raise_after_both_shards_end(self, failing):
-        # the shard that does not fail ends late, so a runner that did not wait for it
-        # would raise before it ends; with both failing, the first shard's error is raised
-        get, set_ = blas_threads()
-        caller = get()
+    def test_raise_after_both_shards_end(self, failing, blas):
+        # one piece a half: the half that does not fail ends late, so a runner that did
+        # not wait for it would raise before it ends; with both failing, the first
+        # half's error is raised.  BLAS and the thread count are back after the raise
         errors = [RuntimeError(f"shard {i} failed") for i in range(2)]
         ended = []
 
@@ -659,15 +668,19 @@ class TestTwoShards:
             if i in failing:
                 raise errors[i]
 
-        try:
-            set_(2)
-            want, threads = get(), threading.active_count()
-            with pytest.raises(RuntimeError) as info:
-                _two_shards(fn, np.array([0, 0, 1]))
-            assert info.value is errors[failing[0]] and sorted(ended) == [0, 1]
-            assert (get(), threading.active_count()) == (want, threads)
-        finally:
-            set_(caller)
+        want, threads = blas(), threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _two_shards(fn, np.array([0, 0, 1]))
+        assert info.value is errors[failing[0]] and sorted(ended) == [0, 1]
+        assert (blas(), threading.active_count()) == (want, threads)
+
+    def test_blas_on_one_thread_and_restored(self, blas, monkeypatch):
+        want = blas()
+        if want is None:
+            pytest.skip("numpy exposes no scipy-openblas thread count")
+        assert _two_shards(lambda x: blas(), np.zeros(3)) == [1, 1] and blas() == want
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 2)   # pieces of 2, 2, 1 | 2, 2
+        assert _two_shards(lambda x: blas(), np.zeros(9)) == [1] * 5 and blas() == want
 
     def test_one_entry_starts_no_thread(self, monkeypatch):
         started = []

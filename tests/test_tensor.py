@@ -524,6 +524,18 @@ class TestTapePerThread:
         assert grads.keys() == {c.key}
         assert np.array_equal(grads[c.key], np.ones(4))
 
+    def test_second_tape_on_a_thread_raises_and_the_first_still_records(self):
+        # d/dw of w*x + (w*x)*w at w=2, x=3 is x + 2*w*x = 15; an inner tape that
+        # took the ops recorded while it was open would leave the outer tape a 3
+        w, x = Tensor(np.array(2.0)), Tensor(np.array(3.0))
+        with Tape() as tape:
+            wx = T.mul(w, x)
+            with pytest.raises(RuntimeError, match="already has a tape open"):
+                with Tape():
+                    pass
+            loss = T.add(wx, T.mul(wx, w))
+        assert tape.backward(loss)[w.key] == 15.0
+
 
 class TestGradientSuite:
     """Every differentiable primitive against central finite differences."""

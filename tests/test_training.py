@@ -225,10 +225,19 @@ def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
     assert np.array_equal(batch, expected)
 
 
-def _check_step_sums_its_pieces(bundle, monkeypatch, kind, pieces):
+@pytest.mark.parametrize("kind,piece_cells,pieces", [
+    # at 16x16 each half is one piece
+    *[(kind, operators._PIECE_CELLS, [(0, 13), (1, 12)]) for kind in ("fno", "mgno")],
+    # pieces of at most 7 of the 16x16 pairs cut the halves 7+6 and 6+6
+    *[(kind, 7 * 16 * 16, [(0, 7), (0, 6), (1, 6), (1, 6)]) for kind in ("fno", "mgno")],
+], ids=["fno", "mgno", "fno-in-pieces-of-7", "mgno-in-pieces-of-7"])
+def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind,
+                                                  piece_cells, pieces):
     """One float64 training step on the 25-pair batch: its pieces are ``pieces``
     ((half, size) in piece order), each grad is the pieces' gradients summed in
     piece order, bit for bit, and the loss and grads match one full-batch tape."""
+    bundle, _ = tiny_bundle
+    monkeypatch.setattr(operators, "_PIECE_CELLS", piece_cells)
     model = _model(bundle, kind, dtype=np.float64)
     params = model.parameters()
     start = [p.data.copy() for p in params]
@@ -252,20 +261,6 @@ def _check_step_sums_its_pieces(bundle, monkeypatch, kind, pieces):
                                loss.data, rtol=1e-12, atol=0)
     for p, q in zip(params, fresh.parameters()):
         np.testing.assert_allclose(p.grad, grads[q.key], rtol=1e-12, atol=0, err_msg=p.name)
-
-
-@pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind):
-    # at 16x16 each half is one piece
-    _check_step_sums_its_pieces(tiny_bundle[0], monkeypatch, kind, [(0, 13), (1, 12)])
-
-
-@pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_pieced_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind):
-    # pieces of at most 7 of the 16x16 pairs cut the halves 7+6 and 6+6
-    monkeypatch.setattr(operators, "_PIECE_CELLS", 7 * 16 * 16)
-    _check_step_sums_its_pieces(tiny_bundle[0], monkeypatch, kind,
-                                [(0, 7), (0, 6), (1, 6), (1, 6)])
 
 
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
@@ -302,7 +297,7 @@ def test_pieces_bound_what_a_step_holds(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_batch_of_one_trains_with_one_empty_shard(tiny_bundle, monkeypatch, kind):
+def test_batch_of_one_trains_on_the_calling_thread_alone(tiny_bundle, monkeypatch, kind):
     bundle, _ = tiny_bundle
     model = _model(bundle, kind)
     calls = _record_shards(monkeypatch)
