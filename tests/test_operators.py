@@ -563,19 +563,26 @@ class TestTwoShards:
             set_(before)
 
     @pytest.mark.parametrize("bsz,cells,want", [
-        (50, 64 * 64, [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
-        (25, 64 * 64, [[(0, 13)], [(13, 25)]]),
-        (50, 32 * 32, [[(0, 25)], [(25, 50)]]),
-        (27, 64 * 64, [[(0, 7), (7, 14)], [(14, 27)]]),
-        (101, 96 * 96, [[(0, 5), (5, 10), (10, 15), (15, 20), (20, 25), (25, 30), (30, 35),
-                         (35, 39), (39, 43), (43, 47), (47, 51)],
-                        [(i, i + 5) for i in range(51, 101, 5)]]),
+        # a 64x64 B=50 training step: five pieces of 5 on each thread
+        (50, 64 * 64, [[(i, i + 5) for i in range(0, 25, 5)],
+                       [(i, i + 5) for i in range(25, 50, 5)]]),
+        # a 25-day 64x64 series: 5+4+4 | 4+4+4
+        (25, 64 * 64, [[(0, 5), (5, 9), (9, 13)], [(13, 17), (17, 21), (21, 25)]]),
+        # a 32x32 B=50 training step: 13+12 a half
+        (50, 32 * 32, [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
+        (27, 64 * 64, [[(0, 5), (5, 10), (10, 14)], [(14, 19), (19, 23), (23, 27)]]),
+        # pieces of at most 2 entries: 25 of 2 and one of 1, then 25 of 2
+        (101, 96 * 96, [[(i, i + 2) for i in range(0, 50, 2)] + [(50, 51)],
+                        [(i, i + 2) for i in range(51, 101, 2)]]),
         (5, 10 ** 9, [[(0, 1), (1, 2), (2, 3)], [(3, 4), (4, 5)]]),
         (1, 64 * 64, [[(0, 1)]]),
         (0, 64 * 64, [[(0, 0)]]),
         # [B, C, H, W]: an entry's cells are H*W, whatever C
-        (50, (3, 64, 64), [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
-        (50, (3, 32, 32), [[(0, 25)], [(25, 50)]]),
+        (50, (3, 64, 64), [[(i, i + 5) for i in range(0, 25, 5)],
+                           [(i, i + 5) for i in range(25, 50, 5)]]),
+        (50, (3, 32, 32), [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
+        # a 16x16 B=50 training step: one piece a half
+        (50, 16 * 16, [[(0, 25)], [(25, 50)]]),
     ])
     def test_piece_bounds(self, bsz, cells, want):
         # each half, ceil(B/2) entries then the rest, in the fewest consecutive
