@@ -23,13 +23,13 @@ rest on the worker of a one-thread executor, with numpy's OpenBLAS on one
 thread for the call.  With two BLAS threads each GEMM would split over cores
 the halves already fill, and an idle BLAS worker spins between GEMMs and holds
 a core.  Each thread walks its half in consecutive pieces of at most
-``_PIECE_CELLS`` entry-cells (5 entries of a 64x64 grid) and finishes one
-piece before it starts the next, so the memory a training step holds is
-bounded by the piece, not the batch (micro-batch gradient accumulation, as in
-GPipe: Huang et al., NeurIPS 2019, arXiv 1811.06965).  A B=50 batch runs five
-pieces of 5 a half at 64x64 and 13+12 at 32x32; a 25-day 64x64 series runs
-5+4+4 and 4+4+4.  A half that fits in one piece, as every half of a B=50 batch
-at 16x16 does, runs as one call.
+``_PIECE_CELLS`` entry-cells (25 entries of a 32x32 grid, 6 of a 64x64 one)
+and finishes one piece before it starts the next, so the memory a training
+step holds is bounded by the piece, not the batch (micro-batch gradient
+accumulation, as in GPipe: Huang et al., NeurIPS 2019, arXiv 1811.06965).  A
+B=50 batch runs five pieces of 5 a half at 64x64; a 25-day 64x64 series runs
+5+4+4 and 6+6.  A half that fits in one piece, as every half of a B=50 batch
+at 32x32 or below does, runs as one call.
 """
 
 from __future__ import annotations
@@ -120,10 +120,11 @@ def _one_blas_thread():
         set_threads(before)
 
 
-# entry-cells of one piece: 5 entries of a 64x64 grid.  On a 2-core Xeon, a 64x64
-# B=50 f32 MgNO step in pieces of 5 faults in about a fifth of the fresh pages
-# that pieces of 13 do and runs 8-10% faster; pieces of 4 run slower again
-_PIECE_CELLS = 5 * 64 * 64
+# entry-cells of one piece: 25 entries of a 32x32 grid, so that a 64x64 B=50 half
+# runs five pieces of 5 (peak RSS of f32 MgNO training 204 -> 124 MB on a 2-core
+# Xeon) and a 32x32 B=50 half stays one piece (its MgNO step read 16% slower as
+# 13+12 there)
+_PIECE_CELLS = 25 * 32 * 32
 
 
 def _two_shards(fn, *arrays) -> list:

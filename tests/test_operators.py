@@ -566,10 +566,10 @@ class TestTwoShards:
         # a 64x64 B=50 training step: five pieces of 5 on each thread
         (50, 64 * 64, [[(i, i + 5) for i in range(0, 25, 5)],
                        [(i, i + 5) for i in range(25, 50, 5)]]),
-        # a 25-day 64x64 series: 5+4+4 | 4+4+4
-        (25, 64 * 64, [[(0, 5), (5, 9), (9, 13)], [(13, 17), (17, 21), (21, 25)]]),
-        # a 32x32 B=50 training step: 13+12 a half
-        (50, 32 * 32, [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
+        # a 25-day 64x64 series: 5+4+4 | 6+6
+        (25, 64 * 64, [[(0, 5), (5, 9), (9, 13)], [(13, 19), (19, 25)]]),
+        # a 32x32 B=50 training step: one piece a half
+        (50, 32 * 32, [[(0, 25)], [(25, 50)]]),
         (27, 64 * 64, [[(0, 5), (5, 10), (10, 14)], [(14, 19), (19, 23), (23, 27)]]),
         # pieces of at most 2 entries: 25 of 2 and one of 1, then 25 of 2
         (101, 96 * 96, [[(i, i + 2) for i in range(0, 50, 2)] + [(50, 51)],
@@ -580,7 +580,7 @@ class TestTwoShards:
         # [B, C, H, W]: an entry's cells are H*W, whatever C
         (50, (3, 64, 64), [[(i, i + 5) for i in range(0, 25, 5)],
                            [(i, i + 5) for i in range(25, 50, 5)]]),
-        (50, (3, 32, 32), [[(0, 13), (13, 25)], [(25, 38), (38, 50)]]),
+        (50, (3, 32, 32), [[(0, 25)], [(25, 50)]]),
         # a 16x16 B=50 training step: one piece a half
         (50, 16 * 16, [[(0, 25)], [(25, 50)]]),
     ])
