@@ -114,8 +114,14 @@ class DatasetBundle:
         return self.p.shape[1] - 1
 
     def n_train(self) -> int:
+        """Training samples, the first ceil(n_samples * train_fraction) of the
+        manifest's split: at least one, and at most all of them."""
         fraction = float(_entry(self.manifest, "train_fraction", "dataset"))
-        return int(np.ceil(self.n_samples * fraction))
+        n = int(np.ceil(self.n_samples * fraction))
+        if not 1 <= n <= self.n_samples:
+            raise ValueError(f"dataset: train_fraction {fraction} takes {n} of "
+                             f"{self.n_samples} samples for training, not 1 to {self.n_samples}")
+        return n
 
     def train_indices(self) -> np.ndarray:
         return np.arange(self.n_train())

@@ -18,18 +18,8 @@ The retained FNO mode rows are split across both corners of the spectrum
 negative ones), which keeps the parameterization grid-size independent.
 
 Training steps and predictions run a batch in one way, through
-:func:`_two_shards`: the first ceil(B/2) entries on the calling thread and the
-rest on the worker of a one-thread executor, with numpy's OpenBLAS on one
-thread for the call.  With two BLAS threads each GEMM would split over cores
-the halves already fill, and an idle BLAS worker spins between GEMMs and holds
-a core.  Each thread walks its half in consecutive pieces of at most
-``_PIECE_CELLS`` entry-cells (25 entries of a 32x32 grid, 6 of a 64x64 one)
-and finishes one piece before it starts the next, so the memory a training
-step holds is bounded by the piece, not the batch (micro-batch gradient
-accumulation, as in GPipe: Huang et al., NeurIPS 2019, arXiv 1811.06965).  A
-B=50 batch runs five pieces of 5 a half at 64x64; a 25-day 64x64 series runs
-5+4+4 and 6+6.  A half that fits in one piece, as every half of a B=50 batch
-at 32x32 or below does, runs as one call.
+:func:`_two_shards`; its docstring and ``_PIECE_CELLS`` give its halves,
+threads and pieces.
 """
 
 from __future__ import annotations
@@ -120,10 +110,10 @@ def _one_blas_thread():
         set_threads(before)
 
 
-# entry-cells of one piece: 25 entries of a 32x32 grid, so that a 64x64 B=50 half
-# runs five pieces of 5 (peak RSS of f32 MgNO training 204 -> 124 MB on a 2-core
-# Xeon) and a 32x32 B=50 half stays one piece (its MgNO step read 16% slower as
-# 13+12 there)
+# entry-cells of one piece: 25 entries of a 32x32 grid, 6 of a 64x64 one.  A 64x64
+# B=50 half runs five pieces of 5 (peak RSS of f32 MgNO training 204 -> 124 MB on a
+# 2-core Xeon), a 25-day 64x64 series 5+4+4 | 6+6, and a 32x32 or 16x16 B=50 half
+# one piece (a 32x32 MgNO step read 16% slower as 13+12)
 _PIECE_CELLS = 25 * 32 * 32
 
 
@@ -133,11 +123,16 @@ def _two_shards(fn, *arrays) -> list:
     executor opened for the call; the results in piece order.  ``np.array_split``
     cuts each half into the fewest near-equal pieces (larger first) of at most
     ``max(1, _PIECE_CELLS // cells)`` entries, an entry's cells being the product
-    of the first array's axes past the first two ([B, C, H, W] gives H*W), so a
-    thread holds one piece's work at a time.  A batch of one starts no thread; an
-    empty batch is one empty piece.  BLAS runs one thread for the duration.  A
-    half stops at its first failing piece, and the error is raised once both
-    halves have ended (the first half's when both fail)."""
+    of the first array's axes past the first two ([B, C, H, W] gives H*W).  A
+    thread finishes one piece before it starts the next, so the memory a training
+    step holds is bounded by the piece, not the batch (micro-batch gradient
+    accumulation, as in GPipe: Huang et al., NeurIPS 2019, arXiv 1811.06965).  A
+    batch of one starts no thread; an empty batch is one empty piece.  numpy's
+    OpenBLAS runs one thread for the duration: with two, each GEMM would split
+    over cores the halves already fill, and an idle BLAS worker spins between
+    GEMMs and holds a core.  A half stops at its first failing piece, and the
+    error is raised once both halves have ended (the first half's when both
+    fail)."""
     cap = max(1, _PIECE_CELLS // math.prod(arrays[0].shape[2:]))
     halves = list(zip(*(np.array_split(a, 2 if len(arrays[0]) > 1 else 1) for a in arrays)))
 
@@ -192,7 +187,6 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     wc = (w_re.data + 1j * w_im.data).astype(block_t.dtype)                 # [m1,m2,Co,Ci]
     out_block = np.matmul(wc, block_t)                                      # [m1,m2,Co,B]
     out = Tensor(spectral.irfft2(out_block.transpose(3, 2, 0, 1), rows, (h, w)))
-    dtype = vd.dtype                                   # the weights' too, as _spatial checked
 
     def bwd(g):
         ablock_t = np.ascontiguousarray(
@@ -200,9 +194,7 @@ def spectral_conv(v: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
         dw = np.matmul(ablock_t, block_t.conj().transpose(0, 1, 3, 2))      # g C^H
         dblock = np.matmul(wc.conj().transpose(0, 1, 3, 2), ablock_t)       # W^H g
         dv = spectral.rfft2_adjoint(dblock.transpose(3, 2, 0, 1), rows, (h, w))
-        return (dv.astype(dtype, copy=False),
-                np.ascontiguousarray(dw.real, dtype=dtype),
-                np.ascontiguousarray(dw.imag, dtype=dtype))
+        return dv, np.ascontiguousarray(dw.real), np.ascontiguousarray(dw.imag)
 
     return _record(out, (v, w_re, w_im), lambda: bwd)
 

@@ -1,6 +1,6 @@
 """Dense real tensors with reverse-mode automatic differentiation.
 
-A :class:`Tensor` wraps a numpy array (float32 or float64).  Operations on
+A :class:`Tensor` wraps a float32 or float64 numpy array.  Operations on
 tensors are pure functions, and each returns its output through ``_record``,
 the one place where an op meets the tape: while a :class:`Tape` is active on
 the calling thread it builds the op's backward rule and appends a record
@@ -48,9 +48,8 @@ correlation with the flipped kernel, the textbook form of the transpose;
 porolab's float results, training losses and checkpoints are fixed to that
 order.
 Each map makes one batched GEMM per tap over the whole batch it is given,
-which in training and inference is one piece of one of the two halves of a
-batch, each half walked piece by piece on its own thread
-(``operators._two_shards``, the second on an executor's worker).
+which in training and inference is one piece of a batch
+(``operators._two_shards``).
 """
 
 from __future__ import annotations
@@ -64,24 +63,21 @@ from scipy.special import erf
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
 _KEYS = itertools.count()
 
 
 class Tensor:
     """N-dimensional real array, immutable by convention once created.
 
-    ``key`` is unique in the process; a tape and its gradients name the tensor by it.
+    ``data`` is the caller's float32 or float64 array, taken as given
+    (``np.asarray``, no cast); ``key`` is unique in the process, and a tape and
+    its gradients name the tensor by it.
     """
 
     __slots__ = ("data", "key")
 
     def __init__(self, data):
-        arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data)
         self.key = next(_KEYS)
 
     @property
@@ -342,7 +338,6 @@ def pointwise_linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
         gm = g.reshape(b, co, h * wd_)
         dx = np.matmul(wd.T, gm).reshape(b, c, h, wd_)
         dw = np.matmul(gm, xd.reshape(b, c, h * wd_).transpose(0, 2, 1)).sum(axis=0)
-        dw = dw.astype(wd.dtype, copy=False)
         if bias is None:
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))

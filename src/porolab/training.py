@@ -8,15 +8,11 @@ z-score-normalized targets but scaled so that it equals the relative L2 error
 of the denormalized (physical) fields, which is also the reported metric.
 
 A training step runs its batch through the runner ``operators._two_shards``,
-as inference does: the first ceil(B/2) pairs on the calling thread and the rest
-on the one worker of an executor opened for the step, with numpy's OpenBLAS on
-one thread for the duration of the call.  Each thread walks its half in pieces
-of at most ``operators._PIECE_CELLS`` pair-cells, and each piece runs its
-forward and backward pass under its own tape, the only one open on its thread,
-which is gone before the next piece starts.
-The parameter gradients and the loss are the pieces' sums, taken in piece
-order.  The pieces depend only on the batch size and the grid, not on the
-machine, so neither does any bit of the result.
+as inference does (its docstring gives the halves, threads and pieces), each
+piece's forward and backward pass under its own tape.  The parameter gradients
+and the loss are the pieces' sums, taken in piece order.  The pieces depend
+only on the batch size and the grid, not on the machine, so neither does any
+bit of the result.
 """
 
 from __future__ import annotations
@@ -50,21 +46,19 @@ def rel_l2(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm((pred - target).ravel()) / denom)
 
 
-def batched_relative_loss(pred: Tensor, target: np.ndarray, denominators: np.ndarray,
-                          batch_size: int) -> Tensor:
-    """``pred``'s part of the mean of per-sample relative L2 errors over a batch
-    of ``batch_size`` samples: the sum of its errors divided by ``batch_size``,
-    which is the whole mean when ``pred`` is the whole batch.
+def batched_relative_loss(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
+    """The sum over samples of ``weights`` times each sample's L2 error norm.
 
-    ``denominators`` are the per-sample normalizing norms; the training loop
-    passes the physical-field norms (divided by the target std, see
-    :func:`_training_arrays`) so the normalized-space loss equals the
+    With ``weights = (1 / denominators) / B`` for a batch of B samples this is
+    the batch mean of per-sample relative L2 errors, or, on a piece of the
+    batch, that piece's part of the mean.  The training loop's denominators
+    are the physical-field norms divided by the target std (see
+    :func:`_training_arrays`), so the normalized-space loss equals the
     physical relative error exactly.
     """
     tgt = Tensor(np.ascontiguousarray(target, dtype=pred.dtype))
     d = T.sub(pred, tgt)
     num = T.sqrt(T.tensor_sum(T.mul(d, d), axes=(1, 2, 3)))
-    weights = (1.0 / np.asarray(denominators)) / batch_size
     return T.tensor_sum(T.mul(num, Tensor(weights.astype(pred.dtype))))
 
 
@@ -72,6 +66,7 @@ def batched_relative_loss(pred: Tensor, target: np.ndarray, denominators: np.nda
 # Adam with decoupled weight decay
 # ---------------------------------------------------------------------------
 
+_LR = 1e-4              # learning rate, constant over the run
 _WEIGHT_DECAY = 1e-5    # decoupled, scaled by the learning rate
 _BETA1 = 0.9            # first-moment decay
 _BETA2 = 0.999          # second-moment decay
@@ -82,13 +77,12 @@ _EPS = 1e-8             # denominator floor of the Adam update
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 50
-    lr: float = 1e-4
     train_fraction: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.lr <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs, batch_size and lr must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
 
 
 class AdamState:
@@ -100,7 +94,7 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(params: list[Parameter], state: AdamState) -> None:
     """One Adam update with bias correction and decoupled weight decay."""
     state.step += 1
     t = state.step
@@ -116,7 +110,7 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
         v *= b2
         v += (1.0 - b2) * g * g
         update = (m / c1) / (np.sqrt(v / c2) + _EPS)
-        p.data = p.data - cfg.lr * update - cfg.lr * _WEIGHT_DECAY * p.data
+        p.data = p.data - _LR * update - _LR * _WEIGHT_DECAY * p.data
 
 
 # ---------------------------------------------------------------------------
@@ -189,66 +183,64 @@ def _training_arrays(bundle: DatasetBundle, stats: NormStats, dtype):
     return k_norm, tgt_norm, denom
 
 
-def _shard_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray, batch_size: int):
+def _shard_step(model, x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     """Forward and backward of one piece of a batch on the calling thread: its
     part of the batch loss and the gradient of each parameter, in parameter
     order."""
     with Tape() as tape:
         pred = model.forward(Tensor(x))
-        loss = batched_relative_loss(pred, y, denominators=denoms, batch_size=batch_size)
+        loss = batched_relative_loss(pred, y, weights)
     grads = tape.backward(loss)
     return loss.data, [grads[p.key] for p in model.parameters()]
 
 
 def _sharded_step(model, x: np.ndarray, y: np.ndarray, denoms: np.ndarray):
     """Loss and per-parameter gradients of one batch, as sums over its pieces
-    (:func:`operators._two_shards`) in piece order."""
-    bsz = len(x)
-    losses, grads = zip(*_two_shards(lambda *piece: _shard_step(model, *piece, bsz),
-                                     x, y, denoms))
+    (:func:`operators._two_shards`) in piece order.  The batch mean is formed
+    here, once: each piece gets its samples' weights ``(1 / denoms) / B``."""
+    losses, grads = zip(*_two_shards(lambda *piece: _shard_step(model, *piece),
+                                     x, y, (1.0 / denoms) / len(x)))
     return reduce(np.add, losses), [reduce(np.add, g) for g in zip(*grads)]
 
 
 def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
     """Train a model in place; returns the list of per-epoch metrics.
 
-    The split takes the first ``train_fraction`` of samples (generation
-    order) for training, and must be the split the dataset's manifest
-    records, on which :meth:`DatasetBundle.fit_stats` fits the
-    normalization; batch order within an epoch is shuffled by a
-    counter-based generator keyed on the config seed, so the whole run is a
-    pure function of (dataset, config, seed).  Each epoch takes as many full
-    batches of ``batch_size`` (sample, day) pairs as fit and drops the final
-    partial batch.  The loss is the batch mean of per-pair relative L2 errors
-    (:func:`batched_relative_loss`), taken over the pieces of the batch's two
-    halves on two threads (module docstring).  After each step
-    every parameter's ``grad`` holds its gradient for that step's batch.
+    The split is the dataset's (:meth:`DatasetBundle.n_train`: the first
+    ``train_fraction`` of samples in generation order, on which
+    :meth:`DatasetBundle.fit_stats` fits the normalization), and
+    ``cfg.train_fraction`` must take the same number of samples.  Training
+    pair ``j`` is sample ``j // (n_days + 1)`` on day ``j % (n_days + 1)``.
+    Pair order within an epoch is shuffled by a counter-based generator
+    keyed on the config seed, so the whole run is a pure function of
+    (dataset, config, seed).  Each epoch takes as many full batches of
+    ``batch_size`` pairs as fit and drops the final partial batch.  The loss
+    is the batch mean of per-pair relative L2 errors, formed by
+    :func:`_sharded_step` over the pieces of the batch.  After each step every
+    parameter's ``grad`` holds its gradient for that step's batch.
     """
-    n_train = int(np.ceil(bundle.n_samples * cfg.train_fraction))
-    if n_train < 1 or n_train > bundle.n_samples:
-        raise ValueError(f"empty or invalid split: {n_train} of {bundle.n_samples}")
-    if n_train != bundle.n_train():
+    n_train = bundle.n_train()
+    asked = int(np.ceil(bundle.n_samples * cfg.train_fraction))
+    if asked != n_train:
         raise ValueError(
-            f"train_fraction {cfg.train_fraction} takes {n_train} training samples, but "
-            f"the dataset's split, on which its normalization is fitted, takes "
-            f"{bundle.n_train()}")
+            f"train_fraction {cfg.train_fraction} takes {asked} training samples, but "
+            f"the dataset's split, on which its normalization is fitted, takes {n_train}")
     val_idx = bundle.val_indices()
     days = bundle.n_days
     k_norm, tgt_norm, denom_table = _training_arrays(bundle, model.stats, model.dtype)
 
-    pairs = np.stack(np.meshgrid(np.arange(n_train), np.arange(days + 1),
-                                 indexing="ij"), axis=-1).reshape(-1, 2)
-    if cfg.batch_size > len(pairs):
-        raise ValueError(f"batch size {cfg.batch_size} exceeds training pairs {len(pairs)}")
+    n_pairs = n_train * (days + 1)
+    if cfg.batch_size > n_pairs:
+        raise ValueError(f"batch size {cfg.batch_size} exceeds training pairs {n_pairs}")
     params = model.parameters()
     state = AdamState(params)
 
     history: list[MetricsRecord] = []
     for epoch in range(cfg.epochs):
-        order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(len(pairs))
+        order = Generator(Philox(key=cfg.seed, counter=epoch << 64)).permutation(n_pairs)
         losses = []
-        for start in range(0, len(pairs) - cfg.batch_size + 1, cfg.batch_size):
-            si, day = pairs[order[start:start + cfg.batch_size]].T
+        for start in range(0, n_pairs - cfg.batch_size + 1, cfg.batch_size):
+            si, day = np.divmod(order[start:start + cfg.batch_size], days + 1)
             x = model.inputs(k_norm[si], day)
             loss, grads = _sharded_step(model, x, tgt_norm[si, day][:, None],
                                         denom_table[si, day])
@@ -259,7 +251,7 @@ def train(model, bundle: DatasetBundle, cfg: TrainConfig, *, log=None):
                     f"step {start // cfg.batch_size}")
             for p, g in zip(params, grads):
                 p.grad = g
-            adam_step(params, state, cfg)
+            adam_step(params, state)
             losses.append(value)
         val = evaluate(model, bundle, val_idx)[0] if len(val_idx) else np.nan
         record = MetricsRecord(epoch=epoch, train_loss=float(np.mean(losses)),

@@ -1,6 +1,6 @@
 """Shared test helpers: finite-difference gradient checking, the forward DCT and tiny
-datasets; and a check, around every test, that it leaves no thread running and no tape
-open."""
+datasets; and a check, around every test, that it leaves no thread running, no tape
+open and numpy's OpenBLAS thread count as it found it."""
 
 import threading
 
@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from porolab import tensor
+from porolab import operators, tensor
 from porolab.tensor import Tape
 
 
 @pytest.fixture(autouse=True)
-def _no_thread_or_tape_left():
-    """Fail a test that leaves a thread running or the main thread's tape slot set."""
+def _no_thread_tape_or_blas_change_left():
+    """Fail a test that leaves a thread running, the main thread's tape slot set or
+    numpy's OpenBLAS thread count changed (not checked where numpy exposes none)."""
+    blas = operators._blas_threads()
+    blas_threads = blas[0]() if blas is not None else None
     before = set(threading.enumerate())
     yield
     assert set(threading.enumerate()) <= before, "a thread outlived the test"
     assert getattr(tensor._THREAD, "tape", None) is None, "the test left a tape open"
+    if blas is not None:
+        assert blas[0]() == blas_threads, "the test left numpy's OpenBLAS thread count changed"
 
 
 def numerical_gradients(build_loss, arrays, eps=1e-5):

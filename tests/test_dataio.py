@@ -167,6 +167,19 @@ class TestManifestConfig:
         assert reservoir_config_from_manifest(built.manifest) == cfg
         assert reservoir_config_from_manifest(load_dataset(tmp_path).manifest) == cfg
 
+    def test_rejected_draw_is_recorded_and_the_next_one_taken(self):
+        # draw 3 of 16x16 GRF seed 0 leaves the saturation bounds (ROADMAP item 1),
+        # so sample 3 is draw 4
+        seen = []
+        built = build_dataset(4, ReservoirConfig(nx=16, nz=16), seed=0, progress=seen.append)
+        assert re.fullmatch(r"draw 3: saturation bounds violated: \[.*\]",
+                            built.manifest["resampled"])
+        assert seen == [0, 1, 2, 3]
+        spec = GrfSpec(n=16, seed=0)
+        for i, draw in enumerate([0, 1, 2, 4]):
+            k = to_permeability(sample_grf(spec, draw), dataio._AMPLITUDE)
+            assert np.array_equal(built.k[i], k.astype(np.float32)), draw
+
     @pytest.mark.parametrize("key", ["grid", "days"])
     def test_missing_grid_or_days_rejected(self, key):
         manifest = dataio._config_entries(ReservoirConfig(nx=8, nz=8, total_days=2))

@@ -248,6 +248,19 @@ class TestSolvePressure:
         solve_pressure(a, b)
         assert 0 < applied.count(0) <= 15
 
+    def test_warm_start_at_the_solution_and_the_iteration_cap(self, monkeypatch):
+        # started at its own solution, a solve builds no hierarchy and runs no CG
+        # iteration; allowed one iteration, a cold solve raises
+        cfg = ReservoirConfig(nx=16, nz=16)
+        a, b = assemble_pressure(grid_k(16, 16), np.full((16, 16), 0.25), cfg)
+        p = solve_pressure(a, b)
+        mg = simulator.Multigrid()
+        assert np.array_equal(solve_pressure(a, b, x0=p, mg=mg), p)
+        assert (mg.hierarchy, mg.rebuilds, mg.cg_iterations) == (None, 0, 0)
+        monkeypatch.setattr(simulator, "_MAXITER", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solve_pressure(a, b)
+
     @pytest.mark.parametrize("nx,nz", [(16, 16), (64, 64), (33, 17), (100, 1)])
     def test_vcycle_symmetric_positive(self, nx, nz):
         # CG needs an SPD preconditioner: r2.M(r1) == r1.M(r2) and r.M(r) > 0

@@ -394,6 +394,14 @@ class TestBackward:
         assert p.grad is None and not hasattr(loss, "grad")
         assert np.array_equal(grads[p.key], 2.0 * p.data)
 
+    def test_record_the_loss_does_not_reach_is_skipped(self):
+        x = Tensor(rng.standard_normal((2, 3)))
+        with Tape() as tape:
+            T.gelu(x)
+            loss = T.tensor_sum(T.mul(x, x))
+        grads = tape.backward(loss)
+        assert grads.keys() == {x.key} and np.array_equal(grads[x.key], 2.0 * x.data)
+
     def test_backward_returns_exactly_the_leaves(self):
         # leaves: tensors that entered an op on the tape but that no op on it produced
         r = np.random.default_rng(3)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from porolab import operators, training
+from porolab import dataio, operators, training
 from porolab.dataio import DatasetBundle, NormStats, load_checkpoint, save_checkpoint
 from porolab.operators import Fno, FnoConfig, Mgno, MgnoConfig, make_input
 from porolab.tensor import Tape, Tensor
@@ -17,23 +17,27 @@ TINY = {"fno": (Fno, FnoConfig(width=8, modes1=4, modes2=4, depth=2)),
         "mgno": (Mgno, MgnoConfig(depth=2, channels=4, levels=2))}
 
 
-def _model(bundle, kind, dtype=np.float32, seed=4):
+def _model(bundle, kind, dtype=np.float32, seed=4, target="p"):
     cls, cfg = TINY[kind]
-    return cls(cfg, stats=bundle.fit_stats("p"), t_max=float(bundle.n_days), dtype=dtype,
+    return cls(cfg, stats=bundle.fit_stats(target), t_max=float(bundle.n_days), dtype=dtype,
                seed=seed)
 
 
-def _train_cfg(epochs=2, **kw):
-    return training.TrainConfig(epochs=epochs, batch_size=25, lr=1e-3,
-                                train_fraction=1.0, seed=1, **kw)
+def _train_cfg(epochs=2, batch_size=25):
+    return training.TrainConfig(epochs=epochs, batch_size=batch_size, train_fraction=1.0,
+                                seed=1)
 
 
-@pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind):
+@pytest.mark.parametrize("kind,target", [("fno", "p"), ("mgno", "p"), ("fno", "sw"),
+                                         ("mgno", "sw")],
+                         ids=["fno", "mgno", "fno-sw", "mgno-sw"])
+def test_train_checkpoint_reload_is_bit_identical(tiny_bundle, tmp_path, kind, target):
     bundle, _ = tiny_bundle
-    model = _model(bundle, kind)
-    history = training.train(model, bundle, _train_cfg())
+    model = _model(bundle, kind, target=target)
+    logged = []
+    history = training.train(model, bundle, _train_cfg(), log=logged.append)
     assert len(history) == 2 and all(np.isfinite(r.train_loss) for r in history)
+    assert logged == history and [r.epoch for r in logged] == [0, 1]
     save_checkpoint(model, tmp_path)
     # checkpoints written before NormStats lost its k_log field and the configs
     # lost their channel counts and MgNO's smoothing step count carry these lines
@@ -139,8 +143,26 @@ def test_checkpoint_parameter_dtype_must_match_the_precision(tiny_bundle, tmp_pa
         load_checkpoint(tmp_path)
 
 
-@pytest.mark.parametrize("field, value", [("epochs", 0), ("lr", 0.0), ("batch_size", 0),
-                                          ("batch_size", -5)])
+@pytest.mark.parametrize("what", ["format", "kind", "shape"])
+def test_checkpoint_rejects_unknown_format_or_kind_and_a_misshapen_parameter(tiny_bundle,
+                                                                           tmp_path, what):
+    model = _model(tiny_bundle[0], "fno")
+    save_checkpoint(model, tmp_path)
+    first = model.parameters()[0]
+    if what == "shape":
+        np.save(tmp_path / dataio._param_file(first.name), first.data[:1])
+        match = re.escape(f"parameter {first.name} shape {first.data[:1].shape} != expected "
+                          f"{first.data.shape}")
+    else:
+        with open(tmp_path / "manifest.txt", "a", encoding="utf-8") as fh:   # the last line wins
+            fh.write({"format": "format: porolab-checkpoint-0\n", "kind": "kind: unet\n"}[what])
+        match = {"format": "unrecognized checkpoint format 'porolab-checkpoint-0'",
+                 "kind": "unknown model kind 'unet'"}[what]
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 0), ("batch_size", 0), ("batch_size", -5)])
 def test_train_config_rejects_non_positive_values(field, value):
     with pytest.raises(ValueError, match="must be positive"):
         training.TrainConfig(**{field: value})
@@ -166,7 +188,7 @@ def test_normalized_loss_equals_physical_relative_error(tiny_bundle):
     denoms = training._training_arrays(bundle, stats, np.float64)[2][0, days]
     loss = training.batched_relative_loss(Tensor(pred[:, None]),
                                           stats.normalize_target(truth)[:, None],
-                                          denominators=denoms, batch_size=len(days))
+                                          (1.0 / denoms) / len(days))
     physical = np.mean([training.rel_l2(stats.denormalize_target(pred[j]), truth[j])
                         for j in range(len(days))])
     assert abs(loss.item() - physical) <= 1e-10
@@ -200,10 +222,10 @@ def _record_shards(monkeypatch):
     calls = []
     step = training._shard_step
 
-    def recording(model, x, y, denoms, batch_size):
-        result = step(model, x, y, denoms, batch_size)
+    def recording(model, x, y, weights):
+        result = step(model, x, y, weights)
         shard = 0 if threading.current_thread() is threading.main_thread() else 1
-        calls.append((shard, x.copy(), y.copy(), denoms.copy(), result))
+        calls.append((shard, x.copy(), y.copy(), weights.copy(), result))
         return result
 
     monkeypatch.setattr(training, "_shard_step", recording)
@@ -253,9 +275,9 @@ def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind
     fresh = _model(bundle, kind, dtype=np.float64)
     for p, data in zip(fresh.parameters(), start):
         assert np.array_equal(p.data, data)
-    x, y, denoms = (np.concatenate([c[i] for c in calls]) for i in (1, 2, 3))
+    x, y, weights = (np.concatenate([c[i] for c in calls]) for i in (1, 2, 3))
     with Tape() as tape:
-        loss = training.batched_relative_loss(fresh.forward(Tensor(x)), y, denoms, len(x))
+        loss = training.batched_relative_loss(fresh.forward(Tensor(x)), y, weights)
     grads = tape.backward(loss)
     np.testing.assert_allclose(functools.reduce(np.add, [loss for loss, _ in results]),
                                loss.data, rtol=1e-12, atol=0)
@@ -301,8 +323,7 @@ def test_batch_of_one_trains_on_the_calling_thread_alone(tiny_bundle, monkeypatc
     bundle, _ = tiny_bundle
     model = _model(bundle, kind)
     calls = _record_shards(monkeypatch)
-    history = training.train(model, bundle, training.TrainConfig(
-        epochs=1, batch_size=1, lr=1e-3, train_fraction=1.0, seed=1))
+    history = training.train(model, bundle, _train_cfg(epochs=1, batch_size=1))
     assert np.isfinite(history[0].train_loss)
     # 25 steps, each one pair on the calling thread and no worker
     assert [(c[0], len(c[1])) for c in calls] == [(0, 1)] * 25
@@ -358,6 +379,41 @@ def test_split_needs_the_manifest_train_fraction():
                                                            train_fraction=0.8))
 
 
+@pytest.mark.parametrize("fraction", [0, -0.2, 1.5])
+def test_split_takes_one_to_all_samples(fraction):
+    rng = np.random.default_rng(0)
+    bundle = DatasetBundle(k=rng.random((5, 8, 8)), p=rng.random((5, 3, 8, 8)) + 1.0,
+                           sw=rng.random((5, 3, 8, 8)), manifest={"train_fraction": fraction})
+    with pytest.raises(ValueError, match="train_fraction"):
+        bundle.fit_stats("p")
+    with pytest.raises(ValueError, match="train_fraction"):
+        bundle.val_indices()
+    stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+    model = Fno(FnoConfig(width=4, modes1=2, modes2=2, depth=1), stats=stats, t_max=2.0)
+    with pytest.raises(ValueError, match="train_fraction"):
+        training.train(model, bundle, training.TrainConfig(epochs=1, batch_size=3,
+                                                           train_fraction=fraction))
+
+
+def test_train_rejects_an_oversized_batch_and_a_non_finite_loss(tiny_bundle, monkeypatch):
+    bundle, _ = tiny_bundle
+    model = _model(bundle, "mgno")
+    with pytest.raises(ValueError, match="batch size 26 exceeds training pairs 25"):
+        training.train(model, bundle, _train_cfg(batch_size=26))
+    # the 8th step of batches of 5 (5 a epoch) is epoch 1, step 2
+    steps = []
+    step = training._sharded_step
+
+    def failing(*args):
+        loss, grads = step(*args)
+        steps.append(loss)
+        return (np.float32(np.inf) if len(steps) == 8 else loss), grads
+
+    monkeypatch.setattr(training, "_sharded_step", failing)
+    with pytest.raises(RuntimeError, match="non-finite loss inf at epoch 1, step 2"):
+        training.train(model, bundle, _train_cfg(batch_size=5))
+
+
 def test_throughput_report_times_both_sides(tiny_bundle):
     bundle, cfg = tiny_bundle
     model = _model(bundle, "mgno")
@@ -382,8 +438,7 @@ def test_one_make_input_per_series_and_per_batch(tiny_bundle, monkeypatch):
     monkeypatch.setattr(operators, "make_input",
                         lambda *args: calls.append(len(args[0])) or make_input(*args))
     model = _model(bundle, "mgno")
-    training.train(model, bundle, training.TrainConfig(epochs=2, batch_size=5, lr=1e-3,
-                                                       train_fraction=1.0, seed=1))
+    training.train(model, bundle, _train_cfg(batch_size=5))
     assert calls == [5] * 10   # 2 epochs of 25 pairs in batches of 5
     model.predict_fields(bundle.k[0], np.arange(bundle.n_days + 1))
     training.evaluate(model, bundle, [0])
