@@ -116,10 +116,13 @@ class DatasetBundle:
     def n_train(self) -> int:
         """Training samples, the first ceil(n_samples * train_fraction) of the
         manifest's split: at least one, and at most all of them."""
-        fraction = float(_entry(self.manifest, "train_fraction", "dataset"))
-        n = int(np.ceil(self.n_samples * fraction))
-        if not 1 <= n <= self.n_samples:
-            raise ValueError(f"dataset: train_fraction {fraction} takes {n} of "
+        fraction = _entry(self.manifest, "train_fraction", "dataset")
+        try:
+            n = int(np.ceil(self.n_samples * float(fraction)))
+        except (TypeError, ValueError, OverflowError):   # not a number, NaN or infinite
+            n = None
+        if n is None or not 1 <= n <= self.n_samples:
+            raise ValueError(f"dataset: train_fraction {fraction!r} takes {n} of "
                              f"{self.n_samples} samples for training, not 1 to {self.n_samples}")
         return n
 

@@ -4,16 +4,18 @@ The pressure equation -div(lambda_t(sw) K grad p) = q is solved implicitly
 with a two-point flux approximation (harmonic-mean permeability, arithmetic
 face mobility), by conjugate gradients preconditioned with one geometric
 multigrid V-cycle (cell-centred linear interpolation, Galerkin coarse
-operators, damped-Jacobi smoothing); saturation is advanced explicitly with
-upwind fractional flow, and each update picks its own CFL-limited sub-step.
-The pressure matrix is stored as its five diagonals; the prolongations
-depend only on the grid and are built once per shape, and a run keeps one
-multigrid hierarchy over its sub-steps, rebuilding it only after a solve
-that needed more than one iteration beyond the first solve on that
-hierarchy.  Each sub-step's solve starts from the pressure extrapolated
-linearly from the two previous ones.  Water is injected at a fixed total
-rate spread over the leftmost column; the rightmost column is held at a
-fixed producer pressure, which anchors the elliptic system.
+operators, one damped-Jacobi sweep before and after each coarse
+correction); saturation is advanced explicitly with upwind fractional flow,
+and each update picks its own CFL-limited sub-step.  The pressure matrix is
+stored as its five diagonals; the prolongations depend only on the grid and
+are built once per shape, and a run keeps one multigrid hierarchy over its
+sub-steps, rebuilding it only after a solve that needed more than one
+iteration beyond the first solve on that hierarchy.  Each sub-step's solve
+starts from the cubic extrapolation, in the sub-step index, of the four
+previous pressures (of as many as there are, early in a run).  Water is
+injected at a fixed total rate spread over the leftmost column; the
+rightmost column is held at a fixed producer pressure, which anchors the
+elliptic system.
 
 Units are internally consistent and dimensionless: permeability is a
 mobility multiplier, the injection rate is expressed in pore volumes per
@@ -210,8 +212,13 @@ _RTOL = 1e-10           # pressure solve: ||Ax - b|| <= _RTOL ||b||
 _MAXITER = 1000         # CG iterations before the solve is declared failed
 _COARSEST = 64          # cells at most on the level inverted densely
 _OMEGA = 2.0 / 3.0      # damped-Jacobi smoothing weight
-_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
+_SWEEPS = 1             # smoothing sweeps before and after each coarse correction: a V(1,1)
+                        # cycle takes more CG iterations than V(2,2) but costs less per solve
 _REBUILD_AFTER = 1      # CG iterations beyond a hierarchy's first solve after which it is rebuilt
+# Backward-difference extrapolation weights on the last 1-4 pressures, newest
+# first: row m-1 is exact for a polynomial of degree m-1 in the sub-step index
+# (a quartic or higher start took more CG iterations than the cubic)
+_EXTRAPOLATE = ((1,), (2, -1), (3, -3, 1), (4, -6, 4, -1))
 
 
 def _interpolation_1d(n: int):
@@ -423,8 +430,10 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     Each pressure solve, the initial one and one after every saturation
     sub-step, assembles the system at the current saturation, runs
     multigrid-preconditioned CG and sets the producer column to exactly
-    ``p_prod``.  A sub-step's solve starts from ``2 p_n - p_{n-1}`` (from
-    ``p_n`` on the run's first sub-step).  The solves share one hierarchy,
+    ``p_prod``.  A sub-step's solve starts from the extrapolation
+    ``4 p_n - 6 p_{n-1} + 4 p_{n-2} - p_{n-3}`` of the last four pressures,
+    or by the row of ``_EXTRAPOLATE`` for as many as the run has so far
+    (``p_n`` on its first sub-step).  The solves share one hierarchy,
     rebuilt from the current matrix only after a solve that needed more
     than ``_REBUILD_AFTER`` CG iterations beyond the first solve on it.
     :func:`update_saturation` picks each sub-step's CFL-limited length,
@@ -447,7 +456,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
 
     sw = np.full((nx, nz), cfg.sw_init, dtype=np.float64)
     p, fw, fx, fz = pressure(sw)
-    p_prev = p
+    past = [p]   # the last len(_EXTRAPOLATE) pressures, newest first
 
     days = cfg.total_days
     p_series = np.empty((days + 1, nx, nz))
@@ -466,9 +475,9 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
             produced += prod
             t += dt
             substeps += 1
-            # p_prev is p on the first sub-step, and 2 c - c == c exactly: that guess
-            # is p itself, and every guess holds p_prod on the producer column
-            (p, fw, fx, fz), p_prev = pressure(sw, 2.0 * p - p_prev), p
+            guess = sum(c * q for c, q in zip(_EXTRAPOLATE[len(past) - 1], past))
+            p, fw, fx, fz = pressure(sw, guess)
+            past = [p, *past][:len(_EXTRAPOLATE)]
         p_series[day], sw_series[day] = p, sw
 
     return TimeSeriesSample(

@@ -187,6 +187,14 @@ class TestManifestConfig:
         with pytest.raises(ValueError, match=f"manifest has no '{key}' line"):
             reservoir_config_from_manifest(manifest)
 
+    @pytest.mark.parametrize("fraction", ["nan", "abc", "inf", "-inf", float("nan"), None])
+    def test_train_fraction_that_is_no_finite_number_rejected(self, fraction):
+        # the manifest reader hands back text where a value is no Python literal
+        bundle = _bundle()
+        bundle.manifest["train_fraction"] = fraction
+        with pytest.raises(ValueError, match="dataset: train_fraction"):
+            bundle.n_train()
+
     def test_negative_injection_raises_at_once(self):
         # a negative injection rate once made every draw fail its saturation
         # bounds, and build_dataset resampled without end

@@ -234,8 +234,9 @@ class TestSolvePressure:
         assert np.linalg.norm(a @ p.ravel() - b.ravel()) <= 1e-10 * np.linalg.norm(b)
 
     def test_few_iterations(self, monkeypatch):
-        # a cold 64x64 solve takes 11 V-cycle-preconditioned CG iterations;
-        # Jacobi preconditioning took ~340, 2x2 aggregation ~30
+        # a cold 64x64 solve takes 15 V(1,1)-preconditioned CG iterations (for
+        # every _RTOL from 5e-11 to 2e-10; V(2,2) took 11); Jacobi
+        # preconditioning took ~340, 2x2 aggregation ~30
         cfg = ReservoirConfig(nx=64, nz=64)
         a, b = assemble_pressure(grid_k(64, 64), np.full((64, 64), 0.25), cfg)
         applied = []
@@ -435,6 +436,19 @@ class TestRunSimulation:
         ref = run_simulation(k, cfg)
         assert ref.extra["hierarchy_rebuilds"] == ref.extra["pressure_solves"]
         assert sample.extra["hierarchy_rebuilds"] < ref.extra["hierarchy_rebuilds"]
+        assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-10 * np.max(np.abs(ref.p_series))
+        assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
+        assert water_budget_error(sample, cfg) <= 1e-8
+
+    def test_extrapolated_start_cuts_iterations(self, monkeypatch):
+        # the cubic start changes only where CG starts, not the solve contract:
+        # 4288 CG iterations here against 6284 from the linear 2 p_n - p_{n-1}
+        cfg = ReservoirConfig(nx=32, nz=32)
+        k = to_permeability(sample_grf(GrfSpec(n=32, seed=0), 0), 10.0)
+        sample = run_simulation(k, cfg)
+        monkeypatch.setattr(simulator, "_EXTRAPOLATE", simulator._EXTRAPOLATE[:2])
+        ref = run_simulation(k, cfg)
+        assert sample.extra["cg_iterations"] <= 0.75 * ref.extra["cg_iterations"]
         assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-10 * np.max(np.abs(ref.p_series))
         assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
         assert water_budget_error(sample, cfg) <= 1e-8
