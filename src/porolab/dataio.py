@@ -114,17 +114,8 @@ class DatasetBundle:
         return self.p.shape[1] - 1
 
     def n_train(self) -> int:
-        """Training samples, the first ceil(n_samples * train_fraction) of the
-        manifest's split: at least one, and at most all of them."""
-        fraction = _entry(self.manifest, "train_fraction", "dataset")
-        try:
-            n = int(np.ceil(self.n_samples * float(fraction)))
-        except (TypeError, ValueError, OverflowError):   # not a number, NaN or infinite
-            n = None
-        if n is None or not 1 <= n <= self.n_samples:
-            raise ValueError(f"dataset: train_fraction {fraction!r} takes {n} of "
-                             f"{self.n_samples} samples for training, not 1 to {self.n_samples}")
-        return n
+        """Training samples, by :func:`_n_train` of the manifest's ``train_fraction``."""
+        return _n_train(self.n_samples, _entry(self.manifest, "train_fraction", "dataset"))
 
     def train_indices(self) -> np.ndarray:
         return np.arange(self.n_train())
@@ -145,18 +136,31 @@ class DatasetBundle:
         return NormStats.fit(self.k[tr], self.target(target_name)[tr], target_name)
 
 
+def _n_train(n_samples: int, fraction) -> int:
+    """The first ceil(n_samples * fraction) samples train, 1 to n_samples, else ``ValueError``."""
+    try:
+        n = int(np.ceil(n_samples * float(fraction)))
+    except (TypeError, ValueError, OverflowError):   # not a number, NaN or infinite
+        n = None
+    if n is None or not 1 <= n <= n_samples:
+        raise ValueError(f"dataset: train_fraction {fraction!r} takes {n} of "
+                         f"{n_samples} samples for training, not 1 to {n_samples}")
+    return n
+
+
 def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
                   train_fraction: float = 0.8, out_dir=None,
                   progress=None) -> DatasetBundle:
     """Generate permeability fields and simulate their daily time series.
 
-    Sample i is fully determined by (seed, i); if the simulator fails on a
-    draw, the event is recorded in the manifest and the next unused draw
-    index is taken instead.  The water budget of every accepted sample must
-    close to 1e-8.
+    Sample i is the i-th accepted GRF draw of ``seed``; the manifest's
+    ``resampled`` line names each draw the simulator failed on, and why.  K is
+    rounded to float32, as stored, before it is simulated, and the water
+    budget of every accepted sample must close to 1e-8.
     """
     if cfg.nx != cfg.nz:
         raise ValueError("dataset grids are square: nx must equal nz")
+    _n_train(n_samples, train_fraction)
     spec = GrfSpec(n=cfg.nx, seed=seed)
     days = cfg.total_days
     k_arr = np.empty((n_samples, cfg.nx, cfg.nz), dtype=np.float32)
@@ -166,7 +170,7 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
     draw = 0
     for i in range(n_samples):
         while True:
-            k = to_permeability(sample_grf(spec, draw), _AMPLITUDE)
+            k = to_permeability(sample_grf(spec, draw), _AMPLITUDE).astype(np.float32)
             draw += 1
             try:
                 sample = run_simulation(k, cfg)

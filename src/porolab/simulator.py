@@ -15,7 +15,7 @@ starts from the cubic extrapolation, in the sub-step index, of the four
 previous pressures (of as many as there are, early in a run).  Water is
 injected at a fixed total rate spread over the leftmost column; the
 rightmost column is held at a fixed producer pressure, which anchors the
-elliptic system.
+elliptic system as a known value, not an unknown.
 
 Units are internally consistent and dimensionless: permeability is a
 mobility multiplier, the injection rate is expressed in pore volumes per
@@ -154,11 +154,11 @@ def _injection_rate(cfg: ReservoirConfig) -> float:
 def assemble_pressure(k: np.ndarray, sw: np.ndarray, cfg: ReservoirConfig):
     """Sparse SPD system (A, b) for the total-mobility pressure equation.
 
-    ``A`` acts on the cells in C order and ``b`` is ``[nx, nz]``.
-
-    Injector cells (leftmost column) contribute a uniform split of the total
-    rate to b; producer cells (rightmost column) are eliminated symmetrically
-    as Dirichlet rows p = p_prod.
+    The unknowns are the free cells, all but the producer column (the
+    rightmost), whose pressure is ``p_prod`` and not an unknown: ``A`` acts
+    on the free cells in C order and ``b`` is ``[nx - 1, nz]``.  Injector
+    cells (leftmost column) contribute a uniform split of the total rate to
+    b; a face to a producer cell adds its coefficient times ``p_prod``.
     """
     tx, tz = face_transmissibility(k, cfg)
     txm, tzm = _mobility_faces(tx, tz, total_mobility(sw, cfg)[1])
@@ -168,38 +168,31 @@ def assemble_pressure(k: np.ndarray, sw: np.ndarray, cfg: ReservoirConfig):
 def _assemble_from_faces(txm, tzm, cfg: ReservoirConfig):
     """``A`` as a DIA matrix with bands at offsets -nz, -1, 0, +1, +nz, and ``b``.
 
-    Band ``d`` holds ``A[c - d, c]`` at column ``c``: a face's coefficient
-    sits at its lower-index cell in the lower band and at its higher-index
-    cell in the upper one.  On a one-row grid (``nz = 1``) the empty z-bands
-    share their offsets with the x-bands, so bands add up per distinct offset.
+    Both cover the ``(nx - 1) * nz`` free cells; the producer column is no
+    unknown.  Band ``d`` holds ``A[c - d, c]`` at column ``c``: a face's
+    coefficient sits at its lower-index cell in the lower band and at its
+    higher-index cell in the upper one.  On a one-row grid (``nz = 1``) the
+    empty z-bands share their offsets with the x-bands, so bands add up per
+    distinct offset.
     """
-    nx, nz = cfg.nx, cfg.nz
+    nx, nz = cfg.nx - 1, cfg.nz     # the free cells
     n = nx * nz
     offsets = np.unique([-nz, -1, 0, 1, nz])
     data = np.zeros((offsets.size, nx, nz))
     band = dict(zip(offsets.tolist(), data))
     diag = band[0]
-    diag[:-1, :] += txm
-    diag[1:, :] += txm
-    diag[:, :-1] += tzm
-    diag[:, 1:] += tzm
-
-    b = np.zeros((nx, nz))
-    b[0, :] += _injection_rate(cfg) / nz
-
-    # Dirichlet producer column: identity rows, symmetric elimination of the
-    # coupling faces into the neighbours' right-hand side.
-    off_x = -txm
-    b[-2, :] += txm[-1, :] * cfg.p_prod
-    off_x[-1, :] = 0.0
-    diag[-1, :] = 1.0
-    b[-1, :] = cfg.p_prod
-
+    diag += txm
+    diag[1:, :] += txm[:-1, :]
+    diag[:, :-1] += tzm[:-1, :]
+    diag[:, 1:] += tzm[:-1, :]
     if np.any(diag <= 0.0):
         raise ValueError("degenerate permeability: cell with zero total mobility coupling")
 
-    off_z = -tzm
-    off_z[-1, :] = 0.0   # producer-producer couplings drop out
+    b = np.zeros((nx, nz))
+    b[0, :] += _injection_rate(cfg) / nz
+    b[-1, :] += txm[-1, :] * cfg.p_prod
+
+    off_x, off_z = -txm[:-1, :], -tzm[:-1, :]
     band[-nz][:-1, :] += off_x
     band[nz][1:, :] += off_x
     band[-1][:, :-1] += off_z
@@ -428,14 +421,15 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     """IMPES time series: daily (p, sw) snapshots for days 0..total_days.
 
     Each pressure solve, the initial one and one after every saturation
-    sub-step, assembles the system at the current saturation, runs
-    multigrid-preconditioned CG and sets the producer column to exactly
-    ``p_prod``.  A sub-step's solve starts from the extrapolation
-    ``4 p_n - 6 p_{n-1} + 4 p_{n-2} - p_{n-3}`` of the last four pressures,
-    or by the row of ``_EXTRAPOLATE`` for as many as the run has so far
-    (``p_n`` on its first sub-step).  The solves share one hierarchy,
-    rebuilt from the current matrix only after a solve that needed more
-    than ``_REBUILD_AFTER`` CG iterations beyond the first solve on it.
+    sub-step, assembles the system at the current saturation and runs
+    multigrid-preconditioned CG for the free cells; the producer column is
+    no unknown and holds ``p_prod`` exactly.  A sub-step's solve starts from
+    the extrapolation ``4 p_n - 6 p_{n-1} + 4 p_{n-2} - p_{n-3}`` of the
+    last four pressures over the free cells, or by the row of
+    ``_EXTRAPOLATE`` for as many as the run has so far (``p_n`` on its first
+    sub-step).  The solves share one hierarchy, rebuilt from the current
+    matrix only after a solve that needed more than ``_REBUILD_AFTER`` CG
+    iterations beyond the first solve on it.
     :func:`update_saturation` picks each sub-step's CFL-limited length,
     capped at what is left of the day.  Snapshot 0 is the initial
     saturation with its consistent pressure field.  ``extra`` holds the
@@ -447,11 +441,12 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     mg = Multigrid()
 
     def pressure(sw, x0=None):
-        """(p, fw, fx, fz) at ``sw``: the pinned pressure, fractional flow and face fluxes."""
+        """(p, fw, fx, fz) at ``sw``: pressure, fractional flow and face fluxes;
+        the solve from ``x0`` fills the free cells, the producer column is no unknown."""
         lam_w, lam_t = total_mobility(sw, cfg)
         txm, tzm = _mobility_faces(tx, tz, lam_t)
-        p = solve_pressure(*_assemble_from_faces(txm, tzm, cfg), x0=x0, mg=mg)
-        p[-1, :] = cfg.p_prod   # the Dirichlet column exactly, not to CG round-off
+        p = np.full((nx, nz), cfg.p_prod)
+        p[:-1] = solve_pressure(*_assemble_from_faces(txm, tzm, cfg), x0=x0, mg=mg)
         return (p, lam_w / lam_t, *darcy_fluxes(p, txm, tzm))
 
     sw = np.full((nx, nz), cfg.sw_init, dtype=np.float64)
@@ -475,7 +470,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
             produced += prod
             t += dt
             substeps += 1
-            guess = sum(c * q for c, q in zip(_EXTRAPOLATE[len(past) - 1], past))
+            guess = sum(c * q[:-1] for c, q in zip(_EXTRAPOLATE[len(past) - 1], past))
             p, fw, fx, fz = pressure(sw, guess)
             past = [p, *past][:len(_EXTRAPOLATE)]
         p_series[day], sw_series[day] = p, sw

@@ -13,7 +13,7 @@ from porolab import dataio
 from porolab.dataio import (DatasetBundle, NormStats, build_dataset, load_dataset,
                             reservoir_config_from_manifest, save_dataset)
 from porolab.grf import GrfSpec, sample_grf, to_permeability
-from porolab.simulator import ReservoirConfig
+from porolab.simulator import ReservoirConfig, run_simulation
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool64"
 
@@ -179,6 +179,33 @@ class TestManifestConfig:
         for i, draw in enumerate([0, 1, 2, 4]):
             k = to_permeability(sample_grf(spec, draw), dataio._AMPLITUDE)
             assert np.array_equal(built.k[i], k.astype(np.float32)), draw
+
+    def test_stored_permeability_resimulates_to_the_stored_series(self):
+        # the draw is rounded to float32 before it is simulated, so the stored
+        # K, not only the float64 draw, gives the stored P and Sw bit for bit
+        cfg = ReservoirConfig(nx=16, nz=16, total_days=4)
+        built = build_dataset(2, cfg, seed=0)
+        for i in range(2):
+            sample = run_simulation(built.k[i], cfg)
+            assert np.array_equal(sample.p_series.astype(np.float32), built.p[i]), i
+            assert np.array_equal(sample.sw_series.astype(np.float32), built.sw[i]), i
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5, float("nan")])
+    def test_bad_train_fraction_rejected_before_any_simulation(self, tmp_path, monkeypatch,
+                                                               fraction):
+        # the split rule of DatasetBundle.n_train, applied before the first draw;
+        # the stand-in simulator raises what build_dataset does not resample on
+        class Simulated(Exception):
+            pass
+
+        def never(k, cfg):
+            raise Simulated
+
+        monkeypatch.setattr(dataio, "run_simulation", never)
+        with pytest.raises(ValueError, match="dataset: train_fraction"):
+            build_dataset(2, ReservoirConfig(nx=8, nz=8, total_days=1), seed=0,
+                          train_fraction=fraction, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["grid", "days"])
     def test_missing_grid_or_days_rejected(self, key):

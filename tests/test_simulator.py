@@ -37,8 +37,9 @@ def grid_k(nx, nz):
     return heterogeneous_k(max(nx, nz))[:nx, :nz]
 
 
-# Grids of at most 64 cells (4x4, 8x8, 9x5, 20x1) are inverted directly;
-# 16x16 has one coarse level, 33x17 two with odd extents, 64x64 three.
+# The pressure unknowns are the free cells, all but the producer column: at
+# most 64 of them (4x4, 8x8, 9x5, 20x1) are inverted directly; 16x16 has one
+# coarse level, 33x17 two with odd extents, 64x64 three.
 GRIDS = [(4, 4), (8, 8), (16, 16), (64, 64), (9, 5), (33, 17), (20, 1)]
 
 
@@ -169,35 +170,40 @@ class TestPressureSystem:
         k = np.full((2, 1), 2.0)
         sw = np.full((2, 1), cfg.sw_init)
         a, b = assemble_pressure(k, sw, cfg)
-        p = solve_pressure(a, b).reshape(2, 1)
+        assert a.shape == (1, 1) and b.shape == (1, 1)
+        p = solve_pressure(a, b)
         tx, tz = face_transmissibility(k, cfg)
         txm, _ = _mobility_faces(tx, tz, total_mobility(sw, cfg)[1])
         q = cfg.q_inj * cfg.pore_volume
         assert abs(p[0, 0] - q / txm[0, 0]) < 1e-9
-        assert abs(p[1, 0]) < 1e-12
 
     def test_mirror_symmetry(self):
         cfg = ReservoirConfig(nx=8, nz=8)
         k = heterogeneous_k(8)
         sw = np.full((8, 8), cfg.sw_init)
         a, b = assemble_pressure(k, sw, cfg)
-        p = solve_pressure(a, b).reshape(8, 8)
+        p = solve_pressure(a, b)
         a2, b2 = assemble_pressure(k[:, ::-1], sw, cfg)
-        p2 = solve_pressure(a2, b2).reshape(8, 8)
+        p2 = solve_pressure(a2, b2)
         assert np.max(np.abs(p2 - p[:, ::-1])) < 1e-7 * max(1.0, np.max(np.abs(p)))
 
     @pytest.mark.parametrize("nx,nz", [(2, 1), (8, 8), (33, 17), (100, 1)])
     def test_pattern_matches_coo_assembly(self, nx, nz):
-        # the five bands give the matrix COO triplets give, bit for bit; on the
-        # one-row grids the z-bands share their offsets with the x-bands
+        # the five bands give the free-cell block of the matrix COO triplets
+        # give, bit for bit, and that block has no coupling to the producer
+        # column; on the one-row grids the z-bands share their offsets with
+        # the x-bands
         cfg = ReservoirConfig(nx=nx, nz=nz)
         txm = rng.uniform(0.1, 2.0, (nx - 1, nz))
         tzm = rng.uniform(0.1, 2.0, (nx, nz - 1))
-        a, _ = _assemble_from_faces(txm, tzm, cfg)
+        a, b = _assemble_from_faces(txm, tzm, cfg)
         assert isinstance(a, sp.dia_array)
         assert sorted(a.offsets) == sorted({-nz, -1, 0, 1, nz})
-        got, want = a.toarray(), coo_assembly(txm, tzm).toarray()
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        free = (nx - 1) * nz
+        got, full = a.toarray(), coo_assembly(txm, tzm).toarray()
+        assert b.shape == (nx - 1, nz) and got.shape == (free, free)
+        assert got.dtype == full.dtype and np.array_equal(got, full[:free, :free])
+        assert not np.any(full[:free, free:]) and not np.any(full[free:, :free])
 
     def test_degenerate_isolated_cell_raises(self):
         cfg = ReservoirConfig(nx=4, nz=4)
@@ -222,7 +228,7 @@ class TestSolvePressure:
         cfg = ReservoirConfig(nx=nx, nz=nz)
         a, b = assemble_pressure(grid_k(nx, nz), np.full((nx, nz), 0.3), cfg)
         p = solve_pressure(a, b)
-        dense = np.linalg.solve(a.toarray(), b.ravel()).reshape(nx, nz)
+        dense = np.linalg.solve(a.toarray(), b.ravel()).reshape(b.shape)
         assert np.max(np.abs(p - dense)) < 1e-9 * max(1.0, np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("nx,nz", GRIDS)
@@ -234,9 +240,10 @@ class TestSolvePressure:
         assert np.linalg.norm(a @ p.ravel() - b.ravel()) <= 1e-10 * np.linalg.norm(b)
 
     def test_few_iterations(self, monkeypatch):
-        # a cold 64x64 solve takes 15 V(1,1)-preconditioned CG iterations (for
-        # every _RTOL from 5e-11 to 2e-10; V(2,2) took 11); Jacobi
-        # preconditioning took ~340, 2x2 aggregation ~30
+        # a cold 64x64 solve takes 14 V(1,1)-preconditioned CG iterations (for
+        # every _RTOL from 5e-11 to 2e-10; 15 with the producer column among
+        # the unknowns, and V(2,2) took 11 there); Jacobi preconditioning took
+        # ~340, 2x2 aggregation ~30
         cfg = ReservoirConfig(nx=64, nz=64)
         a, b = assemble_pressure(grid_k(64, 64), np.full((64, 64), 0.25), cfg)
         applied = []
@@ -267,16 +274,17 @@ class TestSolvePressure:
         # CG needs an SPD preconditioner: r2.M(r1) == r1.M(r2) and r.M(r) > 0
         cfg = ReservoirConfig(nx=nx, nz=nz)
         a, _ = assemble_pressure(grid_k(nx, nz), np.full((nx, nz), 0.25), cfg)
-        levels, coarse_inv = _hierarchy(a, nx, nz)
+        levels, coarse_inv = _hierarchy(a, nx - 1, nz)   # the free cells
         assert levels, "grid too small to coarsen"
 
         def m(r):
             return _vcycle(levels, coarse_inv, r)
 
-        r1, r2 = rng.standard_normal((2, nx * nz))
+        n = (nx - 1) * nz
+        r1, r2 = rng.standard_normal((2, n))
         lhs, rhs = r2 @ m(r1), r1 @ m(r2)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-        for r in (r1, r2, np.ones(nx * nz), np.arange(nx * nz, dtype=float)):
+        for r in (r1, r2, np.ones(n), np.arange(n, dtype=float)):
             assert r @ m(r) > 0.0
 
 
@@ -317,8 +325,10 @@ class TestSaturationUpdate:
         k = heterogeneous_k(16)
         sw = np.full((16, 16), cfg.sw_init)
         a, b = assemble_pressure(k, sw, cfg)
+        p = np.full((16, 16), cfg.p_prod)
+        p[:-1] = solve_pressure(a, b)
         tx, tz = face_transmissibility(k, cfg)
-        fx, fz = darcy_fluxes(solve_pressure(a, b), *_mobility_faces(tx, tz, total_mobility(sw, cfg)[1]))
+        fx, fz = darcy_fluxes(p, *_mobility_faces(tx, tz, total_mobility(sw, cfg)[1]))
         fw = fractional_flow(sw, cfg)
         bound = stable_dt(fx, fz, cfg, np.inf)
         assert 0.0 < bound < 1.0
@@ -442,7 +452,7 @@ class TestRunSimulation:
 
     def test_extrapolated_start_cuts_iterations(self, monkeypatch):
         # the cubic start changes only where CG starts, not the solve contract:
-        # 4288 CG iterations here against 6284 from the linear 2 p_n - p_{n-1}
+        # 3839 CG iterations here against 5711 from the linear 2 p_n - p_{n-1}
         cfg = ReservoirConfig(nx=32, nz=32)
         k = to_permeability(sample_grf(GrfSpec(n=32, seed=0), 0), 10.0)
         sample = run_simulation(k, cfg)
@@ -480,7 +490,8 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("p_prod", [0.0, 2.5])
     def test_producer_column_is_exactly_p_prod(self, p_prod):
-        # Dirichlet rows are identity rows, but CG leaves round-off on their unknowns
+        # the producer column is no unknown of the pressure solve, so CG leaves
+        # no round-off on it
         cfg = ReservoirConfig(nx=16, nz=16, total_days=8, p_prod=p_prod)
         sample = run_simulation(heterogeneous_k(16, seed=11), cfg)
         assert np.all(sample.p_series[:, -1, :] == p_prod)
