@@ -137,7 +137,7 @@ class DatasetBundle:
 
 
 def _n_train(n_samples: int, fraction) -> int:
-    """The first ceil(n_samples * fraction) samples train, 1 to n_samples, else ``ValueError``."""
+    """ceil(n_samples * fraction) training samples; ``ValueError`` unless that is 1 to n_samples."""
     try:
         n = int(np.ceil(n_samples * float(fraction)))
     except (TypeError, ValueError, OverflowError):   # not a number, NaN or infinite
