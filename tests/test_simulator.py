@@ -18,7 +18,8 @@ from porolab.simulator import (ReservoirConfig, assemble_pressure, darcy_fluxes,
                                face_transmissibility, relperm, run_simulation,
                                solve_pressure, stable_dt, total_mobility,
                                update_saturation, water_budget_error,
-                               _assemble_from_faces, _hierarchy, _mobility_faces, _vcycle)
+                               _assemble_from_faces, _hierarchy, _matvec, _mobility_faces,
+                               _prolongations, _vcycle)
 
 rng = np.random.default_rng(3)
 
@@ -41,6 +42,7 @@ def grid_k(nx, nz):
 # most 64 of them (4x4, 8x8, 9x5, 20x1) are inverted directly; 16x16 has one
 # coarse level, 33x17 two with odd extents, 64x64 three.
 GRIDS = [(4, 4), (8, 8), (16, 16), (64, 64), (9, 5), (33, 17), (20, 1)]
+COARSENED = [(nx, nz) for nx, nz in GRIDS if (nx - 1) * nz > simulator._COARSEST]
 
 
 def coo_assembly(txm, tzm):
@@ -240,10 +242,10 @@ class TestSolvePressure:
         assert np.linalg.norm(a @ p.ravel() - b.ravel()) <= 1e-10 * np.linalg.norm(b)
 
     def test_few_iterations(self, monkeypatch):
-        # a cold 64x64 solve takes 14 V(1,1)-preconditioned CG iterations (for
-        # every _RTOL from 5e-11 to 2e-10; 15 with the producer column among
-        # the unknowns, and V(2,2) took 11 there); Jacobi preconditioning took
-        # ~340, 2x2 aggregation ~30
+        # a cold 64x64 solve takes 12 V(1,1)-preconditioned CG iterations (13
+        # at _RTOL 5e-11, 12 at 1e-10 and 2e-10; 14 with the Jacobi weight
+        # 2/3, 15 with the producer column among the unknowns, and V(2,2) took
+        # 11 there); Jacobi preconditioning took ~340, 2x2 aggregation ~30
         cfg = ReservoirConfig(nx=64, nz=64)
         a, b = assemble_pressure(grid_k(64, 64), np.full((64, 64), 0.25), cfg)
         applied = []
@@ -268,6 +270,36 @@ class TestSolvePressure:
         monkeypatch.setattr(simulator, "_MAXITER", 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             solve_pressure(a, b)
+
+    @pytest.mark.parametrize("shape,x0,match", [
+        ((5, 6), None, r"matrix shape \(5, 6\) does not fit b of 6 entries"),
+        ((6, 6), np.ones(3), "x0 has 3 entries, b has 6"),
+    ], ids=["matrix", "x0"])
+    def test_sizes_checked_before_any_kernel(self, shape, x0, match):
+        # the compiled kernels read and write past a vector of the wrong size
+        # without a word, so the sizes are checked first
+        a = sp.csr_array(sp.eye(*shape))
+        with pytest.raises(ValueError, match=match):
+            solve_pressure(a, np.ones((3, 2)), x0=x0)
+
+    @pytest.mark.parametrize("nx,nz", COARSENED)
+    def test_matvec_matches_matmul(self, nx, nz):
+        # the kernel calls give scipy's own products bit for bit: the assembled
+        # DIA matrix and every level's A, P and P^T of the hierarchy, whose
+        # coarse A is the Galerkin product P^T A P that @ forms
+        cfg = ReservoirConfig(nx=nx, nz=nz)
+        a, _ = assemble_pressure(grid_k(nx, nz), np.full((nx, nz), 0.25), cfg)
+        levels, _ = _hierarchy(a, nx - 1, nz)
+        assert len(levels) == len(_prolongations(nx - 1, nz)) > 0
+        fine = a
+        for (a_mv, _, p_mv, pt_mv), (p, pt) in zip(levels, _prolongations(nx - 1, nz)):
+            for m, mv in ((fine, a_mv), (p, p_mv), (pt, pt_mv)):
+                x = rng.standard_normal(m.shape[1])
+                want = m @ x
+                assert np.array_equal(mv(x), want)
+                assert np.array_equal(_matvec(m)(x), want)
+                assert np.array_equal(mv(x), want)    # the work array is overwritten, not added to
+            fine = pt @ fine @ p
 
     @pytest.mark.parametrize("nx,nz", [(16, 16), (64, 64), (33, 17), (100, 1)])
     def test_vcycle_symmetric_positive(self, nx, nz):
@@ -452,13 +484,27 @@ class TestRunSimulation:
 
     def test_extrapolated_start_cuts_iterations(self, monkeypatch):
         # the cubic start changes only where CG starts, not the solve contract:
-        # 3839 CG iterations here against 5711 from the linear 2 p_n - p_{n-1}
+        # 3441 CG iterations here against 5213 from the linear 2 p_n - p_{n-1}
+        # (3839 against 5711 with the Jacobi weight 2/3)
         cfg = ReservoirConfig(nx=32, nz=32)
         k = to_permeability(sample_grf(GrfSpec(n=32, seed=0), 0), 10.0)
         sample = run_simulation(k, cfg)
         monkeypatch.setattr(simulator, "_EXTRAPOLATE", simulator._EXTRAPOLATE[:2])
         ref = run_simulation(k, cfg)
         assert sample.extra["cg_iterations"] <= 0.75 * ref.extra["cg_iterations"]
+        assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-10 * np.max(np.abs(ref.p_series))
+        assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
+        assert water_budget_error(sample, cfg) <= 1e-8
+
+    def test_smoothing_weight_cuts_iterations(self, monkeypatch):
+        # the Jacobi weight 4/5 changes only the preconditioner, not the solve
+        # contract: 3441 CG iterations here against 3839 with the 1-D weight 2/3
+        cfg = ReservoirConfig(nx=32, nz=32)
+        k = to_permeability(sample_grf(GrfSpec(n=32, seed=0), 0), 10.0)
+        sample = run_simulation(k, cfg)
+        monkeypatch.setattr(simulator, "_OMEGA", 2.0 / 3.0)
+        ref = run_simulation(k, cfg)
+        assert sample.extra["cg_iterations"] <= 0.95 * ref.extra["cg_iterations"]
         assert np.max(np.abs(sample.p_series - ref.p_series)) <= 1e-10 * np.max(np.abs(ref.p_series))
         assert np.max(np.abs(sample.sw_series - ref.sw_series)) <= 1e-8
         assert water_budget_error(sample, cfg) <= 1e-8
