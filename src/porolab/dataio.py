@@ -153,10 +153,14 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
                   progress=None) -> DatasetBundle:
     """Generate permeability fields and simulate their daily time series.
 
-    Sample i is the i-th accepted GRF draw of ``seed``; the manifest's
-    ``resampled`` line names each draw the simulator failed on, and why.  K is
-    rounded to float32, as stored, before it is simulated, and the water
-    budget of every accepted sample must close to 1e-8.
+    Sample i is the i-th accepted GRF draw of ``seed``.  A draw is resampled
+    for one failure only: the ``AssertionError`` of a saturation update that
+    leaves the bounds; the manifest's ``resampled`` line names each such
+    draw, and why.  Any other ``RuntimeError`` or
+    ``ValueError`` of the simulator, such as a pressure solve that does not
+    converge, ends the build with a ``RuntimeError`` that names the GRF seed
+    and draw.  K is rounded to float32, as stored, before it is simulated,
+    and the water budget of every accepted sample must close to 1e-8.
     """
     if cfg.nx != cfg.nz:
         raise ValueError("dataset grids are square: nx must equal nz")
@@ -174,9 +178,11 @@ def build_dataset(n_samples: int, cfg: ReservoirConfig, seed: int,
             draw += 1
             try:
                 sample = run_simulation(k, cfg)
-            except (RuntimeError, ValueError, AssertionError) as exc:
+            except AssertionError as exc:
                 resampled.append(f"draw {draw - 1}: {exc}")
                 continue
+            except (RuntimeError, ValueError) as exc:
+                raise RuntimeError(f"GRF seed {seed}, draw {draw - 1}: {exc}") from exc
             break
         err = water_budget_error(sample, cfg)
         if err > 1e-8:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools     # private: a release that moves it fails the import
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,6 @@ def _matvec(m):
     It calls scipy's compiled kernel without the dispatch of ``@``, and the
     kernel checks no size: ``x`` must be a vector of ``m.shape[1]`` entries.
     """
-    from scipy.sparse import _sparsetools
     rows, cols = m.shape
     if m.format == "dia":
         kernel = functools.partial(_sparsetools.dia_matvec, rows, cols, m.offsets.size,

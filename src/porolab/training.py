@@ -145,19 +145,6 @@ def evaluate(model, bundle: DatasetBundle, indices):
     return float(errors.mean()), errors.mean(axis=0), elapsed / len(indices)
 
 
-def throughput_report(model, bundle: DatasetBundle, cfg, indices):
-    """Wall-clock seconds per full time series: surrogate, as :func:`evaluate`
-    times it, vs simulator."""
-    from .simulator import run_simulation
-
-    model_s = evaluate(model, bundle, indices)[2]
-    t0 = time.perf_counter()
-    for i in indices:
-        run_simulation(bundle.k[i].astype(np.float64), cfg)
-    sim_s = (time.perf_counter() - t0) / len(indices)
-    return model_s, sim_s, sim_s / model_s
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------

@@ -180,6 +180,28 @@ class TestManifestConfig:
             k = to_permeability(sample_grf(spec, draw), dataio._AMPLITUDE)
             assert np.array_equal(built.k[i], k.astype(np.float32)), draw
 
+    @pytest.mark.parametrize("failure", [
+        RuntimeError("pressure solve did not converge: residual 1.000e-03"),
+        ValueError("degenerate permeability: cell with zero total mobility coupling"),
+    ], ids=["no-convergence", "bad-input"])
+    def test_other_failures_end_the_build_naming_the_draw(self, monkeypatch, failure):
+        # only the saturation bounds' AssertionError is resampled; a later call
+        # raising the sentinel would mean the failed draw was skipped
+        class Resampled(Exception):
+            pass
+
+        calls = []
+
+        def failing(k, cfg):
+            calls.append(k)
+            raise failure if len(calls) == 1 else Resampled
+
+        monkeypatch.setattr(dataio, "run_simulation", failing)
+        with pytest.raises(RuntimeError, match="GRF seed 0, draw 0: ") as info:
+            build_dataset(2, ReservoirConfig(nx=8, nz=8, total_days=1), seed=0)
+        assert info.value.__cause__ is failure
+        assert len(calls) == 1
+
     def test_stored_permeability_resimulates_to_the_stored_series(self):
         # the draw is rounded to float32 before it is simulated, so the stored
         # K, not only the float64 draw, gives the stored P and Sw bit for bit

@@ -586,3 +586,36 @@ class TestBuckleyLeverett:
         pf = front_position(sf.sw_series[days, :, 0], xf, level)
         assert pc is not None and pf is not None
         assert abs(pc - pf) <= 2.0 * coarse.dx
+
+    @staticmethod
+    def closed_form(cfg, xi, day):
+        """Buckley-Leverett sw at the fractions ``xi`` of the length on ``day``:
+        the Welge shock from ``sw_init``, then the rarefaction, along which a
+        saturation travels ``q_inj fw'(sw)`` lengths a day (Buckley & Leverett
+        1942; Welge 1952)."""
+        s = np.linspace(cfg.swc, 1.0 - cfg.sor, 200001)
+        lam_w, lam_t = total_mobility(s, cfg)
+        fw = lam_w / lam_t
+        dfw = np.gradient(fw, s)
+        chord = fw / np.maximum(s - cfg.sw_init, 1e-12)
+        front = int(np.argmax(chord))              # the tangent from (sw_init, 0)
+        branch_dfw, branch_s = dfw[front:][::-1], s[front:][::-1]
+        assert np.all(np.diff(branch_dfw) > 0)     # fw' falls past the front
+        speed = xi / (cfg.q_inj * day)
+        sw = np.interp(speed, branch_dfw, branch_s)
+        return np.where(speed > chord[front], cfg.sw_init, sw), s[front], dfw[front]
+
+    @pytest.mark.parametrize("day, bound_64, bound_128", [(1, 8e-3, 3.5e-3), (2, 7e-3, 3.8e-3)])
+    def test_against_the_closed_form(self, day, bound_64, bound_128):
+        # L1 sw error over a 640 m line, measured 6.41e-3 / 2.74e-3 on day 1 and
+        # 5.51e-3 / 2.99e-3 on day 2 at nx = 64 / 128 (cell centres)
+        errors = []
+        for nx in (64, 128):
+            cfg = ReservoirConfig(nx=nx, nz=1, dx=640.0 / nx, total_days=day)
+            sw = run_simulation(np.ones((nx, 1)), cfg).sw_series[day, :, 0]
+            exact, front_sw, front_dfw = self.closed_form(cfg, (np.arange(nx) + 0.5) / nx, day)
+            errors.append(np.abs(sw - exact).mean())
+        assert front_sw == pytest.approx(0.4450, abs=1e-4)
+        assert front_dfw == pytest.approx(2.8746, abs=1e-3)
+        assert errors[0] <= bound_64 and errors[1] <= bound_128, errors
+        assert errors[1] <= 0.75 * errors[0], errors

@@ -414,20 +414,12 @@ def test_train_rejects_an_oversized_batch_and_a_non_finite_loss(tiny_bundle, mon
         training.train(model, bundle, _train_cfg(batch_size=5))
 
 
-def test_throughput_report_times_both_sides(tiny_bundle):
-    bundle, cfg = tiny_bundle
-    model = _model(bundle, "mgno")
-    model_s, sim_s, speedup = training.throughput_report(model, bundle, cfg, [0])
-    assert model_s > 0 and sim_s > 0 and speedup == pytest.approx(sim_s / model_s)
-
-
-@pytest.mark.parametrize("call", ["evaluate", "throughput_report"])
+@pytest.mark.parametrize("call", ["evaluate"])
 def test_empty_indices_are_rejected(tiny_bundle, call):
-    bundle, cfg = tiny_bundle
+    bundle, _ = tiny_bundle
     model = _model(bundle, "mgno")
-    args = (model, bundle, []) if call == "evaluate" else (model, bundle, cfg, [])
     with pytest.raises(ValueError, match="indices"):
-        getattr(training, call)(*args)
+        getattr(training, call)(model, bundle, [])
 
 
 def test_one_make_input_per_series_and_per_batch(tiny_bundle, monkeypatch):
