@@ -300,7 +300,7 @@ class _Operator:
     def predict_fields(self, k: np.ndarray, days) -> np.ndarray:
         """Denormalized field predictions for one permeability, normalized once, at many days."""
         days = np.asarray(days, dtype=np.float64)
-        kn = self.stats.normalize_k(k)
+        kn = self.stats.normalize_k(k).astype(self.dtype)
         x = self.inputs(np.broadcast_to(kn, (len(days), *kn.shape)), days)
         return self.stats.denormalize_target(self.predict(x))
 

@@ -7,13 +7,13 @@ multigrid V-cycle (cell-centred linear interpolation, Galerkin coarse
 operators, one Jacobi sweep damped by 4/5, the smoothing optimum of the
 2-D five-point operator, before and after each coarse correction); the
 matrix-vector products call scipy's compiled sparse kernels directly into
-work arrays that each hierarchy owns.  Saturation is advanced explicitly
-with upwind fractional flow,
-and each update picks its own CFL-limited sub-step.  The pressure matrix is
-stored as its five diagonals; the prolongations depend only on the grid and
-are built once per shape, and a run keeps one multigrid hierarchy over its
-sub-steps, rebuilding it only after a solve that needed more than one
-iteration beyond the first solve on that hierarchy.  Each sub-step's solve
+work arrays that each solve and each hierarchy own.  Saturation is advanced
+explicitly with upwind fractional flow, and each update picks its own
+CFL-limited sub-step.  The pressure matrix is stored as its five diagonals;
+the prolongations depend only on the grid and are built once per shape.  A
+run builds one multigrid hierarchy per simulated day, at the day's first
+solve, and the V-cycle smooths the finest level with the matrix being
+solved, so only the coarser levels lag behind it.  Each sub-step's solve
 starts from the cubic extrapolation, in the sub-step index, of the four
 previous pressures (of as many as there are, early in a run).  Water is
 injected at a fixed total rate spread over the leftmost column; the
@@ -219,7 +219,6 @@ _COARSEST = 64          # cells at most on the level inverted densely
 _OMEGA = 4.0 / 5.0      # damped-Jacobi smoothing weight: 4/5 damps the high frequencies of
                         # the 2-D five-point operator best (2/3 is the 1-D optimum and took
                         # about 10% more CG iterations)
-_REBUILD_AFTER = 1      # CG iterations beyond a hierarchy's first solve after which it is rebuilt
 # Backward-difference extrapolation weights on the last 1-4 pressures, newest
 # first: row m-1 is exact for a polynomial of degree m-1 in the sub-step index
 # (a quartic or higher start took more CG iterations than the cubic)
@@ -279,27 +278,35 @@ def _matvec(m):
 
 
 def _hierarchy(a, nx: int, nz: int):
-    """Per-level (A, omega / diag A, P, P^T) plus the dense inverse of the coarsest ``P^T A P``.
+    """The V-cycle below the finest level, that of ``a``: ``(smoothers, transfers, coarse_inv)``.
 
-    A, P and P^T are :func:`_matvec` products, so the hierarchy owns their
-    work arrays.
+    ``smoothers`` holds (A, omega / diag A) of each Galerkin level ``P^T A P``
+    above the coarsest, ``transfers`` the (P, P^T) below each level but the
+    coarsest, and ``coarse_inv`` the dense inverse of the coarsest.  Nothing of
+    ``a`` is kept: a solve smooths the finest level with its own matrix.  The
+    products are :func:`_matvec` ones, so the hierarchy owns their work arrays.
     """
-    levels = []
+    smoothers, transfers = [], []
     for p, pt in _prolongations(nx, nz):
-        levels.append((_matvec(a), _OMEGA / a.diagonal(), _matvec(p), _matvec(pt)))
+        if transfers:       # a level below the finest
+            smoothers.append((_matvec(a), _OMEGA / a.diagonal()))
+        transfers.append((_matvec(p), _matvec(pt)))
         a = pt @ a.tocsr() @ p
-    return levels, np.linalg.inv(a.toarray())
+    return smoothers, transfers, np.linalg.inv(a.toarray())
 
 
-def _vcycle(levels, coarse_inv, r, level=0):
-    """One symmetric V(1,1) cycle applied to ``r`` (zero initial guess); returns a new array."""
-    if level == len(levels):
+def _vcycle(smoothers, transfers, coarse_inv, r, level=0):
+    """One symmetric V(1,1) cycle applied to ``r`` (zero initial guess); returns a new array.
+
+    ``smoothers`` is the finest level's (A, omega / diag A) before :func:`_hierarchy`'s."""
+    if level == len(transfers):
         return coarse_inv @ r
-    a, wdiag, p, pt = levels[level]
+    a, wdiag = smoothers[level]
+    p, pt = transfers[level]
     x = wdiag * r
     t = a(x)
     np.subtract(r, t, out=t)
-    x += p(_vcycle(levels, coarse_inv, pt(t), level + 1))
+    x += p(_vcycle(smoothers, transfers, coarse_inv, pt(t), level + 1))
     t = a(x)
     np.subtract(r, t, out=t)
     t *= wdiag
@@ -309,21 +316,17 @@ def _vcycle(levels, coarse_inv, r, level=0):
 
 @dataclass
 class Multigrid:
-    """A V-cycle hierarchy that successive pressure solves share, and their counts.
+    """The V-cycle hierarchy that successive pressure solves share, and their counts.
 
-    ``hierarchy`` is ``(levels, coarse_inv)`` as :func:`_hierarchy` returns
-    it, built from the ``A`` of an earlier solve on the same grid, or
-    ``None`` when the next solve must build it.  ``fresh_iterations`` is the
-    CG iteration count of the first solve on the current hierarchy: later
-    solves are measured against it.  The hierarchy owns the work arrays of
-    its matrix-vector products, so only one solve at a time may use it.
+    ``hierarchy`` is what :func:`_hierarchy` returns, built from the ``A``
+    of an earlier solve on the same grid, or ``None`` when the next solve
+    must build it from its own.  The hierarchy owns the work arrays of its
+    matrix-vector products, so only one solve at a time may use it.
     """
 
     hierarchy: tuple | None = None
-    fresh_iterations: int = 0
     solves: int = 0
     cg_iterations: int = 0
-    rebuilds: int = 0
 
 
 def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
@@ -338,15 +341,13 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     inverse on the coarsest level.  Returns ``x`` with
     ``||a x - b|| <= 1e-10 ||b||``, or raises ``RuntimeError``.
 
-    ``mg`` carries the hierarchy from one solve to the next on the same
-    grid; without it the solve builds its own.  A hierarchy built from an
-    earlier ``A`` is still SPD, so it only costs iterations: after a solve
-    that needed more than ``_REBUILD_AFTER`` iterations beyond the first
-    solve on that hierarchy it is dropped, and the next solve rebuilds it
-    from its own ``a``.  The check follows every solve, the first included,
-    so a negative ``_REBUILD_AFTER`` rebuilds the hierarchy for every solve.
-    A hierarchy owns the work arrays of its matrix-vector products, so one
-    ``mg`` serves one solve at a time.
+    ``mg`` carries the coarse levels from one solve to the next on the same
+    grid; without it, or while ``mg.hierarchy`` is ``None``, the solve
+    builds them from its own ``a``.  The finest level is always smoothed
+    with ``a``.  Coarse levels built from an earlier ``A`` keep the
+    preconditioner SPD, so they only cost iterations; the caller decides
+    when to drop them.  A hierarchy owns the work arrays of its
+    matrix-vector products, so one ``mg`` serves one solve at a time.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
@@ -368,12 +369,11 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     tol2 = (_RTOL * bnorm) ** 2
     if r @ r <= tol2:
         return x.reshape(shape)
-    fresh = mg.hierarchy is None
-    if fresh:
+    if mg.hierarchy is None:
         mg.hierarchy = _hierarchy(a, *shape)
-        mg.rebuilds += 1
-    levels, coarse_inv = mg.hierarchy
-    d = _vcycle(levels, coarse_inv, r)
+    smoothers, transfers, coarse_inv = mg.hierarchy
+    smoothers = [(a_mv, _OMEGA / a.diagonal()), *smoothers]
+    d = _vcycle(smoothers, transfers, coarse_inv, r)
     rz = r @ d
     for it in range(1, _MAXITER + 1):
         ad = a_mv(d)
@@ -382,12 +382,8 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
         r -= alpha * ad
         if r @ r <= tol2:
             mg.cg_iterations += it
-            if fresh:
-                mg.fresh_iterations = it
-            if it > mg.fresh_iterations + _REBUILD_AFTER:
-                mg.hierarchy = None
             return x.reshape(shape)
-        z = _vcycle(levels, coarse_inv, r)
+        z = _vcycle(smoothers, transfers, coarse_inv, r)
         rz_new = r @ z
         d *= rz_new / rz
         d += z
@@ -481,14 +477,14 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     the extrapolation ``4 p_n - 6 p_{n-1} + 4 p_{n-2} - p_{n-3}`` of the
     last four pressures over the free cells, or by the row of
     ``_EXTRAPOLATE`` for as many as the run has so far (``p_n`` on its first
-    sub-step).  The solves share one hierarchy, rebuilt from the current
-    matrix only after a solve that needed more than ``_REBUILD_AFTER`` CG
-    iterations beyond the first solve on it.
+    sub-step).  The hierarchy is dropped at the start of each day, so the
+    initial solve and each day's first solve build it from their own matrix,
+    and the day's later solves share it.
     :func:`update_saturation` picks each sub-step's CFL-limited length,
     capped at what is left of the day.  Snapshot 0 is the initial
     saturation with its consistent pressure field.  ``extra`` holds the
-    run's integer counts: ``substeps``, ``pressure_solves``,
-    ``cg_iterations`` and ``hierarchy_rebuilds``.
+    run's integer counts: ``substeps``, ``pressure_solves`` and
+    ``cg_iterations``.
     """
     nx, nz = cfg.nx, cfg.nz
     tx, tz = face_transmissibility(k, cfg)
@@ -517,6 +513,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     rate = _injection_rate(cfg)
     substeps = 0
     for day in range(1, days + 1):
+        mg.hierarchy = None
         t = 0.0
         while t < 1.0 - 1e-12:
             sw, prod, dt = update_saturation(sw, fw, fx, fz, cfg, 1.0 - t)
@@ -535,7 +532,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
         water_injected=injected,
         water_produced=produced,
         extra={"substeps": substeps, "pressure_solves": mg.solves,
-               "cg_iterations": mg.cg_iterations, "hierarchy_rebuilds": mg.rebuilds},
+               "cg_iterations": mg.cg_iterations},
     )
 
 

@@ -445,6 +445,30 @@ def test_predict_fields_normalizes_k_in_float64(cls, cfg, dtype):
 
 
 @SMALL_MODELS
+def test_predict_fields_builds_float32_inputs_for_float32_models(cls, cfg, monkeypatch):
+    # a float32 model's input batch is built in float32, not cast down from a
+    # float64 one, and it predicts the bits of the float64-built batch
+    stats = NormStats(k_mean=1.3, k_std=0.7, target_mean=0.2, target_std=3.0)
+    model = cls(cfg, stats=stats, dtype=np.float32, seed=5)
+    k = 10.0 * np.abs(np.random.default_rng(3).standard_normal((8, 8)))
+    days = np.arange(5.0)
+    make = operators.make_input
+    seen = []
+
+    def spy(k_norm, t_frac):
+        seen.append(k_norm.dtype)
+        return make(k_norm, t_frac)
+
+    monkeypatch.setattr(operators, "make_input", spy)
+    out = model.predict_fields(k, days)
+    assert seen == [np.float32] and out.dtype == np.float32
+    kn = stats.normalize_k(k)
+    x64 = make(np.broadcast_to(kn, (len(days), *kn.shape)), days / model.t_max)
+    assert x64.dtype == np.float64
+    assert np.array_equal(out, stats.denormalize_target(model.predict(x64)))
+
+
+@SMALL_MODELS
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_predict_fields_of_no_days(cls, cfg, dtype):
     out = cls(cfg, stats=STATS, dtype=dtype).predict_fields(np.ones((10, 10)), [])
