@@ -23,7 +23,6 @@ changing the coefficients already present on a coarser grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -53,19 +52,15 @@ def kl_eigenvalues(spec: GrfSpec) -> np.ndarray:
     return lam ** (-float(_EXPONENT))
 
 
-@lru_cache(maxsize=8)
 def _shell_order(n: int) -> np.ndarray:
-    """Flat (j*n + k) indices of modes in expanding max(j,k) shells."""
-    order = np.empty(n * n, dtype=np.int64)
-    pos = 0
-    for s in range(n):
-        for j in range(s):           # (j, s) for j < s
-            order[pos] = j * n + s
-            pos += 1
-        for j in range(s, -1, -1):   # (s, k) for k = s..0
-            order[pos] = s * n + j
-            pos += 1
-    return order
+    """Flat (j*n + k) indices of modes in expanding max(j,k) shells.
+
+    Shell s lists (j, s) for j = 0..s-1, then (s, k) for k = s..0: the
+    position in the shell is j on the first leg and 2s - k on the second.
+    """
+    j, k = np.divmod(np.arange(n * n), n)
+    s = np.maximum(j, k)
+    return np.lexsort((np.where(j < s, j, 2 * s - k), s))
 
 
 def _noise_grid(spec: GrfSpec, draw_index: int) -> np.ndarray:

@@ -15,7 +15,7 @@ run builds one multigrid hierarchy per simulated day, at the day's first
 solve, and the V-cycle smooths the finest level with the matrix being
 solved, so only the coarser levels lag behind it.  Each sub-step's solve
 starts from the cubic extrapolation, in the sub-step index, of the four
-previous pressures (of as many as there are, early in a run).  Water is
+previous pressures (of as many as there are, early in a day).  Water is
 injected at a fixed total rate spread over the leftmost column; the
 rightmost column is held at a fixed producer pressure, which anchors the
 elliptic system as a known value, not an unknown.
@@ -316,16 +316,16 @@ def _vcycle(smoothers, transfers, coarse_inv, r, level=0):
 
 @dataclass
 class Multigrid:
-    """The V-cycle hierarchy that successive pressure solves share, and their counts.
+    """The V-cycle hierarchy that successive pressure solves share, and their CG iterations.
 
     ``hierarchy`` is what :func:`_hierarchy` returns, built from the ``A``
     of an earlier solve on the same grid, or ``None`` when the next solve
     must build it from its own.  The hierarchy owns the work arrays of its
     matrix-vector products, so only one solve at a time may use it.
+    ``cg_iterations`` sums the CG iterations of the solves that used it.
     """
 
     hierarchy: tuple | None = None
-    solves: int = 0
     cg_iterations: int = 0
 
 
@@ -357,7 +357,6 @@ def solve_pressure(a, b, x0=None, mg: Multigrid | None = None) -> np.ndarray:
     if x0 is not None and np.size(x0) != b.size:
         raise ValueError(f"x0 has {np.size(x0)} entries, b has {b.size}")
     mg = Multigrid() if mg is None else mg
-    mg.solves += 1
     shape = b.shape
     b = b.ravel()
     bnorm = np.linalg.norm(b)
@@ -475,16 +474,17 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     multigrid-preconditioned CG for the free cells; the producer column is
     no unknown and holds ``p_prod`` exactly.  A sub-step's solve starts from
     the extrapolation ``4 p_n - 6 p_{n-1} + 4 p_{n-2} - p_{n-3}`` of the
-    last four pressures over the free cells, or by the row of
-    ``_EXTRAPOLATE`` for as many as the run has so far (``p_n`` on its first
-    sub-step).  The hierarchy is dropped at the start of each day, so the
-    initial solve and each day's first solve build it from their own matrix,
-    and the day's later solves share it.
-    :func:`update_saturation` picks each sub-step's CFL-limited length,
-    capped at what is left of the day.  Snapshot 0 is the initial
-    saturation with its consistent pressure field.  ``extra`` holds the
-    run's integer counts: ``substeps``, ``pressure_solves`` and
-    ``cg_iterations``.
+    day's last four pressures over the free cells, or by the row of
+    ``_EXTRAPOLATE`` for as many as the day has so far: the day's first
+    solve starts from the day's starting pressure.  The hierarchy is dropped
+    at the start of each day too, so the initial solve and each day's first
+    solve build it from their own matrix, and the day's later solves share
+    it.  A day thus inherits its starting snapshot ``(p, sw)`` and nothing
+    of the solver.  :func:`update_saturation` picks each sub-step's
+    CFL-limited length, capped at what is left of the day.  Snapshot 0 is
+    the initial saturation with its consistent pressure field.  ``extra``
+    holds the run's integer counts: ``substeps`` (one pressure solve each,
+    after the initial one) and ``cg_iterations``.
     """
     nx, nz = cfg.nx, cfg.nz
     tx, tz = face_transmissibility(k, cfg)
@@ -501,7 +501,6 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
 
     sw = np.full((nx, nz), cfg.sw_init, dtype=np.float64)
     p, fw, fx, fz = pressure(sw)
-    past = [p]   # the last len(_EXTRAPOLATE) pressures, newest first
 
     days = cfg.total_days
     p_series = np.empty((days + 1, nx, nz))
@@ -513,8 +512,8 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
     rate = _injection_rate(cfg)
     substeps = 0
     for day in range(1, days + 1):
-        mg.hierarchy = None
-        t = 0.0
+        # past: the day's last len(_EXTRAPOLATE) pressures, newest first
+        mg.hierarchy, past, t = None, [p], 0.0
         while t < 1.0 - 1e-12:
             sw, prod, dt = update_saturation(sw, fw, fx, fz, cfg, 1.0 - t)
             injected += rate * dt
@@ -531,8 +530,7 @@ def run_simulation(k: np.ndarray, cfg: ReservoirConfig) -> TimeSeriesSample:
         sw_series=sw_series,
         water_injected=injected,
         water_produced=produced,
-        extra={"substeps": substeps, "pressure_solves": mg.solves,
-               "cg_iterations": mg.cg_iterations},
+        extra={"substeps": substeps, "cg_iterations": mg.cg_iterations},
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dct2
-from porolab.grf import GrfSpec, kl_eigenvalues, sample_grf, to_permeability
+from porolab.grf import GrfSpec, _shell_order, kl_eigenvalues, sample_grf, to_permeability
 
 
 def basis_values(spec, cell):
@@ -71,6 +71,14 @@ class TestSampling:
         empirical = float(np.mean(fields ** 2))
         analytic = float(kl_eigenvalues(spec).sum())
         assert abs(empirical - analytic) < 0.06 * analytic
+
+    def test_shell_order_matches_the_loop(self):
+        # the closed form lists each shell max(j, k) = s as the loop does:
+        # (j, s) for j = 0..s-1, then (s, k) for k = s..0
+        for n in range(1, 41):
+            want = [w for s in range(n) for w in
+                    [j * n + s for j in range(s)] + [s * n + k for k in range(s, -1, -1)]]
+            assert np.array_equal(_shell_order(n), want), n
 
     def test_mode_nesting_under_refinement(self):
         # doubling n reproduces the shared-mode coefficients exactly

@@ -1,5 +1,6 @@
 """Training loop, losses, checkpoints and evaluation on the 16x16 fixture."""
 
+import concurrent.futures
 import functools
 import re
 import threading
@@ -285,11 +286,31 @@ def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind
         np.testing.assert_allclose(p.grad, grads[q.key], rtol=1e-12, atol=0, err_msg=p.name)
 
 
+class InTurn:
+    """A stand-in executor whose ``submit`` runs the call at once, on the calling thread."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
 def test_pieces_bound_what_a_step_holds(monkeypatch, kind):
-    # halves of 4 pairs, whole or in pieces of 2.  The two threads meet at the
-    # loss, where each holds its whole forward tape, so the peak is that of
-    # two tapes at once however the threads are scheduled
+    # halves of 4 pairs, whole or in pieces of 2, run in turn on the calling
+    # thread, so the traced peak is one half's tape at a time and does not
+    # hang on how two threads overlap: in turn the ratio reads 0.579 (FNO) and
+    # 0.530 (MgNO) on every run, on two threads anywhere from 0.47 to 0.70.
+    # TestTwoShards covers the two-thread split itself
     cls, cfg = TINY[kind]
     stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
     model = cls(cfg, stats=stats, dtype=np.float32, seed=1)
@@ -297,14 +318,7 @@ def test_pieces_bound_what_a_step_holds(monkeypatch, kind):
     x = model.inputs(rng.standard_normal((8, 32, 32)).astype(np.float32), np.arange(8))
     y = rng.standard_normal((8, 1, 32, 32)).astype(np.float32)
     denoms = rng.random(8) + 1.0
-    meet = threading.Barrier(2, timeout=60)
-    loss = training.batched_relative_loss
-
-    def met(*args, **kw):
-        meet.wait()
-        return loss(*args, **kw)
-
-    monkeypatch.setattr(training, "batched_relative_loss", met)
+    monkeypatch.setattr(operators, "ThreadPoolExecutor", InTurn)
     training._sharded_step(model, x, y, denoms)      # warm-up, untraced
     peaks = {}
     for size in (4, 2):
