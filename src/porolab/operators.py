@@ -117,28 +117,40 @@ def _one_blas_thread():
 _PIECE_CELLS = 25 * 32 * 32
 
 
-def _two_shards(fn, *arrays) -> list:
+def _two_shards(fn, fold, *arrays):
     """``fn`` on the pieces of the first ceil(B/2) entries of each array, in turn on
     the calling thread, and on those of the rest, in turn on the one worker of an
-    executor opened for the call; the results in piece order.  ``np.array_split``
-    cuts each half into the fewest near-equal pieces (larger first) of at most
+    executor opened for the call, each half folding its pieces' results as they
+    end: ``fold(fold(r1, r2), r3)`` and so on, in piece order.  Returns
+    ``fold(first half, second half)``, or the first half's result alone for a batch
+    of one.  The fold order, (first half in piece order) with (second half in
+    piece order), hangs on the batch size and the grid alone, so it is the same
+    on every machine.  ``fold`` may write into a value that it returned, but never
+    into a piece's result, which may be held elsewhere.  ``np.array_split`` cuts
+    each half into the fewest near-equal pieces (larger first) of at most
     ``max(1, _PIECE_CELLS // cells)`` entries, an entry's cells being the product
     of the first array's axes past the first two ([B, C, H, W] gives H*W).  A
-    thread finishes one piece before it starts the next, so the memory a training
-    step holds is bounded by the piece, not the batch (micro-batch gradient
-    accumulation, as in GPipe: Huang et al., NeurIPS 2019, arXiv 1811.06965).  A
-    batch of one starts no thread; an empty batch is one empty piece.  numpy's
-    OpenBLAS runs one thread for the duration: with two, each GEMM would split
-    over cores the halves already fill, and an idle BLAS worker spins between
-    GEMMs and holds a core.  A half stops at its first failing piece, and the
-    error is raised once both halves have ended (the first half's when both
-    fail)."""
+    thread finishes one piece and folds it before it starts the next, so the
+    memory a training step holds is bounded by the piece and one running result
+    per thread, not by the batch (micro-batch gradient accumulation, as in GPipe:
+    Huang et al., NeurIPS 2019, arXiv 1811.06965).  A batch of one starts no
+    thread; an empty batch is one empty piece.  numpy's OpenBLAS runs one thread
+    for the duration: with two, each GEMM would split over cores the halves
+    already fill, and an idle BLAS worker spins between GEMMs and holds a core.  A
+    half stops at its first failing piece, and the error is raised once both
+    halves have ended (the first half's when both fail)."""
     cap = max(1, _PIECE_CELLS // math.prod(arrays[0].shape[2:]))
     halves = list(zip(*(np.array_split(a, 2 if len(arrays[0]) > 1 else 1) for a in arrays)))
 
+    # not functools.reduce: its argument tuple keeps the last two operands alive
+    # through the next piece, two gradients more per thread in a training step
     def run(half):
-        pieces = max(1, -(-len(half[0]) // cap))
-        return [fn(*piece) for piece in zip(*(np.array_split(a, pieces) for a in half))]
+        count = max(1, -(-len(half[0]) // cap))
+        pieces = zip(*(np.array_split(a, count) for a in half))
+        done = fn(*next(pieces))
+        for piece in pieces:
+            done = fold(done, fn(*piece))
+        return done
 
     with _one_blas_thread():
         if len(halves) == 1:
@@ -146,7 +158,7 @@ def _two_shards(fn, *arrays) -> list:
         with ThreadPoolExecutor(1) as pool:
             rest = pool.submit(run, halves[1])
             done = run(halves[0])
-        return done + rest.result()
+        return fold(done, rest.result())
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +301,11 @@ class _Operator:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Tape-free forward on [B,C,H,W] inputs, as two halves on two threads, each
-        walked piece by piece (:func:`_two_shards`); returns [B,H,W]."""
+        walked piece by piece and joined in piece order (:func:`_two_shards`);
+        returns [B,H,W]."""
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        return np.concatenate(_two_shards(lambda xs: self.forward(Tensor(xs)).data[:, 0], x))
+        return _two_shards(lambda xs: self.forward(Tensor(xs)).data[:, 0],
+                           lambda a, b: np.concatenate((a, b)), x)
 
     def inputs(self, k_norm: np.ndarray, days) -> np.ndarray:
         """:func:`make_input` of normalized fields [B,H,W] at ``days / t_max``, one day each."""

@@ -156,7 +156,10 @@ class Tape:
         is popped before its rule runs and its output gradient leaves the
         table, so both are freed as the pass goes and the table left at the
         end holds the leaves' gradients.  A rule must return one gradient per
-        input.
+        input.  Each leaf gets an array of its own: a rule may pass one array to
+        several inputs (``add`` returns ``(g, g)``), so an array already stored
+        under another leaf is copied, once, at the end of the pass, and a caller
+        may write into one leaf's gradient without changing another's.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
@@ -172,6 +175,12 @@ class Tape:
                 continue
             for k, dt in zip(inputs, backward_fn(g), strict=True):
                 grads[k] = grads[k] + dt if k in grads else dt
+        stored = set()
+        for k, g in grads.items():
+            if id(g) in stored:
+                grads[k] = g.copy()
+            else:
+                stored.add(id(g))
         return grads
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 import threading
 import time
 import weakref
@@ -566,6 +567,12 @@ def test_tape_holds_no_tensor():
     assert len(found) > 50 and not any(isinstance(obj, Tensor) for obj in found)
 
 
+def _pieces(fn, *arrays) -> list:
+    """:func:`_two_shards` with each piece's result in a list of its own, folded by
+    list addition: every piece's result, in piece order."""
+    return _two_shards(lambda *xs: [fn(*xs)], operator.add, *arrays)
+
+
 class TestTwoShards:
     """``operators._two_shards``, the one runner of training steps and predictions:
     its piece bounds, its threads, its errors and its BLAS setting."""
@@ -616,8 +623,8 @@ class TestTwoShards:
         grid = math.prod(cells[1:]) if isinstance(cells, tuple) else cells
         x = np.empty((bsz, *cells) if isinstance(cells, tuple) else (bsz, 0, cells))
         caller = threading.get_ident()
-        out = _two_shards(lambda xs, i: (threading.get_ident() == caller, len(xs), i.tolist()),
-                          x, np.arange(bsz))
+        out = _pieces(lambda xs, i: (threading.get_ident() == caller, len(xs), i.tolist()),
+                      x, np.arange(bsz))
         assert out == [(h == 0, hi - lo, list(range(lo, hi)))
                        for h, half in enumerate(want) for lo, hi in half]
         cap = max(1, operators._PIECE_CELLS // grid)
@@ -645,7 +652,7 @@ class TestTwoShards:
             monkeypatch.setattr(operators, "_PIECE_CELLS", piece_cells)
         a, b = np.arange(3.0 * bsz).reshape(bsz, 3), np.arange(bsz)
         caller = threading.get_ident()
-        out = _two_shards(lambda *xs: (threading.get_ident(), xs), a, b)
+        out = _pieces(lambda *xs: (threading.get_ident(), xs), a, b)
         c = -(-bsz // 2)
         assert len(out) == len(bounds)
         assert [ident == caller for ident, _ in out] == [lo < c for lo, _ in bounds]
@@ -678,7 +685,7 @@ class TestTwoShards:
 
         want = blas()
         with pytest.raises(RuntimeError) as info:
-            _two_shards(fn, np.arange(10))
+            _pieces(fn, np.arange(10))
         assert info.value is errors[min(failing)] and blas() == want
         stops = [min([i for i in failing if lo <= i < lo + 5], default=lo + 4) for lo in (0, 5)]
         assert sorted(ended) == [*range(stops[0] + 1), *range(5, stops[1] + 1)]
@@ -701,7 +708,7 @@ class TestTwoShards:
 
         want, threads = blas(), threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            _two_shards(fn, np.array([0, 0, 1]))
+            _pieces(fn, np.array([0, 0, 1]))
         assert info.value is errors[failing[0]] and sorted(ended) == [0, 1]
         assert (blas(), threading.active_count()) == (want, threads)
 
@@ -709,9 +716,9 @@ class TestTwoShards:
         want = blas()
         if want is None:
             pytest.skip("numpy exposes no scipy-openblas thread count")
-        assert _two_shards(lambda x: blas(), np.zeros(3)) == [1, 1] and blas() == want
+        assert _pieces(lambda x: blas(), np.zeros(3)) == [1, 1] and blas() == want
         monkeypatch.setattr(operators, "_PIECE_CELLS", 2)   # pieces of 2, 2, 1 | 2, 2
-        assert _two_shards(lambda x: blas(), np.zeros(9)) == [1] * 5 and blas() == want
+        assert _pieces(lambda x: blas(), np.zeros(9)) == [1] * 5 and blas() == want
 
     def test_one_entry_starts_no_thread(self, monkeypatch):
         started = []
@@ -722,12 +729,49 @@ class TestTwoShards:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording)
-        assert _two_shards(len, np.zeros(1)) == [1] and started == []
-        assert _two_shards(len, np.zeros(2)) == [1, 1] and len(started) == 1
+        assert _pieces(len, np.zeros(1)) == [1] and started == []
+        assert _pieces(len, np.zeros(2)) == [1, 1] and len(started) == 1
         # however small the pieces: one worker for the second half, none for one entry
         monkeypatch.setattr(operators, "_PIECE_CELLS", 1)
-        assert _two_shards(len, np.zeros(1)) == [1] and len(started) == 1
-        assert _two_shards(len, np.zeros(4)) == [1] * 4 and len(started) == 2
+        assert _pieces(len, np.zeros(1)) == [1] and len(started) == 1
+        assert _pieces(len, np.zeros(4)) == [1] * 4 and len(started) == 2
+
+    @pytest.mark.parametrize("bsz,piece_cells,want", [
+        # halves of 5 and 4 entries in pieces of at most 2: 2+2+1, then 2+2
+        (9, 2, "(((0-1+2-3)+4)+(5-6+7-8))"),
+        (9, None, "(0-1-2-3-4+5-6-7-8)"),
+        (1, None, "0"),
+        (0, None, ""),
+    ])
+    def test_fold_order(self, bsz, piece_cells, want, monkeypatch):
+        # each half folds its pieces left to right in piece order, and the first
+        # half's result is folded with the second's; one half is returned unfolded
+        if piece_cells is not None:
+            monkeypatch.setattr(operators, "_PIECE_CELLS", piece_cells)
+        out = _two_shards(lambda xs: "-".join(map(str, xs.tolist())),
+                          lambda a, b: f"({a}+{b})", np.arange(bsz))
+        assert out == want
+
+    def test_each_thread_folds_a_piece_as_it_ends(self, monkeypatch):
+        # pieces of one entry: on each thread, every piece after its half's first is
+        # folded into the running result before the next piece starts
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 1)
+        events = []
+
+        def fn(x):
+            events.append((threading.get_ident(), "piece"))
+            return int(x[0])
+
+        def fold(a, b):
+            events.append((threading.get_ident(), "fold"))
+            return a + b
+
+        caller = threading.get_ident()
+        assert _two_shards(fn, fold, np.arange(6)) == 15
+        mine = [e for ident, e in events if ident == caller]
+        theirs = [e for ident, e in events if ident != caller]
+        assert mine == ["piece", "piece", "fold", "piece", "fold", "fold"]
+        assert theirs == ["piece", "piece", "fold", "piece", "fold"]
 
 
 class TestPredictShards:
@@ -755,6 +799,31 @@ class TestPredictShards:
         assert out.dtype == dtype and np.array_equal(out, np.concatenate(shards))
         if cls is Mgno:
             assert np.array_equal(out, model.forward(Tensor(x)).data[:, 0])
+
+    @SMALL_MODELS
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_pieces_joined_in_piece_order(self, cls, cfg, dtype, monkeypatch):
+        # pieces of at most 6 entries of the 8x8 grid cut a 25-day series as a 64x64
+        # one is cut: 5+4+4 on the calling thread, 6+6 on the worker
+        monkeypatch.setattr(operators, "_PIECE_CELLS", 6 * 8 * 8)
+        model = cls(cfg, stats=STATS, dtype=dtype, seed=5)
+        kn = np.random.default_rng(4).standard_normal((8, 8))
+        x = make_input(np.stack([kn] * 25), np.arange(25) / model.t_max).astype(dtype)
+        calls = []
+        forward = model.forward
+
+        def recording(xt):
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          round(float(xt.data[0, 1, 0, 0]) * model.t_max), len(xt.data)))
+            return forward(xt)
+
+        monkeypatch.setattr(model, "forward", recording)
+        out = model.predict(x)
+        assert sorted(calls, key=lambda c: c[1]) == [
+            (True, 0, 5), (True, 5, 4), (True, 9, 4), (False, 13, 6), (False, 19, 6)]
+        bounds = [0, 5, 9, 13, 19, 25]
+        pieces = [forward(Tensor(x[lo:hi])).data[:, 0] for lo, hi in zip(bounds, bounds[1:])]
+        assert out.dtype == dtype and np.array_equal(out, np.concatenate(pieces))
 
 
 def _reachable_parameters(model):

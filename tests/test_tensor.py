@@ -402,6 +402,20 @@ class TestBackward:
         grads = tape.backward(loss)
         assert grads.keys() == {x.key} and np.array_equal(grads[x.key], 2.0 * x.data)
 
+    def test_leaves_get_arrays_of_their_own(self):
+        # add's rule passes one array to both inputs; writing into one leaf's
+        # gradient must leave the other's as it was
+        a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))
+        c = Tensor(np.array([5.0, 6.0]))
+        with Tape() as tape:
+            s = T.add(a, b)
+            loss = T.tensor_sum(T.mul(s, c))
+        grads = tape.backward(loss)
+        assert not np.shares_memory(grads[a.key], grads[b.key])
+        grads[a.key] += 1.0
+        assert np.array_equal(grads[b.key], c.data)
+        assert np.array_equal(grads[a.key], c.data + 1.0)
+
     def test_backward_returns_exactly_the_leaves(self):
         # leaves: tensors that entered an op on the tape but that no op on it produced
         r = np.random.default_rng(3)

@@ -257,20 +257,25 @@ def test_train_batch_equals_stacked_make_input(tiny_bundle, monkeypatch):
 def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind,
                                                   piece_cells, pieces):
     """One float64 training step on the 25-pair batch: its pieces are ``pieces``
-    ((half, size) in piece order), each grad is the pieces' gradients summed in
-    piece order, bit for bit, and the loss and grads match one full-batch tape."""
+    ((half, size) in piece order), each grad is the sum of the first half's
+    gradients in piece order plus that of the second half's, bit for bit, and the
+    loss and grads match one full-batch tape."""
     bundle, _ = tiny_bundle
     monkeypatch.setattr(operators, "_PIECE_CELLS", piece_cells)
     model = _model(bundle, kind, dtype=np.float64)
     params = model.parameters()
     start = [p.data.copy() for p in params]
     calls = _record_shards(monkeypatch)
-    training.train(model, bundle, _train_cfg(epochs=1))
+    history = training.train(model, bundle, _train_cfg(epochs=1))
     calls.sort(key=lambda c: c[0])        # stable: each half's pieces stay in order
     assert [(c[0], len(c[1])) for c in calls] == pieces
-    results = [c[4] for c in calls]
+    halves = [[c[4] for c in calls if c[0] == h] for h in (0, 1)]
+
+    def in_order(values):
+        return np.add(*(functools.reduce(np.add, half) for half in values))
+
     for i, p in enumerate(params):
-        want = functools.reduce(np.add, [grads[i] for _, grads in results])
+        want = in_order([[grads[i] for _, grads in half] for half in halves])
         assert p.grad.dtype == np.float64 and np.array_equal(p.grad, want), p.name
     # and that sum is the gradient of the whole batch's loss on one tape
     fresh = _model(bundle, kind, dtype=np.float64)
@@ -280,10 +285,27 @@ def test_sharded_step_matches_one_full_batch_tape(tiny_bundle, monkeypatch, kind
     with Tape() as tape:
         loss = training.batched_relative_loss(fresh.forward(Tensor(x)), y, weights)
     grads = tape.backward(loss)
-    np.testing.assert_allclose(functools.reduce(np.add, [loss for loss, _ in results]),
-                               loss.data, rtol=1e-12, atol=0)
+    summed = in_order([[loss for loss, _ in half] for half in halves])
+    assert history[0].train_loss == float(summed)
+    np.testing.assert_allclose(summed, loss.data, rtol=1e-12, atol=0)
     for p, q in zip(params, fresh.parameters()):
         np.testing.assert_allclose(p.grad, grads[q.key], rtol=1e-12, atol=0, err_msg=p.name)
+
+
+def test_add_steps_writes_only_into_its_own_sums():
+    # a piece's (loss, gradients) are never written into; the first sum is new,
+    # and the pieces after it are added into that sum
+    pieces = [(np.float64(i), [np.full(3, float(i)), np.full((2, 2), 10.0 * i)])
+              for i in (1, 2, 3)]
+    copies = [(loss, [g.copy() for g in grads]) for loss, grads in pieces]
+    first = training._add_steps(pieces[0], pieces[1])
+    sums = first[1]
+    total = training._add_steps(first, pieces[2])
+    assert total[1] is sums and total[0] == 6.0
+    assert np.array_equal(sums[0], np.full(3, 6.0))
+    assert np.array_equal(sums[1], np.full((2, 2), 60.0))
+    for (loss, grads), (loss0, grads0) in zip(pieces, copies):
+        assert loss == loss0 and all(np.array_equal(g, g0) for g, g0 in zip(grads, grads0))
 
 
 class InTurn:
@@ -304,32 +326,54 @@ class InTurn:
         return done
 
 
-@pytest.mark.parametrize("kind", ["fno", "mgno"])
-def test_pieces_bound_what_a_step_holds(monkeypatch, kind):
-    # halves of 4 pairs, whole or in pieces of 2, run in turn on the calling
-    # thread, so the traced peak is one half's tape at a time and does not
-    # hang on how two threads overlap: in turn the ratio reads 0.579 (FNO) and
-    # 0.530 (MgNO) on every run, on two threads anywhere from 0.47 to 0.70.
-    # TestTwoShards covers the two-thread split itself
-    cls, cfg = TINY[kind]
-    stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
-    model = cls(cfg, stats=stats, dtype=np.float32, seed=1)
+def _step_peaks(monkeypatch, model, n, sizes):
+    """Traced peak of one ``_sharded_step`` of 8 pairs on an n x n grid in pieces of
+    each of ``sizes`` entries, after one untraced warm-up step.  The halves run in
+    turn on the calling thread, so a peak is one half's pieces at a time and does
+    not hang on how two threads overlap."""
     rng = np.random.default_rng(8)
-    x = model.inputs(rng.standard_normal((8, 32, 32)).astype(np.float32), np.arange(8))
-    y = rng.standard_normal((8, 1, 32, 32)).astype(np.float32)
+    x = model.inputs(rng.standard_normal((8, n, n)).astype(np.float32), np.arange(8))
+    y = rng.standard_normal((8, 1, n, n)).astype(np.float32)
     denoms = rng.random(8) + 1.0
     monkeypatch.setattr(operators, "ThreadPoolExecutor", InTurn)
-    training._sharded_step(model, x, y, denoms)      # warm-up, untraced
+    training._sharded_step(model, x, y, denoms)
     peaks = {}
-    for size in (4, 2):
-        monkeypatch.setattr(operators, "_PIECE_CELLS", size * 32 * 32)
+    for size in sizes:
+        monkeypatch.setattr(operators, "_PIECE_CELLS", size * n * n)
         tracemalloc.start()
         try:
             training._sharded_step(model, x, y, denoms)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("kind", ["fno", "mgno"])
+def test_pieces_bound_what_a_step_holds(monkeypatch, kind):
+    # halves of 4 pairs, whole or in pieces of 2, run in turn: the ratio reads 0.561
+    # (FNO) and 0.528 (MgNO) on every run, on two threads anywhere from 0.47 to 0.70.
+    # TestTwoShards covers the two-thread split itself
+    cls, cfg = TINY[kind]
+    stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+    model = cls(cfg, stats=stats, dtype=np.float32, seed=1)
+    peaks = _step_peaks(monkeypatch, model, 32, (4, 2))
     assert peaks[2] <= 0.65 * peaks[4]
+
+
+def test_a_half_holds_one_running_gradient(monkeypatch):
+    # an FNO whose weights outweigh one entry's activations (a tape holds 0.39x the
+    # weight bytes an entry at 12x12), so that what a step holds turns on how many
+    # gradients it keeps.  In pieces of 1 a half keeps its running sum besides the
+    # piece's own, and the peak reads 4.55x the weight bytes, against 5.04x in
+    # pieces of 4; a step that kept every piece's gradient until the batch ended
+    # read 9.59x in pieces of 1.  At 8x8 (0.18x an entry) the running sum
+    # outweighs the 3 entries that pieces of 4 add: 4.29x against 4.03x
+    stats = NormStats(k_mean=0.0, k_std=1.0, target_mean=0.0, target_std=1.0)
+    model = Fno(FnoConfig(width=32, modes1=4, modes2=3, depth=2), stats=stats,
+                dtype=np.float32, seed=1)
+    peaks = _step_peaks(monkeypatch, model, 12, (4, 1))
+    assert peaks[1] <= peaks[4]
 
 
 @pytest.mark.parametrize("kind", ["fno", "mgno"])
